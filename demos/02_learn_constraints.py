@@ -20,7 +20,6 @@ from sdc.candidates import GridSpec, candidate_count, enumerate_candidates
 from sdc.corpus import filter_columns
 from sdc.datagen import generate_corpus
 from sdc.domain_fns import (
-    DistanceCache,
     Registry,
     builtin_validators,
     infer_patterns,
@@ -68,8 +67,6 @@ kept = assess_all(
     enumerate_candidates(registry.functions(), grid),
     corpus,
     registry,
-    workers=4,
-    cache=DistanceCache(),
     gate_counts=gate_counts,
 )
 print(f"assessed in {time.perf_counter() - t0:.1f}s; gate funnel:")

@@ -14,7 +14,6 @@ from sdc.candidates import GridSpec, enumerate_candidates
 from sdc.corpus import filter_columns, sample_columns
 from sdc.datagen import generate_corpus
 from sdc.domain_fns import (
-    DistanceCache,
     Registry,
     builtin_validators,
     infer_patterns,
@@ -45,9 +44,8 @@ for fn in sample_centroids(train, dataset.space, k=40, seed=4):
 for fn in dataset.score_fns:
     registry.add(fn)
 
-cache = DistanceCache()
 kept = assess_all(enumerate_candidates(registry.functions(), GridSpec()),
-                  train, registry, workers=4, cache=cache)
+                  train, registry)
 print(f"{len(kept)} constraints survived assessment")
 
 # ---------------------------------------------------------------------------
@@ -57,7 +55,7 @@ print(f"{len(kept)} constraints survived assessment")
 # is how often it flags anything in the clean corpus.
 
 synth = build_synthetic_corpus(train, seed=5)
-stats = build_candidate_stats(kept, synth, len(train), registry, cache)
+stats = build_candidate_stats(kept, synth, len(train), registry)
 detecting = sum(1 for st in stats if st.detected)
 print(f"{len(synth)} synthetic error columns; "
       f"{detecting} constraints detect at least one")
@@ -91,7 +89,7 @@ if len(chosen) > 5:
 
 noisy, truth = inject_errors(held, {}, rate=0.10, seed=7)
 ruleset = compile_ruleset(chosen)
-report = detect_corpus(ruleset, noisy, registry, workers=4, cache=cache)
+report = detect_corpus(ruleset, noisy, registry)
 n_injected = sum(len(v) for v in truth.values())
 print(f"\ninjected {n_injected} errors into {len(held)} held-out columns; "
       f"{len(report)} detections")

@@ -18,7 +18,6 @@ from sdc.candidates import GridSpec, enumerate_candidates
 from sdc.corpus import sample_columns
 from sdc.datagen import generate_corpus
 from sdc.domain_fns import (
-    DistanceCache,
     Registry,
     builtin_validators,
     infer_patterns,
@@ -47,14 +46,13 @@ for fn in dataset.score_fns:
     registry.add(fn)
 print(f"{len(registry)} domain functions")
 
-cache = DistanceCache()
 kept = assess_all(enumerate_candidates(registry.functions(), GridSpec()),
-                  train, registry, workers=4, cache=cache)
+                  train, registry)
 print(f"{len(kept)} constraints survived assessment "
       f"({time.perf_counter() - t0:.0f}s)")
 
 synth = build_synthetic_corpus(train, seed=SEED + 2)
-stats = build_candidate_stats(kept, synth, len(train), registry, cache)
+stats = build_candidate_stats(kept, synth, len(train), registry)
 outcome = run_selection(stats, SelectionConfig(seed=SEED + 3),
                         synth_ids=[sc.id for sc in synth])
 chosen = [a.sdc for a in kept if a.sdc.id in set(outcome.selected_ids)]
@@ -63,12 +61,12 @@ print(f"selected {len(chosen)} constraints, LP objective "
       f"({time.perf_counter() - t0:.0f}s)")
 
 noisy, truth = inject_errors(held, {}, rate=0.10, seed=SEED + 4)
-report = detect_corpus(compile_ruleset(chosen), noisy, registry, workers=4)
+report = detect_corpus(compile_ruleset(chosen), noisy, registry)
 points = pr_curve(report, truth)
 auc = pr_auc(points)
 
 best_fn, best_auc, all_aucs = best_zscore_baseline(
-    registry.functions(), noisy, truth, cache=DistanceCache())
+    registry.functions(), noisy, truth)
 
 print(f"\n{sum(len(v) for v in truth.values())} injected errors, "
       f"{len(report)} detections")

@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .candidates import Sdc
 from .corpus import Column, Corpus
-from .domain_fns import DistanceCache, DomainEvalFn, Registry
+from .domain_fns import DomainEvalFn, Registry, ValueIndex, column_distances
 from .errors import DataFormatError
 
 
@@ -160,37 +159,29 @@ class AssessedSdc:
 # Pre/post-conditions
 
 
-def eval_precondition(
-    sdc: Sdc, column: Column, registry: Registry, cache: Optional[DistanceCache] = None
-) -> bool:
+def eval_precondition(sdc: Sdc, column: Column, registry: Registry) -> bool:
     """True iff at least a fraction ``m`` of the column's values lie
     within distance ``d_in`` (non-strict) of the domain."""
-    fn = registry.get(sdc.fn_id)
-    dists = (cache or DistanceCache()).distances(fn, column)
+    dists = column_distances(registry.get(sdc.fn_id), column)
     inside = int(np.count_nonzero(dists <= sdc.d_in))
     return inside >= sdc.m * len(column)
 
 
-def eval_postcondition(
-    sdc: Sdc, column: Column, registry: Registry, cache: Optional[DistanceCache] = None
-) -> set[tuple[int, str]]:
+def eval_postcondition(sdc: Sdc, column: Column, registry: Registry) -> set[tuple[int, str]]:
     """The (index, raw value) pairs strictly beyond ``d_out``."""
-    fn = registry.get(sdc.fn_id)
-    dists = (cache or DistanceCache()).distances(fn, column)
+    dists = column_distances(registry.get(sdc.fn_id), column)
     idx = np.nonzero(dists > sdc.d_out)[0]
     return {(int(i), column.values[int(i)]) for i in idx}
 
 
-def build_contingency(
-    sdc: Sdc, corpus: Corpus, registry: Registry, cache: Optional[DistanceCache] = None
-) -> ContingencyTable:
+def build_contingency(sdc: Sdc, corpus: Corpus, registry: Registry) -> ContingencyTable:
     """Classify every corpus column by (covered, triggered). Triggering
-    is evaluated on all columns, covered or not."""
-    cache = cache or DistanceCache()
+    is evaluated on all columns, covered or not. A reference for
+    ``assess_all``: it evaluates the function cell by cell."""
     fn = registry.get(sdc.fn_id)
     ct = ctbar = nt = ntbar = 0
     for col in corpus:
-        dists = cache.distances(fn, col)
+        dists = column_distances(fn, col)
         covered = int(np.count_nonzero(dists <= sdc.d_in)) >= sdc.m * len(col)
         triggered = bool(np.any(dists > sdc.d_out))
         if covered and triggered:
@@ -282,35 +273,6 @@ def min_coverage_for(c_thres: float, z: float = 1.65) -> int:
 # Full assessment
 
 
-@dataclass
-class _FnColumnStats:
-    """Per-function precomputation: for each column, the fraction of
-    values within each candidate d_in, plus the max distance (which
-    alone decides triggering)."""
-
-    d_ins: list[float]
-    frac_inside: np.ndarray  # shape (n_columns, n_d_ins)
-    max_dist: np.ndarray  # shape (n_columns,)
-    n_values: np.ndarray  # shape (n_columns,)
-
-
-def _precompute_fn_stats(
-    fn: DomainEvalFn, corpus: Corpus, d_ins: list[float], cache: DistanceCache
-) -> _FnColumnStats:
-    n_cols = len(corpus)
-    d_in_arr = np.asarray(d_ins, dtype=np.float64)
-    frac = np.empty((n_cols, len(d_ins)), dtype=np.float64)
-    max_dist = np.empty(n_cols, dtype=np.float64)
-    n_values = np.empty(n_cols, dtype=np.int64)
-    for j, col in enumerate(corpus):
-        dists = np.sort(cache.distances(fn, col))
-        n = len(dists)
-        frac[j] = np.searchsorted(dists, d_in_arr, side="right") / n
-        max_dist[j] = dists[-1]
-        n_values[j] = n
-    return _FnColumnStats(d_ins=d_ins, frac_inside=frac, max_dist=max_dist, n_values=n_values)
-
-
 _GATE_KEYS = (
     "total",
     "evaluated",
@@ -326,16 +288,17 @@ _GATE_KEYS = (
 def _assess_fn_group(
     fn: DomainEvalFn,
     group: list[Sdc],
-    corpus: Corpus,
+    index: ValueIndex,
     cfg: AssessConfig,
     prune: bool,
-    cache: DistanceCache,
 ) -> tuple[list[AssessedSdc], dict[str, int]]:
     d_ins = sorted({c.d_in for c in group})
     d_in_index = {d: i for i, d in enumerate(d_ins)}
-    stats = _precompute_fn_stats(fn, corpus, d_ins, cache)
+    dists = index.distances(fn)
+    inside = index.inside_counts(dists, d_ins)
+    max_dist = index.column_max(dists)
     min_cov = min_coverage_for(cfg.c_thres, cfg.z)
-    n_cols = len(corpus)
+    n_cols = len(index)
     counts = {k: 0 for k in _GATE_KEYS}
     counts["total"] = len(group)
 
@@ -344,7 +307,7 @@ def _assess_fn_group(
     def triggered_mask(d_out: float) -> np.ndarray:
         got = trig_cache.get(d_out)
         if got is None:
-            got = stats.max_dist > d_out
+            got = max_dist > d_out
             trig_cache[d_out] = got
         return got
 
@@ -362,7 +325,7 @@ def _assess_fn_group(
         n_trig = int(np.count_nonzero(trig))
         for pos, cand in enumerate(cands):
             counts["evaluated"] += 1
-            cov_mask = stats.frac_inside[:, d_in_index[cand.d_in]] >= m
+            cov_mask = index.covered(inside[:, d_in_index[cand.d_in]], m)
             coverage = int(np.count_nonzero(cov_mask))
             if coverage < max(1, min_cov):
                 # Candidates with smaller d_in cover subsets of these
@@ -408,39 +371,24 @@ def assess_all(
     cfg: Optional[AssessConfig] = None,
     *,
     prune: bool = True,
-    workers: int = 1,
-    cache: Optional[DistanceCache] = None,
     gate_counts: Optional[dict] = None,
 ) -> list[AssessedSdc]:
-    """Assess every candidate against the corpus and keep the survivors
-    (sorted by candidate id, so output is independent of worker count).
+    """Assess every candidate against the corpus and keep the survivors,
+    sorted by candidate id.
 
     ``gate_counts``, when given, is filled with how many candidates
     passed each successive gate.
     """
     cfg = cfg or AssessConfig()
-    cache = cache or DistanceCache()
-    cands = list(candidates)
+    index = ValueIndex(corpus)
     by_fn: dict[str, list[Sdc]] = {}
-    for cand in cands:
+    for cand in candidates:
         by_fn.setdefault(cand.fn_id, []).append(cand)
 
-    def run(fn_id: str) -> tuple[list[AssessedSdc], dict[str, int]]:
-        return _assess_fn_group(registry.get(fn_id), by_fn[fn_id], corpus, cfg, prune, cache)
-
-    fn_ids = sorted(by_fn)
     results: list[AssessedSdc] = []
     merged = {k: 0 for k in _GATE_KEYS}
-    if workers > 1 and len(fn_ids) > 1:
-        # Worker count must not change results: function groups are
-        # independent, per-group counters are merged after the fact and
-        # the final list is sorted. Cache races at worst recompute an
-        # identical array.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, fn_ids))
-    else:
-        parts = [run(fid) for fid in fn_ids]
-    for kept, counts in parts:
+    for fn_id in sorted(by_fn):
+        kept, counts = _assess_fn_group(registry.get(fn_id), by_fn[fn_id], index, cfg, prune)
         results.extend(kept)
         for k in _GATE_KEYS:
             merged[k] += counts[k]

@@ -2,7 +2,7 @@
 
 All stages are driven by one JSON config file; every output embeds a
 hash of that config for provenance. Identical config and seed produce
-byte-identical outputs regardless of worker count.
+byte-identical outputs.
 
 Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
 """
@@ -25,8 +25,8 @@ from .candidates import GridSpec, enumerate_candidates
 from .corpus import Corpus, filter_columns, load_corpus, sample_columns, save_corpus
 from .datagen import generate_corpus, write_dataset
 from .domain_fns import (
-    DistanceCache,
     Registry,
+    ValueIndex,
     builtin_validators,
     infer_patterns,
     load_embedding_space,
@@ -52,7 +52,6 @@ class PipelineConfig:
     assess: AssessConfig = field(default_factory=AssessConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     out_dir: str = "out"
-    workers: int = 1
     seed: int = 0
     skip_numeric: bool = True
     raw: dict = field(default_factory=dict)
@@ -83,7 +82,6 @@ class PipelineConfig:
             assess=AssessConfig.from_json(data.get("assess", {})) if data.get("assess") else AssessConfig(),
             selection=SelectionConfig.from_json(data.get("selection", {})),
             out_dir=absolute(data.get("out_dir", "out")),
-            workers=int(data.get("workers", 1)),
             seed=int(data.get("seed", 0)),
             skip_numeric=bool(data.get("skip_numeric_columns", True)),
             raw=data,
@@ -152,18 +150,15 @@ def _common_out(cfg: PipelineConfig, out_dir: Optional[str]) -> str:
 @cli.command("gen")
 @click.option("--config", "config_path", required=True, help="pipeline config JSON")
 @click.option("--seed", type=int, default=None, help="override config seed")
-@click.option("--workers", type=int, default=None, help="override config workers")
 @click.option("--grid", "grid_path", default=None, help="threshold grid JSON overriding the config")
 @click.option("--out-dir", default=None, help="override config out_dir")
-def cmd_gen(config_path: str, seed: Optional[int], workers: Optional[int],
-            grid_path: Optional[str], out_dir: Optional[str]) -> None:
+def cmd_gen(config_path: str, seed: Optional[int], grid_path: Optional[str],
+            out_dir: Optional[str]) -> None:
     """Enumerate candidate constraints and keep the statistical
     survivors; writes rules.jsonl, registry.json and gen-stats.json."""
     cfg = PipelineConfig.load(config_path)
     if seed is not None:
         cfg.seed = seed
-    if workers is not None:
-        cfg.workers = workers
     if grid_path is not None:
         cfg.grid = GridSpec.load(grid_path)
     out = _common_out(cfg, out_dir)
@@ -176,7 +171,6 @@ def cmd_gen(config_path: str, seed: Optional[int], workers: Optional[int],
         corpus,
         registry,
         cfg.assess,
-        workers=cfg.workers,
         gate_counts=gate_counts,
     )
     config_hash = cfg.config_hash()
@@ -280,15 +274,13 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
 @click.option("--corpus", "corpus_path", required=True)
 @click.option("--min-confidence", type=float, default=0.0)
 @click.option("--out", "out_path", default="report.jsonl")
-@click.option("--workers", type=int, default=1)
-def cmd_infer(store_path: str, corpus_path: str, min_confidence: float,
-              out_path: str, workers: int) -> None:
+def cmd_infer(store_path: str, corpus_path: str, min_confidence: float, out_path: str) -> None:
     """Apply a constraint store to a corpus; writes a detection report
     (JSONL, one detection per line)."""
     sdcs, registry = read_store(store_path)
     corpus = load_corpus(corpus_path)
     ruleset = compile_ruleset(sdcs)
-    report = detect_corpus(ruleset, corpus, registry, min_confidence, workers=workers)
+    report = detect_corpus(ruleset, corpus, registry, min_confidence)
     save_report(report, out_path, meta={"store": os.path.basename(store_path)})
     click.echo(f"infer: {len(report)} detections over {len(corpus)} columns", err=True)
 
@@ -321,18 +313,15 @@ def cmd_inject(corpus_path: str, rate: float, seed: int, truth_path: Optional[st
 @click.option("--heldout", type=int, default=200, help="held-out column count")
 @click.option("--rate", type=float, default=0.1, help="error injection rate")
 @click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
 @click.option("--out-dir", default=None)
 def cmd_bench(config_path: str, heldout: int, rate: float, seed: Optional[int],
-              workers: Optional[int], out_dir: Optional[str]) -> None:
+              out_dir: Optional[str]) -> None:
     """End-to-end benchmark: split, learn, select, inject errors into
     the held-out columns, detect, and score against z-score baselines.
     Writes bench-metrics.json and pr-points.csv."""
     cfg = PipelineConfig.load(config_path)
     if seed is not None:
         cfg.seed = seed
-    if workers is not None:
-        cfg.workers = workers
     out = _common_out(cfg, out_dir)
     t0 = time.perf_counter()
     full = _load_training_corpus(cfg)
@@ -347,7 +336,6 @@ def cmd_bench(config_path: str, heldout: int, rate: float, seed: Optional[int],
         train,
         registry,
         cfg.assess,
-        workers=cfg.workers,
         gate_counts=gate_counts,
     )
     synth = build_synthetic_corpus(train, seed=cfg.seed + 2)
@@ -359,11 +347,11 @@ def cmd_bench(config_path: str, heldout: int, rate: float, seed: Optional[int],
 
     dirty, truth = evaluation.inject_errors(held, {}, rate, cfg.seed + 4)
     ruleset = compile_ruleset(chosen)
-    cache = DistanceCache()
-    report = detect_corpus(ruleset, dirty, registry, workers=cfg.workers, cache=cache)
+    index = ValueIndex(dirty)
+    report = detect_corpus(ruleset, index, registry)
     points = evaluation.pr_curve(report, truth)
     best_id, best_auc, all_aucs = evaluation.best_zscore_baseline(
-        registry.functions(), dirty, truth, cache=cache
+        registry.functions(), index, truth
     )
     metrics = {
         "config_hash": cfg.config_hash(),
@@ -425,7 +413,6 @@ def cmd_make_demo_data(columns: int, seed: int, out_dir: str) -> None:
         "functions": {"validators": True, "patterns_top_k": 25, "random_hash_count": 0},
         "selection": {"b_size": 500, "b_fpr": 0.1, "delta": 0.001, "strategy": "fine"},
         "out_dir": "out",
-        "workers": 1,
         "seed": seed,
     }
     cfg_path = os.path.join(out_dir, "config.json")

@@ -2,8 +2,7 @@
 
 A corpus is a bag of independent table columns. Each column has a
 unique id, an optional header, and an ordered list of raw string
-values. Columns are immutable after load and safe to share across
-workers.
+values. Columns are immutable after load.
 """
 
 from __future__ import annotations
@@ -26,25 +25,10 @@ MAX_EVAL_CHARS = 512
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-@dataclass(frozen=True)
-class NormalizedValue:
-    """A raw cell value paired with its normalized form.
-
-    ``trimmed_lower`` is the whitespace-trimmed, case-folded raw value,
-    truncated to ``MAX_EVAL_CHARS``. Normalization is idempotent.
-    """
-
-    raw: str
-    trimmed_lower: str
-
-
 def normalize_raw(raw: str) -> str:
-    """Return the normalized (trimmed, case-folded, truncated) string."""
+    """Return the normalized (trimmed, case-folded, truncated) string.
+    Normalization is idempotent."""
     return raw.strip().casefold()[:MAX_EVAL_CHARS]
-
-
-def normalize_value(raw: str) -> NormalizedValue:
-    return NormalizedValue(raw=raw, trimmed_lower=normalize_raw(raw))
 
 
 @dataclass(frozen=True)
@@ -209,6 +193,29 @@ def sample_columns(corpus: Corpus, n: int, seed: int) -> tuple[Corpus, Corpus]:
     heldout = [c for i, c in enumerate(corpus) if i in held_idx]
     train = [c for i, c in enumerate(corpus) if i not in held_idx]
     return Corpus(train), Corpus(heldout)
+
+
+# Donor draws per transplant before the transplant is skipped.
+_DONOR_RETRIES = 16
+
+
+def draw_donor_value(
+    columns: list[Column], base: Column, rng: random.Random
+) -> Optional[str]:
+    """Draw a raw value from a uniformly chosen other column that is
+    absent from ``base`` after normalization, for transplanting into
+    ``base``. A value already in the column would be undetectable by
+    construction, so it is re-drawn up to ``_DONOR_RETRIES`` times;
+    None when no fresh value turns up."""
+    present = set(base.normalized())
+    for _ in range(_DONOR_RETRIES):
+        donor = columns[rng.randrange(len(columns))]
+        if donor.id == base.id:
+            continue
+        value = donor.values[rng.randrange(len(donor.values))]
+        if normalize_raw(value) not in present:
+            return value
+    return None
 
 
 def parses_as_number(value: str) -> bool:

@@ -25,12 +25,12 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 from urllib.parse import urlparse
 
 import numpy as np
 
-from .corpus import Column, Corpus, NormalizedValue, normalize_raw
+from .corpus import Column, Corpus, normalize_raw
 from .errors import DataFormatError
 
 INFINITE_DISTANCE = math.inf
@@ -84,6 +84,13 @@ def load_embedding_space(path: str, space_id: Optional[str] = None) -> Embedding
     if space_id is None:
         space_id = os.path.splitext(os.path.basename(path))[0]
     return EmbeddingSpace(dimension=dimension, vectors=vectors, id=space_id)
+
+
+def centroid_distances(vectors: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distance of a (values x dimension) matrix to a
+    centroid. Single values go through a one-row matrix, so a value's
+    distance does not depend on how many values are evaluated with it."""
+    return np.linalg.norm(vectors - centroid, axis=1)
 
 
 def embed_value(space: EmbeddingSpace, value: str) -> Optional[np.ndarray]:
@@ -165,7 +172,7 @@ class EmbeddingFn(DomainEvalFn):
         vec = embed_value(self.space, value)
         if vec is None:
             return INFINITE_DISTANCE
-        return float(np.linalg.norm(vec - self.centroid_vector))
+        return float(centroid_distances(vec[None, :], self.centroid_vector)[0])
 
     def describe(self) -> str:
         return f"centroid {self.centroid!r} in space {self.space_id!r}"
@@ -381,12 +388,15 @@ def builtin_validators() -> list[DomainEvalFn]:
 # ---------------------------------------------------------------------------
 # Constructors
 
-def eval_distance(fn: DomainEvalFn, v) -> float:
-    """Distance of a value under a function. Accepts a NormalizedValue,
-    or a raw string which is normalized first."""
-    if isinstance(v, NormalizedValue):
-        return fn.distance(v.trimmed_lower)
-    return fn.distance(normalize_raw(v))
+def eval_distance(fn: DomainEvalFn, raw: str) -> float:
+    """Distance of a raw value under a function (normalized first)."""
+    return fn.distance(normalize_raw(raw))
+
+
+def column_distances(fn: DomainEvalFn, column: Column) -> np.ndarray:
+    """A column's distances, one ``fn.distance`` call per cell: the
+    plain evaluation the reference checks use instead of ``ValueIndex``."""
+    return np.asarray([fn.distance(nv) for nv in column.normalized()], dtype=np.float64)
 
 
 def make_embedding_fn(
@@ -646,48 +656,84 @@ def _fn_from_manifest(entry: dict, reg: Registry, base_dir: str = "") -> DomainE
 
 
 # ---------------------------------------------------------------------------
-# Distance caching (shared by assessment, selection stats, and inference)
+# Value index (shared by screening, selection stats, inference and baselines)
 
 
-class DistanceCache:
-    """Memoizes per-(function, column) distance arrays. Embedding
-    functions share one embedded-value matrix per (space, column)."""
+class ValueIndex:
+    """The normalized values of a sequence of columns, interned once.
 
-    def __init__(self) -> None:
-        self._dist: dict[tuple[str, str], np.ndarray] = {}
-        self._emb: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+    ``values`` lists the distinct normalized values. ``codes`` gives each
+    cell's position in ``values``, column after column, and column ``j``
+    owns cells ``offsets[j]:offsets[j + 1]``. A function is evaluated
+    once per distinct value; embedding functions share one distinct-value
+    matrix per space. Nothing is keyed on column ids, so an index always
+    describes exactly the columns it was built from.
+    """
 
-    def _embed_matrix(self, fn: EmbeddingFn, column: Column) -> tuple[np.ndarray, np.ndarray]:
-        key = (fn.space_id, column.id)
-        got = self._emb.get(key)
+    def __init__(self, columns: Iterable[Column]) -> None:
+        self.columns = list(columns)
+        table: dict[str, int] = {}
+        codes = [
+            table.setdefault(nv, len(table)) for col in self.columns for nv in col.normalized()
+        ]
+        self.values = list(table)
+        self.codes = np.asarray(codes, dtype=np.intp)
+        self.lengths = np.asarray([len(col) for col in self.columns], dtype=np.intp)
+        self.offsets = np.concatenate(([0], np.cumsum(self.lengths))).astype(np.intp)
+        self._spaces: dict[int, tuple[EmbeddingSpace, np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def of(cls, corpus: Iterable[Column]) -> ValueIndex:
+        """``corpus`` itself when it already is an index, else its index."""
+        return corpus if isinstance(corpus, ValueIndex) else cls(corpus)
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __iter__(self) -> Iterator[Column]:
+        return iter(self.columns)
+
+    def distances(self, fn: DomainEvalFn) -> np.ndarray:
+        """Per-cell distances under ``fn``, in cell order."""
+        if isinstance(fn, EmbeddingFn):
+            mat, oov = self._space_matrix(fn.space)
+            distinct = centroid_distances(mat, fn.centroid_vector)
+            distinct[oov] = INFINITE_DISTANCE
+        else:
+            distinct = np.fromiter(
+                (fn.distance(v) for v in self.values), dtype=np.float64, count=len(self.values)
+            )
+        return distinct[self.codes]
+
+    def _space_matrix(self, space: EmbeddingSpace) -> tuple[np.ndarray, np.ndarray]:
+        got = self._spaces.get(id(space))
         if got is None:
-            norm = column.normalized()
-            mat = np.zeros((len(norm), fn.space.dimension), dtype=np.float64)
-            oov = np.zeros(len(norm), dtype=bool)
-            for i, nv in enumerate(norm):
-                vec = embed_value(fn.space, nv)
+            mat = np.zeros((len(self.values), space.dimension), dtype=np.float64)
+            oov = np.zeros(len(self.values), dtype=bool)
+            for i, v in enumerate(self.values):
+                vec = embed_value(space, v)
                 if vec is None:
                     oov[i] = True
                 else:
                     mat[i] = vec
-            got = (mat, oov)
-            self._emb[key] = got
-        return got
+            # The space is kept so its id() cannot be reused while cached.
+            got = (space, mat, oov)
+            self._spaces[id(space)] = got
+        return got[1], got[2]
 
-    def distances(self, fn: DomainEvalFn, column: Column) -> np.ndarray:
-        key = (fn.id, column.id)
-        arr = self._dist.get(key)
-        if arr is not None:
-            return arr
-        if isinstance(fn, EmbeddingFn):
-            mat, oov = self._embed_matrix(fn, column)
-            arr = np.linalg.norm(mat - fn.centroid_vector, axis=1)
-            arr[oov] = INFINITE_DISTANCE
-        else:
-            arr = np.fromiter(
-                (fn.distance(nv) for nv in column.normalized()),
-                dtype=np.float64,
-                count=len(column),
-            )
-        self._dist[key] = arr
-        return arr
+    def inside_counts(self, dists: np.ndarray, d_ins: Sequence[float]) -> np.ndarray:
+        """Shape (columns, len(d_ins)): how many of each column's cells
+        lie within each ``d_in`` (non-strict)."""
+        inside = (dists[:, None] <= np.asarray(d_ins, dtype=np.float64)).astype(np.intp)
+        return np.add.reduceat(inside, self.offsets[:-1], axis=0)
+
+    def column_max(self, dists: np.ndarray) -> np.ndarray:
+        """Each column's largest distance (which alone decides whether
+        anything lies beyond a given ``d_out``)."""
+        return np.maximum.reduceat(dists, self.offsets[:-1])
+
+    def covered(self, inside: np.ndarray, m: float) -> np.ndarray:
+        """The pre-condition per column, from one column of
+        ``inside_counts``: at least a fraction ``m`` of the values lie
+        inside."""
+        return inside >= m * self.lengths

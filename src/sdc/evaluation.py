@@ -13,12 +13,12 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Column, Corpus, normalize_raw
-from .domain_fns import DistanceCache, DomainEvalFn
+from .corpus import Column, Corpus, draw_donor_value
+from .domain_fns import DomainEvalFn, ValueIndex
 from .errors import DataFormatError
 from .infer import Detection
 
@@ -62,8 +62,11 @@ def inject_errors(
     corpus: Corpus, truth: GroundTruth, rate: float, seed: int
 ) -> tuple[Corpus, GroundTruth]:
     """Inject one foreign value into floor(rate * |corpus|) uniformly
-    chosen columns, at a uniformly chosen position. Existing truth
-    labels survive with indices remapped past the insertion point."""
+    chosen columns, at a uniformly chosen position. A chosen column is
+    left clean when ``draw_donor_value`` finds no value absent from it,
+    so every label marks a value the rest of its column lacks. Existing
+    truth labels survive with indices remapped past the insertion
+    point."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
     k = math.floor(rate * len(corpus))
@@ -80,17 +83,10 @@ def inject_errors(
         if i not in targets:
             new_cols.append(col)
             continue
-        base_norm = set(col.normalized())
-        injected: Optional[str] = None
-        for _ in range(16):
-            donor = cols[rng.randrange(len(cols))]
-            if donor.id == col.id:
-                continue
-            value = donor.values[rng.randrange(len(donor.values))]
-            injected = value
-            if normalize_raw(value) not in base_norm:
-                break
-        assert injected is not None
+        injected = draw_donor_value(cols, col, rng)
+        if injected is None:
+            new_cols.append(col)
+            continue
         pos = rng.randrange(len(col.values) + 1)
         values = col.values[:pos] + (injected,) + col.values[pos:]
         new_cols.append(Column(id=col.id, values=values, header=col.header))
@@ -175,74 +171,66 @@ def f1_at_precision(points: Sequence[PrPoint], p0: float = 0.8) -> float:
 _FINITE_CAP = 1e9
 
 
-def zscore_baseline(
-    fn: DomainEvalFn,
-    column: Column,
-    z_thresh: float,
-    cache: Optional[DistanceCache] = None,
-) -> list[Detection]:
+def zscore_baseline(fn: DomainEvalFn, column: Column, z_thresh: float) -> list[Detection]:
     """Flag values whose distance z-score under one function exceeds
     ``z_thresh``. A zero-variance column flags nothing. The reported
     confidence is the z-score itself (so curves sweep the threshold)."""
     if len(column) < 2:
         raise ValueError("z-score baseline needs at least 2 values")
-    cache = cache or DistanceCache()
-    dists = np.array(cache.distances(fn, column), dtype=np.float64)
-    dists[~np.isfinite(dists)] = _FINITE_CAP
-    mean = float(dists.mean())
-    std = float(dists.std())
-    if std == 0.0:
-        return []
-    z = (dists - mean) / std
-    out: list[Detection] = []
-    for idx in np.nonzero(z > z_thresh)[0]:
-        idx = int(idx)
-        out.append(
-            Detection(
-                column_id=column.id,
-                value_index=idx,
-                value=column.values[idx],
-                confidence=float(z[idx]),
-                sdc_id=f"zscore:{fn.id}",
-                explanation=(
-                    f"distance z-score {z[idx]:.3f} above +{z_thresh:g} under {fn.describe()}"
-                ),
-            )
-        )
-    out.sort(key=lambda d: (-d.confidence, d.value_index))
-    return out
+    return zscore_report(fn, [column], z_thresh)
 
 
 def zscore_report(
-    fn: DomainEvalFn,
-    corpus: Corpus,
-    z_thresh: float = 0.0,
-    cache: Optional[DistanceCache] = None,
+    fn: DomainEvalFn, corpus: Iterable[Column], z_thresh: float = 0.0
 ) -> list[Detection]:
-    """Baseline detections over a whole corpus (columns of fewer than
-    two values are skipped)."""
-    cache = cache or DistanceCache()
+    """Baseline detections over a whole corpus, which may be a prebuilt
+    ``ValueIndex`` (columns of fewer than two values are skipped)."""
+    index = ValueIndex.of(corpus)
+    dists = index.distances(fn)
+    dists[~np.isfinite(dists)] = _FINITE_CAP
     out: list[Detection] = []
-    for col in corpus:
-        if len(col) < 2:
+    for j, column in enumerate(index):
+        if len(column) < 2:
             continue
-        out.extend(zscore_baseline(fn, col, z_thresh, cache))
+        # Statistics per column slice, exactly as on the column alone.
+        col_d = dists[index.offsets[j] : index.offsets[j + 1]]
+        mean = float(col_d.mean())
+        std = float(col_d.std())
+        if std == 0.0:
+            continue
+        z = (col_d - mean) / std
+        found: list[Detection] = []
+        for idx in np.nonzero(z > z_thresh)[0]:
+            idx = int(idx)
+            found.append(
+                Detection(
+                    column_id=column.id,
+                    value_index=idx,
+                    value=column.values[idx],
+                    confidence=float(z[idx]),
+                    sdc_id=f"zscore:{fn.id}",
+                    explanation=(
+                        f"distance z-score {z[idx]:.3f} above +{z_thresh:g} under {fn.describe()}"
+                    ),
+                )
+            )
+        found.sort(key=lambda d: (-d.confidence, d.value_index))
+        out.extend(found)
     return out
 
 
 def best_zscore_baseline(
     fns: Sequence[DomainEvalFn],
-    corpus: Corpus,
+    corpus: Iterable[Column],
     truth: GroundTruth,
     z_thresh: float = 0.0,
-    cache: Optional[DistanceCache] = None,
 ) -> tuple[Optional[str], float, dict[str, float]]:
     """PR-AUC of the z-score baseline for each function; returns the
     best function id, its AUC, and the full id -> AUC map."""
-    cache = cache or DistanceCache()
+    index = ValueIndex.of(corpus)
     aucs: dict[str, float] = {}
     for fn in fns:
-        report = zscore_report(fn, corpus, z_thresh, cache)
+        report = zscore_report(fn, index, z_thresh)
         aucs[fn.id] = pr_auc(pr_curve(report, truth))
     if not aucs:
         return None, 0.0, {}

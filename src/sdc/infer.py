@@ -18,8 +18,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .candidates import Sdc
-from .corpus import Column, Corpus
-from .domain_fns import DistanceCache, Registry
+from .corpus import Column
+from .domain_fns import Registry, ValueIndex, column_distances
 from .errors import DataFormatError
 
 PrecondKey = tuple[str, float, float]  # (fn_id, d_in, m)
@@ -117,44 +117,59 @@ def _finalize(
     return out
 
 
+def _detect(
+    ruleset: CompiledRuleset,
+    index: ValueIndex,
+    registry: Registry,
+    min_confidence: float,
+    counter: Optional[EvalCounter],
+) -> list[Detection]:
+    """Grouped detection over every column of ``index`` at once: each
+    function is evaluated once, each pre-condition group once per
+    column."""
+    groups_by_fn: dict[str, list[tuple[float, float, list[int]]]] = {}
+    for (fn_id, d_in, m), members in ruleset.precondition_groups.items():
+        groups_by_fn.setdefault(fn_id, []).append((d_in, m, members))
+    flaggers: list[dict[int, list[tuple[float, str, float, str]]]] = [{} for _ in index]
+    for fn_id, groups in groups_by_fn.items():
+        fn = registry.get(fn_id)
+        fn_desc = fn.describe()
+        dists = index.distances(fn)
+        inside = index.inside_counts(dists, [d_in for d_in, _, _ in groups])
+        for k, (_, m, members) in enumerate(groups):
+            if counter is not None:
+                counter.preconditions += len(index)
+            covered = np.repeat(index.covered(inside[:, k], m), index.lengths)
+            for i in members:
+                sdc = ruleset.sdcs[i]
+                conf = sdc.confidence if sdc.confidence is not None else 0.0
+                cells = np.nonzero(covered & (dists > sdc.d_out))[0]
+                cols = np.searchsorted(index.offsets, cells, side="right") - 1
+                for cell, j in zip(cells.tolist(), cols.tolist()):
+                    idx = cell - int(index.offsets[j])
+                    value = index.columns[j].values[idx]
+                    dist = float(dists[cell])
+                    flaggers[j].setdefault(idx, []).append(
+                        (conf, sdc.id, dist, _explanation(sdc, fn_desc, value, dist))
+                    )
+    out: list[Detection] = []
+    for column, flagged in zip(index, flaggers):
+        out.extend(_finalize(column, flagged, min_confidence))
+    return out
+
+
 def detect_errors(
     ruleset: CompiledRuleset,
     column: Column,
     registry: Registry,
     min_confidence: float = 0.0,
-    cache: Optional[DistanceCache] = None,
     counter: Optional[EvalCounter] = None,
 ) -> list[Detection]:
     """Apply the ruleset to one column: each pre-condition group is
     evaluated once; flagged (index, value) pairs are unioned; each flag
     carries the max confidence among its flaggers. Sorted by descending
     confidence, then index."""
-    cache = cache or DistanceCache()
-    n = len(column)
-    flaggers: dict[int, list[tuple[float, str, float, str]]] = {}
-    for (fn_id, d_in, m), members in ruleset.precondition_groups.items():
-        fn = registry.get(fn_id)
-        dists = cache.distances(fn, column)
-        if counter is not None:
-            counter.preconditions += 1
-        inside = int(np.count_nonzero(dists <= d_in))
-        if inside < m * n:
-            continue
-        for i in members:
-            sdc = ruleset.sdcs[i]
-            conf = sdc.confidence if sdc.confidence is not None else 0.0
-            for idx in np.nonzero(dists > sdc.d_out)[0]:
-                idx = int(idx)
-                hits = flaggers.setdefault(idx, [])
-                hits.append(
-                    (
-                        conf,
-                        sdc.id,
-                        float(dists[idx]),
-                        _explanation(sdc, fn.describe(), column.values[idx], float(dists[idx])),
-                    )
-                )
-    return _finalize(column, flaggers, min_confidence)
+    return _detect(ruleset, ValueIndex([column]), registry, min_confidence, counter)
 
 
 def detect_errors_naive(
@@ -162,17 +177,16 @@ def detect_errors_naive(
     column: Column,
     registry: Registry,
     min_confidence: float = 0.0,
-    cache: Optional[DistanceCache] = None,
     counter: Optional[EvalCounter] = None,
 ) -> list[Detection]:
-    """Reference implementation: evaluate every constraint separately.
-    Used to verify the grouped evaluation changes nothing."""
-    cache = cache or DistanceCache()
+    """Reference implementation: evaluate every constraint separately,
+    cell by cell. Used to verify the grouped evaluation changes
+    nothing."""
     n = len(column)
     flaggers: dict[int, list[tuple[float, str, float, str]]] = {}
     for sdc in sdcs:
         fn = registry.get(sdc.fn_id)
-        dists = cache.distances(fn, column)
+        dists = column_distances(fn, column)
         if counter is not None:
             counter.preconditions += 1
         inside = int(np.count_nonzero(dists <= sdc.d_in))
@@ -194,34 +208,14 @@ def detect_errors_naive(
 
 def detect_corpus(
     ruleset: CompiledRuleset,
-    corpus: Corpus,
+    corpus: Iterable[Column],
     registry: Registry,
     min_confidence: float = 0.0,
-    cache: Optional[DistanceCache] = None,
-    workers: int = 1,
 ) -> list[Detection]:
-    """Per-column detection concatenated in corpus order. Columns are
-    independent, so the worker count cannot change the report."""
-    cache = cache or DistanceCache()
-    out: list[Detection] = []
-    if workers > 1 and len(corpus) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda col: detect_errors(
-                        ruleset, col, registry, min_confidence, cache
-                    ),
-                    corpus,
-                )
-            )
-        for part in parts:
-            out.extend(part)
-    else:
-        for column in corpus:
-            out.extend(detect_errors(ruleset, column, registry, min_confidence, cache))
-    return out
+    """Detections of every column, concatenated in corpus order.
+    ``corpus`` may be a prebuilt ``ValueIndex``, shared with other work
+    on the same columns."""
+    return _detect(ruleset, ValueIndex.of(corpus), registry, min_confidence, None)
 
 
 def save_report(report: Sequence[Detection], path: str, meta: Optional[dict] = None) -> None:

@@ -23,8 +23,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .candidates import Sdc
 from .domain_fns import Registry
@@ -177,6 +175,10 @@ def solve_lp_relaxation(problem: IlpProblem) -> LpSolution:
 
     Always feasible: the zero vector satisfies both budgets.
     """
+    # Imported here: scipy dominates start-up, and only selection solves LPs.
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     n = len(problem.candidate_ids)
     m = len(problem.synth_ids)
     if n == 0 or m == 0:

@@ -21,11 +21,9 @@ import numpy as np
 
 from .assess import AssessedSdc
 from .candidates import Sdc
-from .corpus import Column, Corpus, normalize_raw
-from .domain_fns import DistanceCache, Registry
+from .corpus import Column, Corpus, draw_donor_value
+from .domain_fns import Registry, ValueIndex, column_distances
 from .errors import DataFormatError
-
-_DONOR_RETRIES = 16
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,8 @@ def build_synthetic_corpus(
     """Build ``n`` synthetic columns (default: one per corpus column).
 
     Base column, donor column, donor value and insertion position are
-    drawn uniformly. A donor value already present in the base column
-    (after normalization) would be undetectable by construction, so it
-    is re-drawn a bounded number of times and the draw is skipped if no
-    fresh value turns up.
+    drawn uniformly; the draw is skipped when ``draw_donor_value`` finds
+    no value absent from the base column.
     """
     if len(corpus) < 2:
         raise DataFormatError("synthetic corpus needs at least 2 columns")
@@ -78,17 +74,7 @@ def build_synthetic_corpus(
     out: list[SynthColumn] = []
     for k in range(n):
         base = cols[rng.randrange(len(cols))]
-        base_norm = set(base.normalized())
-        injected: Optional[str] = None
-        for _ in range(_DONOR_RETRIES):
-            donor = cols[rng.randrange(len(cols))]
-            if donor.id == base.id:
-                continue
-            value = donor.values[rng.randrange(len(donor.values))]
-            if normalize_raw(value) in base_norm:
-                continue
-            injected = value
-            break
+        injected = draw_donor_value(cols, base, rng)
         if injected is None:
             continue
         pos = rng.randrange(len(base.values) + 1)
@@ -105,22 +91,17 @@ def build_synthetic_corpus(
     return out
 
 
-def detection_set(
-    sdc: Sdc,
-    synth: Sequence[SynthColumn],
-    registry: Registry,
-    cache: Optional[DistanceCache] = None,
-) -> set[str]:
+def detection_set(sdc: Sdc, synth: Sequence[SynthColumn], registry: Registry) -> set[str]:
     """Ids of synthetic columns whose pre-condition holds and whose
-    injected value specifically is flagged by the post-condition."""
-    cache = cache or DistanceCache()
+    injected value specifically is flagged by the post-condition. A
+    reference for ``build_candidate_stats``: it evaluates the function
+    cell by cell."""
     fn = registry.get(sdc.fn_id)
     out: set[str] = set()
     for sc in synth:
-        dists = cache.distances(fn, sc.column())
-        n = len(dists)
+        dists = column_distances(fn, sc.column())
         inside = int(np.count_nonzero(dists <= sdc.d_in))
-        if inside < sdc.m * n:
+        if inside < sdc.m * len(dists):
             continue
         if dists[sc.injected_index] > sdc.d_out:
             out.add(sc.id)
@@ -140,40 +121,32 @@ def build_candidate_stats(
     synth: Sequence[SynthColumn],
     corpus_size: int,
     registry: Registry,
-    cache: Optional[DistanceCache] = None,
 ) -> list[CandidateStats]:
     """Detection sets and FPR estimates for every surviving candidate,
-    in input order. Distance work is shared per function."""
-    cache = cache or DistanceCache()
+    in input order. Each function is evaluated once over an index of
+    the synthetic columns."""
+    index = ValueIndex(sc.column() for sc in synth)
+    injected_cells = index.offsets[:-1] + np.asarray(
+        [sc.injected_index for sc in synth], dtype=np.intp
+    )
     by_fn: dict[str, list[int]] = {}
     for i, item in enumerate(assessed):
         by_fn.setdefault(item.sdc.fn_id, []).append(i)
 
-    # Per (fn, synth column): sorted distances for the coverage check
-    # plus the injected value's own distance.
     results: list[Optional[CandidateStats]] = [None] * len(assessed)
     for fn_id, idxs in sorted(by_fn.items()):
-        fn = registry.get(fn_id)
-        sorted_d: list[np.ndarray] = []
-        inj_d = np.empty(len(synth), dtype=np.float64)
-        for j, sc in enumerate(synth):
-            dists = cache.distances(fn, sc.column())
-            inj_d[j] = dists[sc.injected_index]
-            sorted_d.append(np.sort(dists))
+        dists = index.distances(registry.get(fn_id))
+        injected_d = dists[injected_cells]
         d_ins = sorted({assessed[i].sdc.d_in for i in idxs})
-        d_in_arr = np.asarray(d_ins, dtype=np.float64)
-        d_in_index = {d: i for i, d in enumerate(d_ins)}
-        frac = np.empty((len(synth), len(d_ins)), dtype=np.float64)
-        for j, arr in enumerate(sorted_d):
-            frac[j] = np.searchsorted(arr, d_in_arr, side="right") / len(arr)
+        d_in_index = {d: k for k, d in enumerate(d_ins)}
+        inside = index.inside_counts(dists, d_ins)
         for i in idxs:
             item = assessed[i]
-            covered = frac[:, d_in_index[item.sdc.d_in]] >= item.sdc.m
-            hit = covered & (inj_d > item.sdc.d_out)
-            detected = frozenset(synth[j].id for j in np.nonzero(hit)[0])
+            covered = index.covered(inside[:, d_in_index[item.sdc.d_in]], item.sdc.m)
+            hit = covered & (injected_d > item.sdc.d_out)
             results[i] = CandidateStats(
                 sdc_id=item.sdc.id,
-                detected=detected,
+                detected=frozenset(synth[j].id for j in np.nonzero(hit)[0]),
                 fpr=estimate_fpr(item.table, corpus_size),
                 confidence=item.confidence,
             )

@@ -36,7 +36,6 @@ from sdc.datagen import (
     generate_random_string_corpus,
 )
 from sdc.domain_fns import (
-    DistanceCache,
     EmbeddingSpace,
     Registry,
     builtin_validators,
@@ -173,9 +172,8 @@ def test_criterion_03_pruning_is_sound(tmp_path):
         reg.add(make_random_hash_fn(i))
         reg.add(make_random_hash_fn(500 + i))
         cands = list(islice(enumerate_candidates(reg.functions(), GridSpec()), 500))
-        cache = DistanceCache()
-        kept_pruned = assess_all(cands, corpus, reg, prune=True, cache=cache)
-        kept_full = assess_all(cands, corpus, reg, prune=False, cache=cache)
+        kept_pruned = assess_all(cands, corpus, reg, prune=True)
+        kept_full = assess_all(cands, corpus, reg, prune=False)
         assert kept_pruned == kept_full
         p_path = tmp_path / f"pruned-{i}.jsonl"
         f_path = tmp_path / f"full-{i}.jsonl"
@@ -306,9 +304,9 @@ def test_criterion_06_random_hash_functions_are_inert(tmp_path):
         reg1.add(make_random_hash_fn(1000 + i))
 
     kept0 = assess_all(list(enumerate_candidates(reg0.functions(), GridSpec())),
-                       corpus, reg0, workers=4, cache=DistanceCache())
+                       corpus, reg0)
     kept1 = assess_all(list(enumerate_candidates(reg1.functions(), GridSpec())),
-                       corpus, reg1, workers=4, cache=DistanceCache())
+                       corpus, reg1)
     assert not any(a.sdc.fn_id.startswith("hash:") for a in kept1)
     assert [a.sdc for a in kept0] == [a.sdc for a in kept1]
 
@@ -322,7 +320,7 @@ def test_criterion_06_random_hash_functions_are_inert(tmp_path):
         outcome = run_selection(stats, sel, synth_ids=synth_ids)
         chosen = set(outcome.selected_ids)
         ruleset = compile_ruleset([a.sdc for a in kept if a.sdc.id in chosen])
-        dets = detect_corpus(ruleset, noisy, reg, workers=2)
+        dets = detect_corpus(ruleset, noisy, reg)
         path = tmp_path / f"report-{len(reports)}.jsonl"
         save_report(dets, str(path), meta={"experiment": "hash-robustness"})
         reports.append(path)
@@ -416,22 +414,20 @@ def test_criterion_08_benchmark_beats_zscore_baseline():
     for fn in ds.score_fns:
         reg.add(fn)
 
-    cache = DistanceCache()
     kept = assess_all(list(enumerate_candidates(reg.functions(), GridSpec())),
-                      train, reg, workers=4, cache=cache)
+                      train, reg)
     synth = build_synthetic_corpus(train, seed=seed + 2)
-    stats = build_candidate_stats(kept, synth, len(train), reg, cache)
+    stats = build_candidate_stats(kept, synth, len(train), reg)
     outcome = run_selection(stats, SelectionConfig(seed=seed + 3),
                             synth_ids=[sc.id for sc in synth])
     chosen = set(outcome.selected_ids)
     ruleset = compile_ruleset([a.sdc for a in kept if a.sdc.id in chosen])
 
     noisy, truth = inject_errors(held, {}, rate=0.10, seed=seed + 4)
-    dets = detect_corpus(ruleset, noisy, reg, workers=4)
+    dets = detect_corpus(ruleset, noisy, reg)
     points = pr_curve(dets, truth)
     auc = pr_auc(points)
-    _, best_auc, _ = best_zscore_baseline(reg.functions(), noisy, truth,
-                                          cache=DistanceCache())
+    _, best_auc, _ = best_zscore_baseline(reg.functions(), noisy, truth)
     elapsed = time.perf_counter() - t0
 
     assert points, "no detections at all"
@@ -507,7 +503,7 @@ def test_criterion_10_store_detection_speed(tmp_path):
     corpus = generate_random_string_corpus(100, seed=42)
     ruleset = compile_ruleset(loaded)
     t0 = time.perf_counter()
-    report = detect_corpus(ruleset, corpus, loaded_reg, cache=DistanceCache())
+    report = detect_corpus(ruleset, corpus, loaded_reg)
     per_column = (time.perf_counter() - t0) / len(corpus)
     assert per_column < 0.2
     print(f"PASS criterion 10: 500-constraint store, {per_column * 1e3:.1f}ms "

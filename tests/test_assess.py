@@ -347,14 +347,6 @@ class TestAssessAll:
         assert counts_p["failed_coverage"] == counts_u["failed_coverage"]
         assert counts_p["passed_confidence"] == counts_u["passed_confidence"]
 
-    def test_worker_count_does_not_change_output(self):
-        corpus = hash_corpus(60, seed=3)
-        reg = small_registry(3)
-        cands = list(enumerate_candidates(reg.functions(), GridSpec()))
-        one = assess_all(cands, corpus, reg, workers=1)
-        four = assess_all(cands, corpus, reg, workers=4)
-        assert [a.to_record() for a in one] == [a.to_record() for a in four]
-
     def test_output_sorted_by_id(self):
         corpus = hash_corpus(60, seed=4)
         reg = small_registry(4)

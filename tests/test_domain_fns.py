@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdc.corpus import Column, NormalizedValue, corpus_from_lists
+from sdc.corpus import Column, corpus_from_lists
+from sdc.datagen import generate_corpus
 from sdc.domain_fns import (
     INFINITE_DISTANCE,
-    DistanceCache,
     EmbeddingSpace,
     Registry,
+    ValueIndex,
     builtin_validators,
     embed_value,
     eval_distance,
@@ -443,11 +444,6 @@ class TestEvalDistance:
         fn = make_score_table_fn("t", {"red": 1.0})
         assert eval_distance(fn, " RED ") == 0.0
 
-    def test_accepts_normalized_value(self):
-        fn = make_score_table_fn("t", {"red": 1.0})
-        nv = NormalizedValue(raw=" RED ", trimmed_lower="red")
-        assert eval_distance(fn, nv) == 0.0
-
 
 class TestRegistry:
     def test_duplicate_rejected(self):
@@ -516,41 +512,83 @@ class TestRegistry:
             Registry.from_manifest(manifest)
 
 
-class TestDistanceCache:
+class TestValueIndex:
     def test_matches_direct_eval(self, space2d, word_corpus):
-        cache = DistanceCache()
+        index = ValueIndex(word_corpus)
         fns = [
             make_embedding_fn(space2d, "red"),
             make_score_table_fn("t", {"red": 0.9}),
             make_pattern_fn("[a-zA-Z]+"),
             make_random_hash_fn(5),
         ]
+        want_cells = [nv for col in word_corpus for nv in col.normalized()]
         for fn in fns:
-            for col in word_corpus:
-                got = cache.distances(fn, col)
-                want = [fn.distance(nv) for nv in col.normalized()]
-                assert np.array_equal(got, np.asarray(want))
+            got = index.distances(fn)
+            assert np.array_equal(got, np.asarray([fn.distance(nv) for nv in want_cells]))
+
+    def test_all_families_bit_identical_in_16d_space(self):
+        ds = generate_corpus(200, seed=11)
+        corpus = ds.corpus
+        fns = (
+            sample_centroids(corpus, ds.space, 20, 3)
+            + list(ds.score_fns)
+            + infer_patterns(corpus, 10)
+            + builtin_validators()
+            + [make_random_hash_fn(9)]
+        )
+        assert ds.space.dimension == 16
+        assert {fn.family for fn in fns} == {
+            "embedding", "score_table", "pattern", "validator", "random_hash"
+        }
+        index = ValueIndex(corpus)
+        cells = [nv for col in corpus for nv in col.normalized()]
+        for fn in fns:
+            got = index.distances(fn)
+            want = np.asarray([fn.distance(nv) for nv in cells])
+            # bit for bit, infinities included
+            assert got.tobytes() == want.tobytes(), fn.id
 
     def test_infinite_for_oov(self, space2d):
-        cache = DistanceCache()
-        fn = make_embedding_fn(space2d, "red")
-        col = Column(id="c", values=("red", "zzz"))
-        got = cache.distances(fn, col)
+        index = ValueIndex([Column(id="c", values=("red", "zzz"))])
+        got = index.distances(make_embedding_fn(space2d, "red"))
         assert got[0] == 0.0 and math.isinf(got[1])
 
     def test_embedding_matrix_shared_across_centroids(self, space2d, word_corpus):
-        cache = DistanceCache()
-        a = make_embedding_fn(space2d, "red")
-        b = make_embedding_fn(space2d, "blue")
-        for col in word_corpus:
-            cache.distances(a, col)
-            cache.distances(b, col)
-        # one embedded matrix per (space, column), not per function
-        assert len(cache._emb) == len(word_corpus)
+        index = ValueIndex(word_corpus)
+        index.distances(make_embedding_fn(space2d, "red"))
+        index.distances(make_embedding_fn(space2d, "blue"))
+        # one distinct-value matrix per space, not per function or column
+        assert len(index._spaces) == 1
 
     def test_memoized(self, space2d, word_corpus):
-        cache = DistanceCache()
-        fn = make_embedding_fn(space2d, "red")
-        col = word_corpus[0]
-        first = cache.distances(fn, col)
-        assert cache.distances(fn, col) is first
+        index = ValueIndex(word_corpus)
+        index.distances(make_embedding_fn(space2d, "red"))
+        first = index._spaces[id(space2d)]
+        index.distances(make_embedding_fn(space2d, "blue"))
+        assert index._spaces[id(space2d)] is first
+
+    def test_interning_and_offsets(self):
+        cols = [Column(id="a", values=("X", " x", "y")), Column(id="b", values=("y",))]
+        index = ValueIndex(cols)
+        assert index.values == ["x", "y"]
+        assert index.codes.tolist() == [0, 0, 1, 1]
+        assert index.offsets.tolist() == [0, 3, 4]
+        assert len(index) == 2 and list(index) == cols
+
+    def test_column_reductions(self):
+        fn = make_score_table_fn("t", {"a": 1.0, "b": 0.5})
+        index = ValueIndex([Column(id="c0", values=("a", "b", "z")),
+                            Column(id="c1", values=("b", "b"))])
+        dists = index.distances(fn)  # 0, 0.5, 1 | 0.5, 0.5
+        inside = index.inside_counts(dists, [0.0, 0.5])
+        assert inside.tolist() == [[1, 2], [0, 2]]
+        assert index.column_max(dists).tolist() == [1.0, 0.5]
+        assert index.covered(inside[:, 1], 2 / 3).tolist() == [True, True]
+        assert index.covered(inside[:, 0], 0.5).tolist() == [False, False]
+
+    def test_empty(self):
+        index = ValueIndex([])
+        dists = index.distances(make_random_hash_fn(1))
+        assert dists.shape == (0,)
+        assert index.inside_counts(dists, [0.5]).shape == (0, 1)
+        assert index.column_max(dists).shape == (0,)

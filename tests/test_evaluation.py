@@ -3,10 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdc.corpus import Column, Corpus
+from sdc.corpus import Column, Corpus, corpus_from_lists, normalize_raw
 from sdc.domain_fns import (
-    DistanceCache,
     EmbeddingSpace,
     Registry,
     make_embedding_fn,
@@ -189,6 +190,31 @@ class TestInjectErrors:
         lonely = Corpus([Column(id="c0", values=("a", "b"))])
         with pytest.raises(DataFormatError):
             inject_errors(lonely, {}, rate=1.0, seed=0)
+
+    def test_no_fresh_donor_labels_nothing(self):
+        # every donor value is already in the target column
+        corpus = corpus_from_lists({"c0": ["a", "b"], "c1": ["b", "a"]})
+        noisy, truth = inject_errors(corpus, {}, 1.0, 0)
+        assert noisy == corpus
+        assert truth == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        columns=st.lists(
+            st.lists(st.sampled_from(["a", "A ", "b", "c", "d"]), min_size=1, max_size=5),
+            min_size=2,
+            max_size=6,
+        ),
+        seed=st.integers(0, 1000),
+    )
+    def test_labels_point_to_values_absent_from_rest_of_column(self, columns, seed):
+        corpus = corpus_from_lists({f"c{i}": vals for i, vals in enumerate(columns)})
+        noisy, truth = inject_errors(corpus, {}, 1.0, seed)
+        for cid, idxs in truth.items():
+            values = noisy.column_by_id(cid).values
+            for idx in idxs:
+                rest = {normalize_raw(v) for i, v in enumerate(values) if i != idx}
+                assert normalize_raw(values[idx]) not in rest
 
     def test_indices_in_range(self):
         corpus = self.corpus()

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from sdc.candidates import make_sdc
 from sdc.corpus import Column, Corpus
 from sdc.domain_fns import (
-    DistanceCache,
     EmbeddingSpace,
     Registry,
+    ValueIndex,
     make_embedding_fn,
     make_score_table_fn,
 )
@@ -244,18 +244,23 @@ class TestDetectCorpus:
         assert [d.column_id for d in dets] == ["c0", "c1"]
         assert {d.value for d in dets} == {"blue", "red"}
 
-    def test_worker_count_does_not_change_report(self):
+    def test_dirty_copy_with_same_ids_is_evaluated_afresh(self):
+        # inject_errors keeps column ids: detection on the dirty copy
+        # must see the injected value, whatever ran on the clean corpus.
         reg = build_registry()
-        seq = detect_corpus(self.ruleset(), self.corpus(), reg, workers=1)
-        par = detect_corpus(self.ruleset(), self.corpus(), reg, workers=4)
-        assert seq == par
+        ruleset = compile_ruleset([make_sdc("emb:toy2d:red", 1.5, 2.0, 0.6).with_confidence(0.9)])
+        clean = Corpus([Column(id="c1", values=("red", "crimson", "scarlet"))])
+        dirty = Corpus([Column(id="c1", values=("red", "crimson", "zz", "scarlet"))])
+        assert detect_corpus(ruleset, ValueIndex(clean), reg) == []
+        dets = detect_corpus(ruleset, dirty, reg)
+        assert [(d.column_id, d.value_index, d.value) for d in dets] == [("c1", 2, "zz")]
 
     def test_shared_cache(self):
         reg = build_registry()
-        cache = DistanceCache()
-        a = detect_corpus(self.ruleset(), self.corpus(), reg, cache=cache)
-        b = detect_corpus(self.ruleset(), self.corpus(), reg, cache=cache)
-        assert a == b
+        index = ValueIndex(self.corpus())
+        a = detect_corpus(self.ruleset(), index, reg)
+        b = detect_corpus(self.ruleset(), index, reg)
+        assert a == b == detect_corpus(self.ruleset(), self.corpus(), reg)
 
 
 class TestReportIO:

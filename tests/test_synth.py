@@ -2,11 +2,12 @@
 
 import pytest
 
-from sdc.assess import AssessedSdc
+from sdc.assess import AssessedSdc, build_contingency
 from sdc.candidates import make_sdc as new_sdc
 from sdc.corpus import Column, Corpus, normalize_raw
-from sdc.domain_fns import DistanceCache, Registry, make_score_table_fn
+from sdc.domain_fns import Registry, make_score_table_fn
 from sdc.errors import DataFormatError
+from sdc.infer import compile_ruleset, detect_corpus
 from sdc.synth import (
     CandidateStats,
     SynthColumn,
@@ -190,13 +191,20 @@ class TestBuildCandidateStats:
     def test_empty_inputs(self, word_corpus, registry2d):
         assert build_candidate_stats([], [], len(word_corpus), registry2d) == []
 
-    def test_shared_cache_reused(self, word_corpus, registry2d):
-        synth = build_synthetic_corpus(word_corpus, n=10, seed=6)
-        cands = [assessed(make_sdc("emb:toy2d:red", 1.5, 2.0, 0.8))]
-        cache = DistanceCache()
-        a = build_candidate_stats(cands, synth, len(word_corpus), registry2d, cache=cache)
-        b = build_candidate_stats(cands, synth, len(word_corpus), registry2d, cache=cache)
-        assert a == b
+    def test_precondition_agrees_with_detection_and_contingency(self):
+        # 7 of 100 values inside at m = 0.07: 7/100 >= 0.07 holds in
+        # floating point but 7 >= 0.07 * 100 does not. Selection stats,
+        # detection and the contingency table must take the same side.
+        reg = Registry()
+        reg.add(make_score_table_fn("t", {"in": 1.0, "mid": 0.5}))
+        values = ("in",) * 7 + ("mid",) * 92 + ("far",)
+        sc = SynthColumn("syn-000000", "c0", "far", 99, values)
+        sdc = make_sdc("score:t", 0.1, 0.9, 0.07)
+        stats = build_candidate_stats([assessed(sdc)], [sc], 1, reg)
+        detected = bool(stats[0].detected)
+        flagged = bool(detect_corpus(compile_ruleset([sdc]), [sc.column()], reg))
+        covered = build_contingency(sdc, [sc.column()], reg).coverage == 1
+        assert detected == flagged == covered
 
 
 class TestRecallOf:
