@@ -12,6 +12,13 @@ synthetic column: the coarse problem accepts any detector, the fine
 problem only detectors whose confidence is within ``delta`` of the
 best confidence any candidate achieves on that column. ``delta = 1``
 makes them identical.
+
+Both problems, the LP's constraint matrix, the coverage count and
+budget enforcement work from entry arrays of the candidate × synthetic
+column incidence: two index arrays with one entry (candidate i,
+column j) per detection, sorted by (column, candidate). One pass over
+each candidate's ``detected`` set builds them; a cover set K_j is then
+a slice of the candidate array, found with ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,16 +113,49 @@ def _universe(stats: Sequence[CandidateStats], synth_ids: Optional[Sequence[str]
     return sorted(seen)
 
 
-def build_css_ilp(
+def _detections(
+    stats: Sequence[CandidateStats], ids: Sequence[str]
+) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Entry arrays of the incidence between candidates and the distinct
+    ids in ``ids``: the column index of each distinct id, then candidate
+    and column index arrays with one entry per detection, sorted by
+    (column, candidate). Detected ids outside ``ids`` are dropped."""
+    col_of = {sid: j for j, sid in enumerate(dict.fromkeys(ids))}
+    sizes = np.fromiter((len(st.detected) for st in stats), dtype=np.intp, count=len(stats))
+    col = np.fromiter(
+        chain.from_iterable(map(col_of.get, st.detected, repeat(-1)) for st in stats),
+        dtype=np.intp,
+        count=int(sizes.sum()),
+    )
+    cand = np.repeat(np.arange(len(stats), dtype=np.intp), sizes)
+    known = col >= 0
+    cand, col = cand[known], col[known]
+    # Candidates come in index order, so a stable sort by column leaves
+    # each column's candidates ascending.
+    order = np.argsort(col, kind="stable")
+    return col_of, cand[order], col[order]
+
+
+def _cover_sets(
+    ids: Sequence[str], col_of: dict[str, int], cand: np.ndarray, col: np.ndarray
+) -> list[frozenset[int]]:
+    """K_j for each listed id, from entry arrays sorted by column."""
+    bounds = np.searchsorted(col, np.arange(len(col_of) + 1)).tolist()
+    members = cand.tolist()
+    per_col = [frozenset(members[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [per_col[col_of[sid]] for sid in ids]
+
+
+def _confidences(stats: Sequence[CandidateStats]) -> np.ndarray:
+    return np.array([st.confidence for st in stats], dtype=np.float64)
+
+
+def _problem(
     stats: Sequence[CandidateStats],
+    ids: list[str],
+    cover: list[frozenset[int]],
     cfg: SelectionConfig,
-    synth_ids: Optional[Sequence[str]] = None,
 ) -> IlpProblem:
-    """Coarse problem: K_j holds every candidate that detects column j."""
-    ids = _universe(stats, synth_ids)
-    cover = [
-        frozenset(i for i, st in enumerate(stats) if sid in st.detected) for sid in ids
-    ]
     return IlpProblem(
         candidate_ids=[st.sdc_id for st in stats],
         synth_ids=ids,
@@ -126,18 +166,25 @@ def build_css_ilp(
     )
 
 
+def build_css_ilp(
+    stats: Sequence[CandidateStats],
+    cfg: SelectionConfig,
+    synth_ids: Optional[Sequence[str]] = None,
+) -> IlpProblem:
+    """Coarse problem: K_j holds every candidate that detects column j."""
+    ids = _universe(stats, synth_ids)
+    return _problem(stats, ids, _cover_sets(ids, *_detections(stats, ids)), cfg)
+
+
 def conf_over_all(
     stats: Sequence[CandidateStats], synth_ids: Optional[Sequence[str]] = None
 ) -> dict[str, float]:
     """Best confidence any candidate achieves per synthetic column
     (0 when nothing detects it)."""
-    ids = _universe(stats, synth_ids)
-    best = {sid: 0.0 for sid in ids}
-    for st in stats:
-        for sid in st.detected:
-            if sid in best and st.confidence > best[sid]:
-                best[sid] = st.confidence
-    return best
+    col_of, cand, col = _detections(stats, _universe(stats, synth_ids))
+    best = np.zeros(len(col_of), dtype=np.float64)
+    np.maximum.at(best, col, _confidences(stats)[cand])
+    return dict(zip(col_of, best.tolist()))
 
 
 def build_fss_ilp(
@@ -150,24 +197,50 @@ def build_fss_ilp(
     best confidence on column j. With delta = 1 this is the coarse
     problem (confidences live in [0, 1])."""
     ids = _universe(stats, synth_ids)
-    cover = []
-    for sid in ids:
-        floor = all_confidences.get(sid, 0.0) - cfg.delta
-        cover.append(
-            frozenset(
-                i
-                for i, st in enumerate(stats)
-                if sid in st.detected and st.confidence >= floor
-            )
-        )
-    return IlpProblem(
-        candidate_ids=[st.sdc_id for st in stats],
-        synth_ids=ids,
-        cover_sets=cover,
-        fprs=[st.fpr for st in stats],
-        b_size=cfg.b_size,
-        b_fpr=cfg.b_fpr,
+    col_of, cand, col = _detections(stats, ids)
+    floor = np.array(
+        [all_confidences.get(sid, 0.0) - cfg.delta for sid in col_of], dtype=np.float64
     )
+    keep = _confidences(stats)[cand] >= floor[col]
+    return _problem(stats, ids, _cover_sets(ids, col_of, cand[keep], col[keep]), cfg)
+
+
+def _cover_entries(problem: IlpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Row and candidate index arrays of the cover sets, one entry per
+    member of each K_j, sorted by (row, candidate)."""
+    sizes = np.fromiter(map(len, problem.cover_sets), dtype=np.intp,
+                        count=len(problem.cover_sets))
+    rows = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    members = np.fromiter(chain.from_iterable(problem.cover_sets), dtype=np.intp,
+                          count=int(sizes.sum()))
+    order = np.lexsort((members, rows))
+    return rows[order], members[order]
+
+
+def _lp_matrix(problem: IlpProblem):
+    """A_ub of the LP relaxation over x_0..x_{n-1}, y_0..y_{m-1}: row 0
+    is sum x_i <= b_size, row 1 sum fpr_i x_i <= b_fpr (zero FPRs
+    left out), row 2 + j is y_j - sum_{i in K_j} x_i <= 0."""
+    import scipy.sparse as sp
+
+    n = len(problem.candidate_ids)
+    m = len(problem.synth_ids)
+    fprs = np.asarray(problem.fprs, dtype=np.float64)
+    priced = np.flatnonzero(fprs != 0.0)
+    cover_rows, members = _cover_entries(problem)
+    y = np.arange(len(problem.cover_sets), dtype=np.intp)
+    # A stable sort by row lists y_j first in cover row j, then its
+    # members ascending.
+    block_rows = np.concatenate([y, cover_rows])
+    order = np.argsort(block_rows, kind="stable")
+    block_cols = np.concatenate([n + y, members])[order]
+    block_vals = np.concatenate([np.ones(len(y)), -np.ones(len(members))])[order]
+    rows = np.concatenate([
+        np.zeros(n, dtype=np.intp), np.ones(len(priced), dtype=np.intp), 2 + block_rows[order]
+    ])
+    cols = np.concatenate([np.arange(n, dtype=np.intp), priced, block_cols])
+    vals = np.concatenate([np.ones(n), fprs[priced], block_vals])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(2 + m, n + m))
 
 
 def solve_lp_relaxation(problem: IlpProblem) -> LpSolution:
@@ -176,7 +249,6 @@ def solve_lp_relaxation(problem: IlpProblem) -> LpSolution:
     Always feasible: the zero vector satisfies both budgets.
     """
     # Imported here: scipy dominates start-up, and only selection solves LPs.
-    import scipy.sparse as sp
     from scipy.optimize import linprog
 
     n = len(problem.candidate_ids)
@@ -185,31 +257,7 @@ def solve_lp_relaxation(problem: IlpProblem) -> LpSolution:
         return LpSolution(x=np.zeros(n, dtype=np.float64), objective=0.0)
     # Variables: x_0..x_{n-1}, y_0..y_{m-1}; minimize -sum(y).
     c = np.concatenate([np.zeros(n), -np.ones(m)])
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    # sum x_i <= b_size
-    for i in range(n):
-        rows.append(0)
-        cols.append(i)
-        vals.append(1.0)
-    # sum fpr_i x_i <= b_fpr
-    for i in range(n):
-        if problem.fprs[i] != 0.0:
-            rows.append(1)
-            cols.append(i)
-            vals.append(problem.fprs[i])
-    # y_j - sum_{i in K_j} x_i <= 0
-    for j, k in enumerate(problem.cover_sets):
-        r = 2 + j
-        rows.append(r)
-        cols.append(n + j)
-        vals.append(1.0)
-        for i in sorted(k):
-            rows.append(r)
-            cols.append(i)
-            vals.append(-1.0)
-    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(2 + m, n + m))
+    a_ub = _lp_matrix(problem)
     b_ub = np.concatenate([[float(problem.b_size), problem.b_fpr], np.zeros(m)])
     res = linprog(
         c,
@@ -239,8 +287,10 @@ def randomized_round(solution: LpSolution, problem: IlpProblem, seed: int) -> se
 def coverage_objective(problem: IlpProblem, selected_ids: set[str]) -> int:
     """Number of synthetic columns covered by the selected candidates."""
     idx = {cid: i for i, cid in enumerate(problem.candidate_ids)}
-    chosen = {idx[c] for c in selected_ids if c in idx}
-    return sum(1 for k in problem.cover_sets if k & chosen)
+    chosen = np.zeros(len(problem.candidate_ids), dtype=bool)
+    chosen[np.array([idx[c] for c in selected_ids if c in idx], dtype=np.intp)] = True
+    rows, members = _cover_entries(problem)
+    return int(np.unique(rows[chosen[members]]).size)
 
 
 def brute_force_ilp(problem: IlpProblem) -> tuple[int, frozenset[str]]:
@@ -302,23 +352,29 @@ def _enforce_budgets(problem: IlpProblem, selected: set[str]) -> set[str]:
     scheme, off by default."""
     idx = {cid: i for i, cid in enumerate(problem.candidate_ids)}
     current = set(selected)
+    n = len(problem.candidate_ids)
+    picked = np.zeros(n, dtype=bool)
+    picked[np.array([idx[c] for c in current], dtype=np.intp)] = True
+    rows, members = _cover_entries(problem)
+    live = picked[members]
+    rows, members = rows[live], members[live]
+    # Selected members covering each synthetic column.
+    count = np.bincount(rows, minlength=len(problem.cover_sets))
 
     def over() -> bool:
+        # Summed afresh in set order: a running total drifts in the last
+        # bit and can flip the comparison with the budget.
         fpr = sum(problem.fprs[idx[c]] for c in current)
         return len(current) > problem.b_size or fpr > problem.b_fpr + 1e-12
 
     while current and over():
         # Marginal gain: columns only this member covers.
-        chosen = {idx[c] for c in current}
-        gains = {}
-        for cid in current:
-            i = idx[cid]
-            gain = sum(
-                1 for k in problem.cover_sets if i in k and not (k & (chosen - {i}))
-            )
-            gains[cid] = gain
-        drop = min(current, key=lambda cid: (gains[cid], -problem.fprs[idx[cid]], cid))
+        gains = np.bincount(members[count[rows] == 1], minlength=n).tolist()
+        drop = min(current, key=lambda cid: (gains[idx[cid]], -problem.fprs[idx[cid]], cid))
         current.remove(drop)
+        gone = members == idx[drop]
+        count -= np.bincount(rows[gone], minlength=len(count))
+        rows, members = rows[~gone], members[~gone]
     return current
 
 

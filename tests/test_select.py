@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sdc.candidates import make_sdc
 from sdc.domain_fns import Registry, make_pattern_fn, make_score_table_fn
 from sdc.errors import DataFormatError
 from sdc.select import (
     IlpProblem,
     SelectionConfig,
+    _enforce_budgets,
+    _lp_matrix,
     brute_force_ilp,
     build_css_ilp,
     build_fss_ilp,
@@ -137,6 +140,96 @@ class TestProblemConstruction:
         assert fss.cover_sets == css.cover_sets
         assert fss.candidate_ids == css.candidate_ids
         assert fss.synth_ids == css.synth_ids
+
+
+@st.composite
+def selection_inputs(draw):
+    """Small instances with the edge cases of the array code: detected
+    ids outside the synthetic-id list, ``synth_ids=None``, repeated
+    synthetic ids, candidates that detect nothing, empty ``stats``,
+    ``delta = 1`` and confidences exactly at best - delta."""
+    delta = draw(st.sampled_from([1e-3, 0.05, 1.0]))
+    pool = [0.9, 0.95, 0.999, 1.0]
+    pool += [c - delta for c in pool]
+    universe = [f"s{j}" for j in range(draw(st.integers(0, 8)))]
+    detectable = universe + ["x0", "x1"]
+    stats = [
+        CandidateStats(
+            sdc_id=f"c{i:02d}",
+            detected=frozenset(draw(st.lists(st.sampled_from(detectable), max_size=6))),
+            fpr=draw(st.sampled_from([0.0, 0.01, 0.03, 0.05])),
+            confidence=draw(st.sampled_from(pool)),
+        )
+        for i in range(draw(st.integers(0, 10)))
+    ]
+    synth_ids = draw(
+        st.one_of(st.none(), st.lists(st.sampled_from(universe + ["s99"]), max_size=10))
+    )
+    cfg = SelectionConfig(
+        b_size=draw(st.integers(0, 6)),
+        b_fpr=draw(st.sampled_from([0.0, 0.02, 0.05, 0.1])),
+        delta=delta,
+    )
+    selected = {st_.sdc_id for st_ in stats if draw(st.booleans())}
+    return stats, synth_ids, cfg, selected
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestAgainstOracles:
+    @given(selection_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_problems_match_loop_versions(self, inputs):
+        stats, synth_ids, cfg, _ = inputs
+        best = conf_over_all(stats, synth_ids)
+        want_best = oracles.conf_over_all(stats, synth_ids)
+        assert best == want_best
+        assert list(best) == list(want_best)
+        assert build_fss_ilp(stats, best, cfg, synth_ids) == oracles.build_fss_ilp(
+            stats, want_best, cfg, synth_ids
+        )
+        assert build_css_ilp(stats, cfg, synth_ids) == oracles.build_css_ilp(
+            stats, cfg, synth_ids
+        )
+
+    @given(selection_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_selection_helpers_match_loop_versions(self, inputs):
+        stats, synth_ids, cfg, selected = inputs
+        prob = build_fss_ilp(stats, conf_over_all(stats, synth_ids), cfg, synth_ids)
+        assert coverage_objective(prob, selected | {"missing"}) == (
+            oracles.coverage_objective(prob, selected | {"missing"})
+        )
+        assert _enforce_budgets(prob, selected) == oracles.enforce_budgets(prob, selected)
+        assert_same_csr(_lp_matrix(prob), oracles.lp_matrix(prob))
+
+    def test_confidence_at_floor_is_kept(self):
+        delta = 0.01
+        stats = [stat("best", {"s0"}, conf=0.95), stat("edge", {"s0"}, conf=0.95 - delta)]
+        prob = build_fss_ilp(stats, conf_over_all(stats), SelectionConfig(delta=delta))
+        assert prob.cover_sets == [frozenset({0, 1})]
+
+    def test_lp_matrix_large_instance(self):
+        rng = np.random.default_rng(3)
+        synth_ids = [f"s{j:03d}" for j in range(100)]
+        incidence = rng.random((500, 100)) < 0.1
+        stats = [
+            CandidateStats(
+                sdc_id=f"c{i:03d}",
+                detected=frozenset(synth_ids[j] for j in np.flatnonzero(row)),
+                fpr=float(rng.choice([0.0, rng.random() * 0.05])),
+                confidence=float(rng.random()),
+            )
+            for i, row in enumerate(incidence)
+        ]
+        prob = build_css_ilp(stats, SelectionConfig(), synth_ids)
+        assert_same_csr(_lp_matrix(prob), oracles.lp_matrix(prob))
 
 
 class TestLpRelaxation:
