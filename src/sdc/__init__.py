@@ -6,181 +6,40 @@ of domain distance functions (embeddings, patterns, validators, score
 tables), keep the ones that pass statistical screening against the
 corpus, pick a budgeted subset by LP over a synthetic error benchmark,
 then run the survivors over unseen columns to flag outlying values.
+
+The package namespace holds what the README's library quickstart
+uses; everything else lives in the submodules (``sdc.assess``,
+``sdc.synth``, ``sdc.select``, ``sdc.infer``, ...).
 """
 
-from .assess import (
-    AssessConfig,
-    AssessedSdc,
-    ContingencyTable,
-    assess_all,
-    build_contingency,
-    chi_squared_p,
-    cohens_h,
-    confidence_upper_bound,
-    eval_postcondition,
-    eval_precondition,
-    load_assessed,
-    min_coverage_for,
-    save_assessed,
-    wilson_lower_confidence,
-)
-from .candidates import GridSpec, Sdc, candidate_count, enumerate_candidates, make_sdc
-from .corpus import (
-    Column,
-    Corpus,
-    corpus_from_lists,
-    filter_columns,
-    load_corpus,
-    normalize_raw,
-    sample_columns,
-    save_corpus,
-)
+from .assess import assess_all
+from .candidates import GridSpec, enumerate_candidates
+from .corpus import filter_columns, load_corpus
 from .domain_fns import (
-    DomainEvalFn,
-    EmbeddingFn,
-    EmbeddingSpace,
-    PatternFn,
-    RandomHashFn,
     Registry,
-    ScoreTableFn,
-    ValidatorFn,
     builtin_validators,
-    eval_distance,
-    generalize_value,
     infer_patterns,
     load_embedding_space,
-    load_score_table,
-    make_embedding_fn,
-    make_pattern_fn,
-    make_random_hash_fn,
-    make_score_table_fn,
     sample_centroids,
 )
-from .errors import DataFormatError, SdcError
-from .evaluation import (
-    PrPoint,
-    best_zscore_baseline,
-    f1_at_precision,
-    inject_errors,
-    pr_auc,
-    pr_curve,
-    zscore_baseline,
-)
-from .infer import (
-    CompiledRuleset,
-    Detection,
-    EvalCounter,
-    compile_ruleset,
-    detect_corpus,
-    detect_errors,
-    detect_errors_naive,
-    load_report,
-    save_report,
-)
-from .select import (
-    IlpProblem,
-    SelectionConfig,
-    SelectionOutcome,
-    brute_force_ilp,
-    build_css_ilp,
-    build_fss_ilp,
-    randomized_round,
-    read_store,
-    run_selection,
-    solve_lp_relaxation,
-    write_store,
-)
-from .synth import (
-    CandidateStats,
-    SynthColumn,
-    build_candidate_stats,
-    build_synthetic_corpus,
-    detection_set,
-    recall_of,
-)
+from .infer import compile_ruleset, detect_corpus
+from .select import SelectionConfig, run_selection
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssessConfig",
-    "AssessedSdc",
-    "CandidateStats",
-    "Column",
-    "CompiledRuleset",
-    "ContingencyTable",
-    "Corpus",
-    "DataFormatError",
-    "Detection",
-    "DomainEvalFn",
-    "EmbeddingFn",
-    "EmbeddingSpace",
-    "EvalCounter",
     "GridSpec",
-    "IlpProblem",
-    "PatternFn",
-    "PrPoint",
-    "RandomHashFn",
     "Registry",
-    "ScoreTableFn",
-    "Sdc",
-    "SdcError",
     "SelectionConfig",
-    "SelectionOutcome",
-    "SynthColumn",
-    "ValidatorFn",
     "assess_all",
-    "best_zscore_baseline",
-    "brute_force_ilp",
-    "build_candidate_stats",
-    "build_contingency",
-    "build_css_ilp",
-    "build_fss_ilp",
-    "build_synthetic_corpus",
     "builtin_validators",
-    "candidate_count",
-    "chi_squared_p",
-    "cohens_h",
     "compile_ruleset",
-    "confidence_upper_bound",
-    "corpus_from_lists",
     "detect_corpus",
-    "detect_errors",
-    "detect_errors_naive",
-    "detection_set",
     "enumerate_candidates",
-    "eval_distance",
-    "eval_postcondition",
-    "eval_precondition",
-    "f1_at_precision",
     "filter_columns",
-    "generalize_value",
     "infer_patterns",
-    "inject_errors",
-    "load_assessed",
     "load_corpus",
     "load_embedding_space",
-    "load_report",
-    "load_score_table",
-    "make_embedding_fn",
-    "make_pattern_fn",
-    "make_random_hash_fn",
-    "make_score_table_fn",
-    "make_sdc",
-    "min_coverage_for",
-    "normalize_raw",
-    "pr_auc",
-    "pr_curve",
-    "randomized_round",
-    "read_store",
-    "recall_of",
     "run_selection",
     "sample_centroids",
-    "sample_columns",
-    "save_assessed",
-    "save_corpus",
-    "save_report",
-    "solve_lp_relaxation",
-    "wilson_lower_confidence",
-    "write_store",
-    "zscore_baseline",
 ]

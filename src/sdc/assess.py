@@ -29,8 +29,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .candidates import Sdc
-from .corpus import Column, Corpus
-from .domain_fns import DomainEvalFn, Registry, ValueIndex, column_distances
+from .corpus import Corpus
+from .domain_fns import DomainEvalFn, Registry, ValueIndex
 from .errors import DataFormatError
 
 
@@ -156,46 +156,6 @@ class AssessedSdc:
 
 
 # ---------------------------------------------------------------------------
-# Pre/post-conditions
-
-
-def eval_precondition(sdc: Sdc, column: Column, registry: Registry) -> bool:
-    """True iff at least a fraction ``m`` of the column's values lie
-    within distance ``d_in`` (non-strict) of the domain."""
-    dists = column_distances(registry.get(sdc.fn_id), column)
-    inside = int(np.count_nonzero(dists <= sdc.d_in))
-    return inside >= sdc.m * len(column)
-
-
-def eval_postcondition(sdc: Sdc, column: Column, registry: Registry) -> set[tuple[int, str]]:
-    """The (index, raw value) pairs strictly beyond ``d_out``."""
-    dists = column_distances(registry.get(sdc.fn_id), column)
-    idx = np.nonzero(dists > sdc.d_out)[0]
-    return {(int(i), column.values[int(i)]) for i in idx}
-
-
-def build_contingency(sdc: Sdc, corpus: Corpus, registry: Registry) -> ContingencyTable:
-    """Classify every corpus column by (covered, triggered). Triggering
-    is evaluated on all columns, covered or not. A reference for
-    ``assess_all``: it evaluates the function cell by cell."""
-    fn = registry.get(sdc.fn_id)
-    ct = ctbar = nt = ntbar = 0
-    for col in corpus:
-        dists = column_distances(fn, col)
-        covered = int(np.count_nonzero(dists <= sdc.d_in)) >= sdc.m * len(col)
-        triggered = bool(np.any(dists > sdc.d_out))
-        if covered and triggered:
-            ct += 1
-        elif covered:
-            ctbar += 1
-        elif triggered:
-            nt += 1
-        else:
-            ntbar += 1
-    return ContingencyTable(ct, ctbar, nt, ntbar)
-
-
-# ---------------------------------------------------------------------------
 # Statistics
 
 
@@ -292,10 +252,8 @@ def _assess_fn_group(
     cfg: AssessConfig,
     prune: bool,
 ) -> tuple[list[AssessedSdc], dict[str, int]]:
-    d_ins = sorted({c.d_in for c in group})
-    d_in_index = {d: i for i, d in enumerate(d_ins)}
     dists = index.distances(fn)
-    inside = index.inside_counts(dists, d_ins)
+    covered = index.precondition(dists, (c.d_in for c in group))
     max_dist = index.column_max(dists)
     min_cov = min_coverage_for(cfg.c_thres, cfg.z)
     n_cols = len(index)
@@ -325,7 +283,7 @@ def _assess_fn_group(
         n_trig = int(np.count_nonzero(trig))
         for pos, cand in enumerate(cands):
             counts["evaluated"] += 1
-            cov_mask = index.covered(inside[:, d_in_index[cand.d_in]], m)
+            cov_mask = covered(cand.d_in, m)
             coverage = int(np.count_nonzero(cov_mask))
             if coverage < max(1, min_cov):
                 # Candidates with smaller d_in cover subsets of these

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .domain_fns import DomainEvalFn
+from .errors import DataFormatError
 
 BINARY_FAMILIES = ("pattern", "validator")
 
@@ -177,8 +178,11 @@ class GridSpec:
 
     @classmethod
     def load(cls, path: str) -> "GridSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_json(json.load(fh))
+        except (OSError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"cannot read grid {path}: {exc!r}") from exc
 
 
 def candidate_count(fns: Sequence[DomainEvalFn], grid: GridSpec) -> int:

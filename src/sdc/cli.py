@@ -71,21 +71,24 @@ class PipelineConfig:
         def absolute(p: str) -> str:
             return p if os.path.isabs(p) else os.path.join(base, p)
 
-        embeddings = [dict(e, path=absolute(e["path"])) for e in paths.get("embeddings", [])]
-        score_tables = [dict(s, path=absolute(s["path"])) for s in paths.get("score_tables", [])]
-        return cls(
-            corpus_path=absolute(paths["corpus"]),
-            embeddings=embeddings,
-            score_tables=score_tables,
-            functions=data.get("functions", {}),
-            grid=GridSpec.from_json(data.get("grid", {})),
-            assess=AssessConfig.from_json(data.get("assess", {})) if data.get("assess") else AssessConfig(),
-            selection=SelectionConfig.from_json(data.get("selection", {})),
-            out_dir=absolute(data.get("out_dir", "out")),
-            seed=int(data.get("seed", 0)),
-            skip_numeric=bool(data.get("skip_numeric_columns", True)),
-            raw=data,
-        )
+        try:
+            embeddings = [dict(e, path=absolute(e["path"])) for e in paths.get("embeddings", [])]
+            score_tables = [dict(s, path=absolute(s["path"])) for s in paths.get("score_tables", [])]
+            return cls(
+                corpus_path=absolute(paths["corpus"]),
+                embeddings=embeddings,
+                score_tables=score_tables,
+                functions=data.get("functions", {}),
+                grid=GridSpec.from_json(data.get("grid", {})),
+                assess=AssessConfig.from_json(data.get("assess", {})) if data.get("assess") else AssessConfig(),
+                selection=SelectionConfig.from_json(data.get("selection", {})),
+                out_dir=absolute(data.get("out_dir", "out")),
+                seed=int(data.get("seed", 0)),
+                skip_numeric=bool(data.get("skip_numeric_columns", True)),
+                raw=data,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: bad config ({exc!r})") from exc
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

@@ -147,8 +147,9 @@ def _load_csv_dir(path: str, header_row: bool = False) -> Corpus:
     return Corpus(columns)
 
 
-def load_corpus(path: str, format: str = "jsonl", header_row: bool = False) -> Corpus:
-    """Load a corpus from a JSONL file or a directory of CSV files.
+def load_corpus(path: str, header_row: bool = False) -> Corpus:
+    """Load a corpus from a JSONL file or, when ``path`` is a directory,
+    from the CSV files in it.
 
     JSONL: one column per line, ``{"id": str, "header": str?, "values":
     [str, ...]}``. CSV directory: each file is parsed with RFC-4180
@@ -157,13 +158,12 @@ def load_corpus(path: str, format: str = "jsonl", header_row: bool = False) -> C
     """
     if not os.path.exists(path):
         raise DataFormatError(f"no such path: {path}")
-    if format == "jsonl":
+    try:
+        if os.path.isdir(path):
+            return _load_csv_dir(path, header_row=header_row)
         return _load_jsonl(path)
-    if format == "csv-dir":
-        if not os.path.isdir(path):
-            raise DataFormatError(f"csv-dir format needs a directory: {path}")
-        return _load_csv_dir(path, header_row=header_row)
-    raise ValueError(f"unknown corpus format {format!r}")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def save_corpus(corpus: Corpus, path: str, meta: Optional[dict] = None) -> None:

@@ -25,7 +25,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 from urllib.parse import urlparse
 
 import numpy as np
@@ -393,12 +393,6 @@ def eval_distance(fn: DomainEvalFn, raw: str) -> float:
     return fn.distance(normalize_raw(raw))
 
 
-def column_distances(fn: DomainEvalFn, column: Column) -> np.ndarray:
-    """A column's distances, one ``fn.distance`` call per cell: the
-    plain evaluation the reference checks use instead of ``ValueIndex``."""
-    return np.asarray([fn.distance(nv) for nv in column.normalized()], dtype=np.float64)
-
-
 def make_embedding_fn(
     space: EmbeddingSpace, centroid: str, space_id: Optional[str] = None
 ) -> EmbeddingFn:
@@ -615,8 +609,12 @@ class Registry:
                 raise DataFormatError(f"embedding space {sid!r} has no recorded path")
             full = path if os.path.isabs(path) else os.path.join(base_dir, path)
             reg.add_space(load_embedding_space(full, space_id=sid), path=full)
-        for entry in manifest.get("functions", []):
-            reg.add(_fn_from_manifest(entry, reg, base_dir))
+        for i, entry in enumerate(manifest.get("functions", [])):
+            try:
+                fn = _fn_from_manifest(entry, reg, base_dir)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataFormatError(f"function entry {i}: bad record ({exc!r})") from exc
+            reg.add(fn)
         return reg
 
 
@@ -721,19 +719,25 @@ class ValueIndex:
             self._spaces[id(space)] = got
         return got[1], got[2]
 
-    def inside_counts(self, dists: np.ndarray, d_ins: Sequence[float]) -> np.ndarray:
-        """Shape (columns, len(d_ins)): how many of each column's cells
-        lie within each ``d_in`` (non-strict)."""
-        inside = (dists[:, None] <= np.asarray(d_ins, dtype=np.float64)).astype(np.intp)
-        return np.add.reduceat(inside, self.offsets[:-1], axis=0)
+    def precondition(
+        self, dists: np.ndarray, d_ins: Iterable[float]
+    ) -> Callable[[float, float], np.ndarray]:
+        """The pre-condition on every column, for constraints over
+        ``dists`` whose inner radii are among ``d_ins``. Returns
+        ``covered(d_in, m)``: the per-column mask "at least a fraction
+        ``m`` of the values lie within ``d_in`` (non-strict)". Each
+        distinct radius is counted once, whatever ``m`` is asked."""
+        radii = sorted(set(d_ins))
+        inside = (dists[:, None] <= np.asarray(radii, dtype=np.float64)).astype(np.intp)
+        counts = np.add.reduceat(inside, self.offsets[:-1], axis=0)
+        column_of = {d: k for k, d in enumerate(radii)}
+
+        def covered(d_in: float, m: float) -> np.ndarray:
+            return counts[:, column_of[d_in]] >= m * self.lengths
+
+        return covered
 
     def column_max(self, dists: np.ndarray) -> np.ndarray:
         """Each column's largest distance (which alone decides whether
         anything lies beyond a given ``d_out``)."""
         return np.maximum.reduceat(dists, self.offsets[:-1])
-
-    def covered(self, inside: np.ndarray, m: float) -> np.ndarray:
-        """The pre-condition per column, from one column of
-        ``inside_counts``: at least a fraction ``m`` of the values lie
-        inside."""
-        return inside >= m * self.lengths

@@ -54,7 +54,10 @@ def load_truth(path: str) -> GroundTruth:
                 raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
             if isinstance(rec, dict) and "kind" in rec and "id" not in rec:
                 continue
-            truth[rec["id"]] = {int(i) for i in rec["error_indices"]}
+            try:
+                truth[rec["id"]] = {int(i) for i in rec["error_indices"]}
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataFormatError(f"{path} line {lineno}: bad record ({exc!r})") from exc
     return truth
 
 

@@ -6,7 +6,8 @@ per column; members of a holding group then flag values beyond their
 own outer radii. Flags are unioned across constraints and every
 flagged cell reports the highest confidence among its flaggers. The
 grouped evaluation returns exactly what a naive per-constraint loop
-would.
+would; that loop is the reference ``detect_errors_naive`` in the test
+suite's ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,18 +20,10 @@ import numpy as np
 
 from .candidates import Sdc
 from .corpus import Column
-from .domain_fns import Registry, ValueIndex, column_distances
+from .domain_fns import Registry, ValueIndex
 from .errors import DataFormatError
 
 PrecondKey = tuple[str, float, float]  # (fn_id, d_in, m)
-
-
-@dataclass
-class EvalCounter:
-    """Counts pre-condition evaluations (used to verify the dedup
-    optimization does strictly less work, never different work)."""
-
-    preconditions: int = 0
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,6 @@ def _detect(
     index: ValueIndex,
     registry: Registry,
     min_confidence: float,
-    counter: Optional[EvalCounter],
 ) -> list[Detection]:
     """Grouped detection over every column of ``index`` at once: each
     function is evaluated once, each pre-condition group once per
@@ -135,15 +127,13 @@ def _detect(
         fn = registry.get(fn_id)
         fn_desc = fn.describe()
         dists = index.distances(fn)
-        inside = index.inside_counts(dists, [d_in for d_in, _, _ in groups])
-        for k, (_, m, members) in enumerate(groups):
-            if counter is not None:
-                counter.preconditions += len(index)
-            covered = np.repeat(index.covered(inside[:, k], m), index.lengths)
+        covered = index.precondition(dists, (d_in for d_in, _, _ in groups))
+        for d_in, m, members in groups:
+            cells_covered = np.repeat(covered(d_in, m), index.lengths)
             for i in members:
                 sdc = ruleset.sdcs[i]
                 conf = sdc.confidence if sdc.confidence is not None else 0.0
-                cells = np.nonzero(covered & (dists > sdc.d_out))[0]
+                cells = np.nonzero(cells_covered & (dists > sdc.d_out))[0]
                 cols = np.searchsorted(index.offsets, cells, side="right") - 1
                 for cell, j in zip(cells.tolist(), cols.tolist()):
                     idx = cell - int(index.offsets[j])
@@ -163,47 +153,12 @@ def detect_errors(
     column: Column,
     registry: Registry,
     min_confidence: float = 0.0,
-    counter: Optional[EvalCounter] = None,
 ) -> list[Detection]:
     """Apply the ruleset to one column: each pre-condition group is
     evaluated once; flagged (index, value) pairs are unioned; each flag
     carries the max confidence among its flaggers. Sorted by descending
     confidence, then index."""
-    return _detect(ruleset, ValueIndex([column]), registry, min_confidence, counter)
-
-
-def detect_errors_naive(
-    sdcs: Sequence[Sdc],
-    column: Column,
-    registry: Registry,
-    min_confidence: float = 0.0,
-    counter: Optional[EvalCounter] = None,
-) -> list[Detection]:
-    """Reference implementation: evaluate every constraint separately,
-    cell by cell. Used to verify the grouped evaluation changes
-    nothing."""
-    n = len(column)
-    flaggers: dict[int, list[tuple[float, str, float, str]]] = {}
-    for sdc in sdcs:
-        fn = registry.get(sdc.fn_id)
-        dists = column_distances(fn, column)
-        if counter is not None:
-            counter.preconditions += 1
-        inside = int(np.count_nonzero(dists <= sdc.d_in))
-        if inside < sdc.m * n:
-            continue
-        conf = sdc.confidence if sdc.confidence is not None else 0.0
-        for idx in np.nonzero(dists > sdc.d_out)[0]:
-            idx = int(idx)
-            flaggers.setdefault(idx, []).append(
-                (
-                    conf,
-                    sdc.id,
-                    float(dists[idx]),
-                    _explanation(sdc, fn.describe(), column.values[idx], float(dists[idx])),
-                )
-            )
-    return _finalize(column, flaggers, min_confidence)
+    return _detect(ruleset, ValueIndex([column]), registry, min_confidence)
 
 
 def detect_corpus(
@@ -215,7 +170,7 @@ def detect_corpus(
     """Detections of every column, concatenated in corpus order.
     ``corpus`` may be a prebuilt ``ValueIndex``, shared with other work
     on the same columns."""
-    return _detect(ruleset, ValueIndex.of(corpus), registry, min_confidence, None)
+    return _detect(ruleset, ValueIndex.of(corpus), registry, min_confidence)
 
 
 def save_report(report: Sequence[Detection], path: str, meta: Optional[dict] = None) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -146,10 +146,6 @@ def _cover_sets(
     return [per_col[col_of[sid]] for sid in ids]
 
 
-def _confidences(stats: Sequence[CandidateStats]) -> np.ndarray:
-    return np.array([st.confidence for st in stats], dtype=np.float64)
-
-
 def _problem(
     stats: Sequence[CandidateStats],
     ids: list[str],
@@ -176,32 +172,20 @@ def build_css_ilp(
     return _problem(stats, ids, _cover_sets(ids, *_detections(stats, ids)), cfg)
 
 
-def conf_over_all(
-    stats: Sequence[CandidateStats], synth_ids: Optional[Sequence[str]] = None
-) -> dict[str, float]:
-    """Best confidence any candidate achieves per synthetic column
-    (0 when nothing detects it)."""
-    col_of, cand, col = _detections(stats, _universe(stats, synth_ids))
-    best = np.zeros(len(col_of), dtype=np.float64)
-    np.maximum.at(best, col, _confidences(stats)[cand])
-    return dict(zip(col_of, best.tolist()))
-
-
 def build_fss_ilp(
     stats: Sequence[CandidateStats],
-    all_confidences: dict[str, float],
     cfg: SelectionConfig,
     synth_ids: Optional[Sequence[str]] = None,
 ) -> IlpProblem:
     """Fine problem: K_j keeps only detectors within ``delta`` of the
-    best confidence on column j. With delta = 1 this is the coarse
-    problem (confidences live in [0, 1])."""
+    best confidence any candidate achieves on column j. With delta = 1
+    this is the coarse problem (confidences live in [0, 1])."""
     ids = _universe(stats, synth_ids)
     col_of, cand, col = _detections(stats, ids)
-    floor = np.array(
-        [all_confidences.get(sid, 0.0) - cfg.delta for sid in col_of], dtype=np.float64
-    )
-    keep = _confidences(stats)[cand] >= floor[col]
+    conf = np.array([st.confidence for st in stats], dtype=np.float64)[cand]
+    best = np.zeros(len(col_of), dtype=np.float64)
+    np.maximum.at(best, col, conf)
+    keep = conf >= (best - cfg.delta)[col]
     return _problem(stats, ids, _cover_sets(ids, col_of, cand[keep], col[keep]), cfg)
 
 
@@ -293,49 +277,6 @@ def coverage_objective(problem: IlpProblem, selected_ids: set[str]) -> int:
     return int(np.unique(rows[chosen[members]]).size)
 
 
-def brute_force_ilp(problem: IlpProblem) -> tuple[int, frozenset[str]]:
-    """Exact optimum by subset enumeration (verification oracle; at
-    most 20 candidates). Ties break lexicographically on the sorted
-    candidate-id tuple."""
-    n = len(problem.candidate_ids)
-    if n > 20:
-        raise ValueError(f"brute force limited to 20 candidates, got {n}")
-    masks = []
-    for i in range(n):
-        mask = 0
-        for j, k in enumerate(problem.cover_sets):
-            if i in k:
-                mask |= 1 << j
-        masks.append(mask)
-    fprs = problem.fprs
-    best_key: Optional[tuple[int, tuple[str, ...]]] = None
-    for size in range(0, min(n, problem.b_size) + 1):
-        for combo in combinations(range(n), size):
-            fpr = sum(fprs[i] for i in combo)
-            if fpr > problem.b_fpr + 1e-12:
-                continue
-            mask = 0
-            for i in combo:
-                mask |= masks[i]
-            obj = bin(mask).count("1")
-            ids = tuple(sorted(problem.candidate_ids[i] for i in combo))
-            key = (-obj, ids)
-            if best_key is None or key < best_key:
-                best_key = key
-    assert best_key is not None  # the empty set is always feasible
-    return -best_key[0], frozenset(best_key[1])
-
-
-def conf_of_column(synth_id: str, selected_ids: set[str], stats: Sequence[CandidateStats]) -> float:
-    """Best confidence among selected candidates detecting the column;
-    0 when none does."""
-    best = 0.0
-    for st in stats:
-        if st.sdc_id in selected_ids and synth_id in st.detected and st.confidence > best:
-            best = st.confidence
-    return best
-
-
 @dataclass
 class SelectionOutcome:
     selected_ids: list[str]
@@ -385,7 +326,7 @@ def run_selection(
 ) -> SelectionOutcome:
     """Build the configured problem, solve the relaxation, round."""
     if cfg.strategy == "fine":
-        problem = build_fss_ilp(stats, conf_over_all(stats, synth_ids), cfg, synth_ids)
+        problem = build_fss_ilp(stats, cfg, synth_ids)
     else:
         problem = build_css_ilp(stats, cfg, synth_ids)
     solution = solve_lp_relaxation(problem)

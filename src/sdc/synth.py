@@ -12,7 +12,6 @@ clean corpus columns the constraint both covers and triggers on.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,9 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assess import AssessedSdc
-from .candidates import Sdc
 from .corpus import Column, Corpus, draw_donor_value
-from .domain_fns import Registry, ValueIndex, column_distances
+from .domain_fns import Registry, ValueIndex
 from .errors import DataFormatError
 
 
@@ -91,23 +89,6 @@ def build_synthetic_corpus(
     return out
 
 
-def detection_set(sdc: Sdc, synth: Sequence[SynthColumn], registry: Registry) -> set[str]:
-    """Ids of synthetic columns whose pre-condition holds and whose
-    injected value specifically is flagged by the post-condition. A
-    reference for ``build_candidate_stats``: it evaluates the function
-    cell by cell."""
-    fn = registry.get(sdc.fn_id)
-    out: set[str] = set()
-    for sc in synth:
-        dists = column_distances(fn, sc.column())
-        inside = int(np.count_nonzero(dists <= sdc.d_in))
-        if inside < sdc.m * len(dists):
-            continue
-        if dists[sc.injected_index] > sdc.d_out:
-            out.add(sc.id)
-    return out
-
-
 def estimate_fpr(table, corpus_size: int) -> float:
     """Fraction of clean corpus columns the constraint covers and
     triggers on."""
@@ -137,13 +118,10 @@ def build_candidate_stats(
     for fn_id, idxs in sorted(by_fn.items()):
         dists = index.distances(registry.get(fn_id))
         injected_d = dists[injected_cells]
-        d_ins = sorted({assessed[i].sdc.d_in for i in idxs})
-        d_in_index = {d: k for k, d in enumerate(d_ins)}
-        inside = index.inside_counts(dists, d_ins)
+        covered = index.precondition(dists, (assessed[i].sdc.d_in for i in idxs))
         for i in idxs:
             item = assessed[i]
-            covered = index.covered(inside[:, d_in_index[item.sdc.d_in]], item.sdc.m)
-            hit = covered & (injected_d > item.sdc.d_out)
+            hit = covered(item.sdc.d_in, item.sdc.m) & (injected_d > item.sdc.d_out)
             results[i] = CandidateStats(
                 sdc_id=item.sdc.id,
                 detected=frozenset(synth[j].id for j in np.nonzero(hit)[0]),
@@ -151,64 +129,3 @@ def build_candidate_stats(
                 confidence=item.confidence,
             )
     return [r for r in results if r is not None]
-
-
-def recall_of(selected: Sequence[CandidateStats]) -> int:
-    """Absolute recall of a constraint set: the number of synthetic
-    columns detected by at least one member."""
-    seen: set[str] = set()
-    for st in selected:
-        seen |= st.detected
-    return len(seen)
-
-
-def save_synth(synth: Sequence[SynthColumn], corpus_path: str, truth_path: str) -> None:
-    """Write the synthetic columns as corpus JSONL plus a ground-truth
-    sidecar of (id, base column, injected index, injected value)."""
-    with open(corpus_path, "w", encoding="utf-8") as fh:
-        for sc in synth:
-            fh.write(json.dumps({"id": sc.id, "values": list(sc.values)}, ensure_ascii=False) + "\n")
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        for sc in synth:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": sc.id,
-                        "base_column_id": sc.base_column_id,
-                        "injected_index": sc.injected_index,
-                        "injected_value": sc.injected_value,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
-def load_synth(corpus_path: str, truth_path: str) -> list[SynthColumn]:
-    values_by_id: dict[str, tuple[str, ...]] = {}
-    with open(corpus_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if isinstance(rec, dict) and "kind" in rec and "values" not in rec:
-                continue
-            values_by_id[rec["id"]] = tuple(rec["values"])
-    out: list[SynthColumn] = []
-    with open(truth_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec["id"] not in values_by_id:
-                raise DataFormatError(f"{truth_path} line {lineno}: unknown id {rec['id']!r}")
-            out.append(
-                SynthColumn(
-                    id=rec["id"],
-                    base_column_id=rec["base_column_id"],
-                    injected_value=rec["injected_value"],
-                    injected_index=int(rec["injected_index"]),
-                    values=values_by_id[rec["id"]],
-                )
-            )
-    return out

@@ -1,11 +1,20 @@
-"""Shared fixtures: a tiny hand-checkable embedding space and corpora."""
+"""Shared fixtures: a tiny hand-checkable embedding space and corpora,
+and a count of pre-condition evaluations."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sdc.assess import ContingencyTable
 from sdc.corpus import Column, Corpus
-from sdc.domain_fns import EmbeddingSpace, Registry, make_embedding_fn, make_score_table_fn
+from sdc.domain_fns import (
+    EmbeddingSpace,
+    Registry,
+    ValueIndex,
+    make_embedding_fn,
+    make_score_table_fn,
+)
 
 
 @pytest.fixture
@@ -45,3 +54,24 @@ def registry2d(space2d) -> Registry:
 
 def table(a: int, b: int, c: int, d: int) -> ContingencyTable:
     return ContingencyTable(a, b, c, d)
+
+
+@pytest.fixture
+def precondition_counts(monkeypatch) -> Counter:
+    """``counts["preconditions"]`` grows by the number of columns each
+    time a ``covered(d_in, m)`` from ``ValueIndex.precondition``
+    evaluates a pre-condition, for the rest of the test."""
+    counts: Counter = Counter()
+    original = ValueIndex.precondition
+
+    def spy(self, dists, d_ins):
+        covered = original(self, dists, d_ins)
+
+        def counted(d_in, m):
+            counts["preconditions"] += len(self)
+            return covered(d_in, m)
+
+        return counted
+
+    monkeypatch.setattr(ValueIndex, "precondition", spy)
+    return counts

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import random
 import time
+from collections import Counter
 from itertools import islice
 
 import numpy as np
@@ -54,26 +55,24 @@ from sdc.evaluation import (
 )
 from sdc.infer import (
     Detection,
-    EvalCounter,
     compile_ruleset,
     detect_corpus,
     detect_errors,
-    detect_errors_naive,
     save_report,
 )
 from sdc.select import (
     CandidateStats,
     SelectionConfig,
-    brute_force_ilp,
     build_css_ilp,
     build_fss_ilp,
-    conf_over_all,
     coverage_objective,
     randomized_round,
     run_selection,
     solve_lp_relaxation,
 )
 from sdc.synth import build_candidate_stats, build_synthetic_corpus
+
+from oracles import brute_force_ilp, detect_errors_naive
 
 
 def read_bytes(path):
@@ -267,7 +266,7 @@ def test_criterion_05_delta_one_reduces_to_coarse_cover_sets():
         )
         synth_ids = problem.synth_ids
         cfg = SelectionConfig(delta=1.0)
-        fss = build_fss_ilp(stats, conf_over_all(stats, synth_ids), cfg, synth_ids)
+        fss = build_fss_ilp(stats, cfg, synth_ids)
         css = build_css_ilp(stats, cfg, synth_ids)
         assert fss.candidate_ids == css.candidate_ids
         assert fss.synth_ids == css.synth_ids
@@ -356,7 +355,7 @@ def acceptance_registry():
     return reg
 
 
-def test_criterion_07_compiled_inference_is_exact_and_cheaper():
+def test_criterion_07_compiled_inference_is_exact_and_cheaper(precondition_counts):
     reg = acceptance_registry()
     fn_ids = [fn.id for fn in reg.functions()]
     rng = random.Random(707)
@@ -378,16 +377,16 @@ def test_criterion_07_compiled_inference_is_exact_and_cheaper():
                                      k=rng.randint(1, 12))),
         )
         ruleset = compile_ruleset(sdcs)
-        c_compiled = EvalCounter()
-        c_naive = EvalCounter()
-        got = detect_errors(ruleset, column, reg, counter=c_compiled)
-        want = detect_errors_naive(sdcs, column, reg, counter=c_naive)
+        precondition_counts.clear()
+        c_naive = Counter()
+        got = detect_errors(ruleset, column, reg)
+        want = detect_errors_naive(sdcs, column, reg, counts=c_naive)
         assert got == want
         if len(ruleset.precondition_groups) < len(sdcs):
-            assert c_compiled.preconditions < c_naive.preconditions
+            assert precondition_counts["preconditions"] < c_naive["preconditions"]
             merged_pairs += 1
         else:
-            assert c_compiled.preconditions == c_naive.preconditions
+            assert precondition_counts["preconditions"] == c_naive["preconditions"]
     assert merged_pairs > 0
     print(f"PASS criterion 7: compiled == naive on 1000 rulesets; strictly "
           f"fewer precondition evaluations on the {merged_pairs} with shared "

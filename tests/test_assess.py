@@ -12,12 +12,9 @@ from sdc.assess import (
     AssessedSdc,
     ContingencyTable,
     assess_all,
-    build_contingency,
     chi_squared_p,
     cohens_h,
     confidence_upper_bound,
-    eval_postcondition,
-    eval_precondition,
     load_assessed,
     min_coverage_for,
     save_assessed,
@@ -29,6 +26,7 @@ from sdc.domain_fns import Registry, make_random_hash_fn, make_score_table_fn
 from sdc.errors import DataFormatError
 
 from conftest import table
+from oracles import build_contingency, eval_postcondition, eval_precondition
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,20 @@ def test_infer_runs_and_is_worker_invariant(demo, pipeline, injected):
     assert all(d.column_id in corpus_ids for d in report)
 
 
+def test_inject_reads_csv_directory(tmp_path):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    (tables / "a.csv").write_text("red,alpha\ncrimson,bravo\nscarlet,charlie\n")
+    (tables / "b.csv").write_text("blue\nnavy\nazure\n")
+    dirty, truth = tmp_path / "dirty.jsonl", tmp_path / "truth.json"
+    rc = run(["inject", "--corpus", str(tables), "--rate", "1.0", "--seed", "0",
+              "--out", str(dirty), "--truth-out", str(truth)])
+    assert rc == 0
+    clean = load_corpus(str(tables))
+    assert load_corpus(str(dirty)).ids() == clean.ids() == ["a.csv:0", "a.csv:1", "b.csv:0"]
+    assert total_errors(load_truth(str(truth))) > 0
+
+
 def test_infer_min_confidence_filters(demo, pipeline, injected):
     rep_all = demo["root"] / "report-all.jsonl"
     rep_hi = demo["root"] / "report-hi.jsonl"
@@ -317,3 +331,55 @@ def test_missing_store_is_data_error(tmp_path, demo):
     rc = run(["infer", "--rules", str(tmp_path / "nope.json"),
               "--corpus", str(demo["data"] / "corpus.jsonl")])
     assert rc == 2
+
+
+EMBEDDING_WITHOUT_SPACE_ID = {"id": "emb:toy:red", "family": "embedding",
+                              "params": {"centroid": "red"}}
+INJECT = ["inject", "--out", "{tmp}/dirty.jsonl", "--truth-out", "{tmp}/truth-out.json"]
+GEN_GRID = ["gen", "--config", "{config}", "--grid", "{file}", "--out-dir", "{tmp}"]
+GEN_CONFIG = ["gen", "--config", "{file}"]
+
+# Each case: the file written, its contents, and the command that reads
+# it ({file} is that file, {tmp} a scratch directory).
+MALFORMED_INPUTS = {
+    "truth-without-error-indices": (
+        "truth.json", '{"id": "c0"}\n', INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
+    "grid-invalid-json": ("grid.json", "{not json", GEN_GRID),
+    "grid-empty-m-values": ("grid.json", '{"m_values": []}', GEN_GRID),
+    "config-unknown-assess-key": (
+        "cfg.json", {"paths": {"corpus": "c.jsonl"}, "assess": {"zz": 1}}, GEN_CONFIG),
+    "config-unknown-strategy": (
+        "cfg.json", {"paths": {"corpus": "c.jsonl"}, "selection": {"strategy": "greedy"}},
+        GEN_CONFIG),
+    "config-embedding-without-path": (
+        "cfg.json", {"paths": {"corpus": "c.jsonl", "embeddings": [{"space_id": "toy"}]}},
+        GEN_CONFIG),
+    "config-m-values-not-a-list": (
+        "cfg.json", {"paths": {"corpus": "c.jsonl"}, "grid": {"m_values": 0.5}}, GEN_CONFIG),
+    "store-embedding-without-space-id": (
+        "store.json",
+        {"kind": "sdc-store", "registry": {"functions": [EMBEDDING_WITHOUT_SPACE_ID]},
+         "sdcs": []},
+        ["infer", "--rules", "{file}", "--corpus", "{corpus}", "--out", "{tmp}/report.jsonl"]),
+    "registry-embedding-without-space-id": (
+        "registry.json", {"functions": [EMBEDDING_WITHOUT_SPACE_ID]},
+        ["select", "--config", "{config}", "--rules", "{rules}", "--registry", "{file}",
+         "--out-dir", "{tmp}"]),
+    "corpus-not-utf8": (
+        "corpus.jsonl", b'{"id": "c0", "values": ["caf\xe9"]}\n', INJECT + ["--corpus", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_INPUTS))
+def test_malformed_input_is_data_error(name, tmp_path, demo, pipeline):
+    file_name, contents, argv = MALFORMED_INPUTS[name]
+    path = tmp_path / file_name
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    elif isinstance(contents, str):
+        path.write_text(contents)
+    else:
+        path.write_text(json.dumps(contents))
+    slots = {"file": path, "tmp": tmp_path, "config": demo["config"],
+             "corpus": demo["data"] / "corpus.jsonl", "rules": pipeline / "rules.jsonl"}
+    assert run([arg.format(**slots) for arg in argv]) == 2

@@ -123,34 +123,23 @@ class TestCsvDir:
     def test_columns_per_file(self, tmp_path):
         (tmp_path / "b.csv").write_text("1,2\n3,4\n")
         (tmp_path / "a.csv").write_text('x,"y,z"\nu,v\n')
-        corpus = load_corpus(str(tmp_path), format="csv-dir")
+        corpus = load_corpus(str(tmp_path))
         # sorted file order, then column index
         assert corpus.ids() == ["a.csv:0", "a.csv:1", "b.csv:0", "b.csv:1"]
         assert corpus.column_by_id("a.csv:1").values == ("y,z", "v")
 
     def test_header_row(self, tmp_path):
         (tmp_path / "a.csv").write_text("name,age\nbob,3\n")
-        corpus = load_corpus(str(tmp_path), format="csv-dir", header_row=True)
+        corpus = load_corpus(str(tmp_path), header_row=True)
         col = corpus.column_by_id("a.csv:0")
         assert col.header == "name"
         assert col.values == ("bob",)
 
     def test_ragged_rows(self, tmp_path):
         (tmp_path / "a.csv").write_text("a,b\nc\n")
-        corpus = load_corpus(str(tmp_path), format="csv-dir")
+        corpus = load_corpus(str(tmp_path))
         assert corpus.column_by_id("a.csv:0").values == ("a", "c")
         assert corpus.column_by_id("a.csv:1").values == ("b",)
-
-    def test_needs_directory(self, tmp_path):
-        f = tmp_path / "x.csv"
-        f.write_text("a\n")
-        with pytest.raises(DataFormatError):
-            load_corpus(str(f), format="csv-dir")
-
-    def test_unknown_format(self, tmp_path):
-        (tmp_path / "a.csv").write_text("a\n")
-        with pytest.raises(ValueError):
-            load_corpus(str(tmp_path), format="parquet")
 
 
 class TestSampleColumns:

@@ -580,15 +580,21 @@ class TestValueIndex:
         index = ValueIndex([Column(id="c0", values=("a", "b", "z")),
                             Column(id="c1", values=("b", "b"))])
         dists = index.distances(fn)  # 0, 0.5, 1 | 0.5, 0.5
-        inside = index.inside_counts(dists, [0.0, 0.5])
-        assert inside.tolist() == [[1, 2], [0, 2]]
+        covered = index.precondition(dists, [0.5, 0.0, 0.5])
+        # Inside-counts per column at d_in = 0.0 and 0.5: c0 has 1 and
+        # 2 of 3, c1 has 0 and 2 of 2. A count k of n holds at m = k/n
+        # and fails just above it.
+        for d_in, counts in ((0.0, [1, 0]), (0.5, [2, 2])):
+            for j, (k, n) in enumerate(zip(counts, index.lengths.tolist())):
+                assert covered(d_in, k / n)[j]
+                assert not covered(d_in, k / n + 1e-9)[j]
         assert index.column_max(dists).tolist() == [1.0, 0.5]
-        assert index.covered(inside[:, 1], 2 / 3).tolist() == [True, True]
-        assert index.covered(inside[:, 0], 0.5).tolist() == [False, False]
+        assert covered(0.5, 2 / 3).tolist() == [True, True]
+        assert covered(0.0, 0.5).tolist() == [False, False]
 
     def test_empty(self):
         index = ValueIndex([])
         dists = index.distances(make_random_hash_fn(1))
         assert dists.shape == (0,)
-        assert index.inside_counts(dists, [0.5]).shape == (0, 1)
+        assert index.precondition(dists, [0.5])(0.5, 0.5).shape == (0,)
         assert index.column_max(dists).shape == (0,)

@@ -17,11 +17,8 @@ from sdc.select import (
     SelectionConfig,
     _enforce_budgets,
     _lp_matrix,
-    brute_force_ilp,
     build_css_ilp,
     build_fss_ilp,
-    conf_of_column,
-    conf_over_all,
     coverage_objective,
     randomized_round,
     read_store,
@@ -116,7 +113,7 @@ class TestProblemConstruction:
             stat("a", {"s0", "s1"}, conf=0.91),
             stat("b", {"s1"}, conf=0.97),
         ]
-        best = conf_over_all(stats, synth_ids=["s0", "s1", "s2"])
+        best = oracles.conf_over_all(stats, synth_ids=["s0", "s1", "s2"])
         assert best == {"s0": 0.91, "s1": 0.97, "s2": 0.0}
 
     def test_fss_keeps_only_near_best_detectors(self):
@@ -124,8 +121,8 @@ class TestProblemConstruction:
             stat("weak", {"s0"}, conf=0.90),
             stat("strong", {"s0"}, conf=0.95),
         ]
-        tight = build_fss_ilp(stats, conf_over_all(stats), SelectionConfig(delta=0.01))
-        loose = build_fss_ilp(stats, conf_over_all(stats), SelectionConfig(delta=0.2))
+        tight = build_fss_ilp(stats, SelectionConfig(delta=0.01))
+        loose = build_fss_ilp(stats, SelectionConfig(delta=0.2))
         assert tight.cover_sets == [frozenset({1})]
         assert loose.cover_sets == [frozenset({0, 1})]
 
@@ -135,7 +132,7 @@ class TestProblemConstruction:
         rng = random.Random(seed)
         stats, synth_ids = random_instance(rng)
         cfg = SelectionConfig(delta=1.0)
-        fss = build_fss_ilp(stats, conf_over_all(stats, synth_ids), cfg, synth_ids)
+        fss = build_fss_ilp(stats, cfg, synth_ids)
         css = build_css_ilp(stats, cfg, synth_ids)
         assert fss.cover_sets == css.cover_sets
         assert fss.candidate_ids == css.candidate_ids
@@ -187,12 +184,8 @@ class TestAgainstOracles:
     @settings(max_examples=300, deadline=None)
     def test_problems_match_loop_versions(self, inputs):
         stats, synth_ids, cfg, _ = inputs
-        best = conf_over_all(stats, synth_ids)
-        want_best = oracles.conf_over_all(stats, synth_ids)
-        assert best == want_best
-        assert list(best) == list(want_best)
-        assert build_fss_ilp(stats, best, cfg, synth_ids) == oracles.build_fss_ilp(
-            stats, want_best, cfg, synth_ids
+        assert build_fss_ilp(stats, cfg, synth_ids) == oracles.build_fss_ilp(
+            stats, oracles.conf_over_all(stats, synth_ids), cfg, synth_ids
         )
         assert build_css_ilp(stats, cfg, synth_ids) == oracles.build_css_ilp(
             stats, cfg, synth_ids
@@ -202,7 +195,7 @@ class TestAgainstOracles:
     @settings(max_examples=300, deadline=None)
     def test_selection_helpers_match_loop_versions(self, inputs):
         stats, synth_ids, cfg, selected = inputs
-        prob = build_fss_ilp(stats, conf_over_all(stats, synth_ids), cfg, synth_ids)
+        prob = build_fss_ilp(stats, cfg, synth_ids)
         assert coverage_objective(prob, selected | {"missing"}) == (
             oracles.coverage_objective(prob, selected | {"missing"})
         )
@@ -212,7 +205,7 @@ class TestAgainstOracles:
     def test_confidence_at_floor_is_kept(self):
         delta = 0.01
         stats = [stat("best", {"s0"}, conf=0.95), stat("edge", {"s0"}, conf=0.95 - delta)]
-        prob = build_fss_ilp(stats, conf_over_all(stats), SelectionConfig(delta=delta))
+        prob = build_fss_ilp(stats, SelectionConfig(delta=delta))
         assert prob.cover_sets == [frozenset({0, 1})]
 
     def test_lp_matrix_large_instance(self):
@@ -279,7 +272,7 @@ class TestLpRelaxation:
         cfg = SelectionConfig(b_size=rng.randint(0, 6), b_fpr=rng.random() * 0.08)
         prob = build_css_ilp(stats, cfg, synth_ids)
         lp = solve_lp_relaxation(prob)
-        ilp_obj, _ = brute_force_ilp(prob)
+        ilp_obj, _ = oracles.brute_force_ilp(prob)
         assert lp.objective >= ilp_obj - 1e-7
 
 
@@ -309,7 +302,7 @@ class TestBruteForce:
     def test_refuses_large_instances(self):
         stats = [stat(f"c{i:02d}", {"s0"}) for i in range(21)]
         with pytest.raises(ValueError):
-            brute_force_ilp(build_css_ilp(stats, SelectionConfig()))
+            oracles.brute_force_ilp(build_css_ilp(stats, SelectionConfig()))
 
     def test_hand_instance(self):
         # c0 covers two columns on its own; c1+c2 also cover two but
@@ -320,7 +313,7 @@ class TestBruteForce:
             stat("c2", {"s1"}),
         ]
         prob = build_css_ilp(stats, SelectionConfig(b_size=1))
-        obj, picked = brute_force_ilp(prob)
+        obj, picked = oracles.brute_force_ilp(prob)
         assert obj == 2
         assert picked == frozenset({"c0"})
 
@@ -330,20 +323,20 @@ class TestBruteForce:
             stat("pricey", {"s0", "s1"}, fpr=0.5),
         ]
         prob = build_css_ilp(stats, SelectionConfig(b_size=5, b_fpr=0.1))
-        obj, picked = brute_force_ilp(prob)
+        obj, picked = oracles.brute_force_ilp(prob)
         assert obj == 1
         assert picked == frozenset({"cheap"})
 
     def test_tie_breaks_lexicographically(self):
         stats = [stat("zz", {"s0"}), stat("aa", {"s0"})]
         prob = build_css_ilp(stats, SelectionConfig(b_size=1))
-        _, picked = brute_force_ilp(prob)
+        _, picked = oracles.brute_force_ilp(prob)
         assert picked == frozenset({"aa"})
 
     def test_empty_selection_feasible(self):
         stats = [stat("a", {"s0"}, fpr=1.0)]
         prob = build_css_ilp(stats, SelectionConfig(b_size=5, b_fpr=0.0))
-        obj, picked = brute_force_ilp(prob)
+        obj, picked = oracles.brute_force_ilp(prob)
         assert (obj, picked) == (0, frozenset())
 
 
@@ -358,10 +351,10 @@ class TestHelpers:
 
     def test_conf_of_column(self):
         stats = [stat("a", {"s0"}, conf=0.91), stat("b", {"s0"}, conf=0.99)]
-        assert conf_of_column("s0", {"a"}, stats) == 0.91
-        assert conf_of_column("s0", {"a", "b"}, stats) == 0.99
-        assert conf_of_column("s0", set(), stats) == 0.0
-        assert conf_of_column("s9", {"a"}, stats) == 0.0
+        assert oracles.conf_of_column("s0", {"a"}, stats) == 0.91
+        assert oracles.conf_of_column("s0", {"a", "b"}, stats) == 0.99
+        assert oracles.conf_of_column("s0", set(), stats) == 0.0
+        assert oracles.conf_of_column("s9", {"a"}, stats) == 0.0
 
 
 class TestRunSelection:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sdc.assess import AssessedSdc, build_contingency
+from sdc.assess import AssessedSdc
 from sdc.candidates import make_sdc as new_sdc
 from sdc.corpus import Column, Corpus, normalize_raw
 from sdc.domain_fns import Registry, make_score_table_fn
@@ -13,14 +13,11 @@ from sdc.synth import (
     SynthColumn,
     build_candidate_stats,
     build_synthetic_corpus,
-    detection_set,
     estimate_fpr,
-    load_synth,
-    recall_of,
-    save_synth,
 )
 
 from conftest import table
+from oracles import build_contingency, detection_set, recall_of
 
 
 def make_sdc(fn_id, d_in, d_out, m, conf=0.95):
@@ -214,21 +211,3 @@ class TestRecallOf:
         assert recall_of([]) == 0
         assert recall_of([s1]) == 2
         assert recall_of([s1, s2]) == 3
-
-
-class TestSynthIO:
-    def test_roundtrip(self, word_corpus, tmp_path):
-        synth = build_synthetic_corpus(word_corpus, n=25, seed=7)
-        cp, tp = str(tmp_path / "syn.jsonl"), str(tmp_path / "truth.jsonl")
-        save_synth(synth, cp, tp)
-        assert load_synth(cp, tp) == synth
-
-    def test_unknown_id_reports_line(self, word_corpus, tmp_path):
-        synth = build_synthetic_corpus(word_corpus, n=5, seed=8)
-        cp, tp = str(tmp_path / "syn.jsonl"), str(tmp_path / "truth.jsonl")
-        save_synth(synth, cp, tp)
-        with open(tp, "a", encoding="utf-8") as fh:
-            fh.write('{"id": "syn-nope", "base_column_id": "c0", '
-                     '"injected_index": 0, "injected_value": "x"}\n')
-        with pytest.raises(DataFormatError, match=f"line {len(synth) + 1}"):
-            load_synth(cp, tp)
