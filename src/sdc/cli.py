@@ -234,7 +234,12 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
     # The config seed drives the synthetic corpus; rounding gets its own
     # derived stream.
     sel_kwargs["seed"] = cfg.seed + 1
-    sel = SelectionConfig.from_json(sel_kwargs)
+    # The config's own values were checked when it loaded, so a value
+    # rejected here came from an option.
+    try:
+        sel = SelectionConfig.from_json(sel_kwargs)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
     rules_path = rules_path or os.path.join(out, "rules.jsonl")
     registry_path = registry_path or os.path.join(out, "registry.json")

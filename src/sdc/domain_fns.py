@@ -13,6 +13,18 @@ families are provided:
 
 All families are pure: repeated evaluation of the same (function, value)
 pair returns bit-identical results.
+
+``ValueIndex`` evaluates each function once per distinct value:
+
+- ``embedding``: one matrix of the distinct values' vectors per space,
+  and one row-wise norm over it per centroid;
+- ``random_hash``: one keyed BLAKE2b state, copied for each value;
+- ``score_table``, ``pattern`` and ``validator``: one ``distance`` call
+  per value. The date validator tries ``strptime`` only on values shaped
+  like three digit fields joined by two separators.
+
+Every family but ``embedding`` goes through ``DomainEvalFn.distances``,
+which returns exactly what ``distance`` returns value by value.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 from urllib.parse import urlparse
 
 import numpy as np
@@ -49,6 +61,14 @@ class EmbeddingSpace:
     id: str = "space"
 
 
+def _open_text(path: str) -> TextIO:
+    """Open a UTF-8 input file; a file that cannot be opened is a data error."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def load_embedding_space(path: str, space_id: Optional[str] = None) -> EmbeddingSpace:
     """Load a text-format embedding file: ``token v1 v2 ... vd`` per line.
 
@@ -58,7 +78,7 @@ def load_embedding_space(path: str, space_id: Optional[str] = None) -> Embedding
     """
     vectors: dict[str, np.ndarray] = {}
     dimension: Optional[int] = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2 or parts[0] == "":
@@ -119,6 +139,11 @@ class DomainEvalFn:
 
     def distance(self, value: str) -> float:
         raise NotImplementedError
+
+    def distances(self, values: Sequence[str]) -> np.ndarray:
+        """``distance`` of each value, as float64, bit for bit. Families
+        with a cheaper batch form override this."""
+        return np.fromiter(map(self.distance, values), dtype=np.float64, count=len(values))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -261,6 +286,18 @@ class RandomHashFn(DomainEvalFn):
         ).digest()
         return int.from_bytes(h, "big") / 2.0**64
 
+    def distances(self, values: Sequence[str]) -> np.ndarray:
+        # Copying a keyed state skips the key block's compression per
+        # value; the big-endian words convert to float64 exactly as
+        # ``int / 2.0**64`` does (correct rounding, then an exact scale).
+        keyed = hashlib.blake2b(digest_size=8, key=str(self.seed).encode("ascii"))
+        digests = []
+        for v in values:
+            h = keyed.copy()
+            h.update(v.encode("utf-8"))
+            digests.append(h.digest())
+        return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.float64) / 2.0**64
+
     def describe(self) -> str:
         return f"random hash (seed {self.seed})"
 
@@ -282,7 +319,16 @@ _DATE_FORMATS = (
 )
 
 
+# Every format above is three digit fields joined by two of "/-.";
+# strptime's %d also takes a leading space and its \d any Unicode digit,
+# so no value this rejects can parse, and strptime's failures (each a
+# raised ValueError) are paid only by values of the right shape.
+_DATE_SHAPE = re.compile(r"[\d ]+[/.-][\d ]+[/.-][\d ]+")
+
+
 def _validate_date(value: str) -> bool:
+    if not _DATE_SHAPE.fullmatch(value):
+        return False
     for fmt in _DATE_FORMATS:
         try:
             datetime.strptime(value, fmt)
@@ -449,7 +495,7 @@ def load_score_table(path: str, type_name: str, default_score: float = 0.0) -> S
     if not 0.0 <= default_score <= 1.0:
         raise DataFormatError(f"default_score {default_score} outside [0, 1]")
     scores: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -663,9 +709,11 @@ class ValueIndex:
     ``values`` lists the distinct normalized values. ``codes`` gives each
     cell's position in ``values``, column after column, and column ``j``
     owns cells ``offsets[j]:offsets[j + 1]``. A function is evaluated
-    once per distinct value; embedding functions share one distinct-value
-    matrix per space. Nothing is keyed on column ids, so an index always
-    describes exactly the columns it was built from.
+    once per distinct value: embedding functions share one distinct-value
+    matrix per space, and every other family goes through its
+    ``distances`` batch method (see the module docstring). Nothing is
+    keyed on column ids, so an index always describes exactly the
+    columns it was built from.
     """
 
     def __init__(self, columns: Iterable[Column]) -> None:
@@ -698,9 +746,7 @@ class ValueIndex:
             distinct = centroid_distances(mat, fn.centroid_vector)
             distinct[oov] = INFINITE_DISTANCE
         else:
-            distinct = np.fromiter(
-                (fn.distance(v) for v in self.values), dtype=np.float64, count=len(self.values)
-            )
+            distinct = fn.distances(self.values)
         return distinct[self.codes]
 
     def _space_matrix(self, space: EmbeddingSpace) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,8 @@
 Each function is the plain form of a library computation, kept here
 rather than in ``sdc`` because only tests call it:
 
+- the date validator without its shape filter: all seven ``strptime``
+  formats tried on every value;
 - cell-by-cell checks of the pre- and post-condition, the contingency
   table, a candidate's synthetic detections and detection itself. They
   call ``fn.distance`` once per cell and never touch ``ValueIndex``,
@@ -21,6 +23,7 @@ exactly what the reference returns.
 from __future__ import annotations
 
 from collections import Counter
+from datetime import datetime
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -29,10 +32,26 @@ import numpy as np
 from sdc.assess import ContingencyTable
 from sdc.candidates import Sdc
 from sdc.corpus import Column, Corpus
-from sdc.domain_fns import DomainEvalFn, Registry
+from sdc.domain_fns import _DATE_FORMATS, DomainEvalFn, Registry
 from sdc.infer import Detection, _explanation, _finalize
 from sdc.select import IlpProblem, SelectionConfig
 from sdc.synth import CandidateStats, SynthColumn
+
+
+# ---------------------------------------------------------------------------
+# Validators
+
+
+def validate_date(value: str) -> bool:
+    """True iff some date format parses the value. The reference for
+    ``sdc.domain_fns._validate_date``."""
+    for fmt in _DATE_FORMATS:
+        try:
+            datetime.strptime(value, fmt)
+            return True
+        except ValueError:
+            continue
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,12 @@ def test_select_zero_budget_selects_nothing(demo, pipeline):
     assert sdcs == []
 
 
+@pytest.mark.parametrize("option", ["--delta=5", "--delta=0", "--b-size=-1", "--b-fpr=-1"])
+def test_select_out_of_range_option_is_usage_error(option, tmp_path, demo):
+    rc = run(["select", "--config", str(demo["config"]), "--out-dir", str(tmp_path), option])
+    assert rc == 1
+
+
 # ---------------------------------------------------------------------------
 # inject + infer
 
@@ -338,9 +344,11 @@ EMBEDDING_WITHOUT_SPACE_ID = {"id": "emb:toy:red", "family": "embedding",
 INJECT = ["inject", "--out", "{tmp}/dirty.jsonl", "--truth-out", "{tmp}/truth-out.json"]
 GEN_GRID = ["gen", "--config", "{config}", "--grid", "{file}", "--out-dir", "{tmp}"]
 GEN_CONFIG = ["gen", "--config", "{file}"]
+GEN_CONFIG_OUT = GEN_CONFIG + ["--out-dir", "{tmp}"]
 
 # Each case: the file written, its contents, and the command that reads
-# it ({file} is that file, {tmp} a scratch directory).
+# it ({file} is that file, {tmp} a scratch directory). In JSON contents
+# the string "{corpus}" stands for the demo corpus's path.
 MALFORMED_INPUTS = {
     "truth-without-error-indices": (
         "truth.json", '{"id": "c0"}\n', INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
@@ -356,6 +364,18 @@ MALFORMED_INPUTS = {
         GEN_CONFIG),
     "config-m-values-not-a-list": (
         "cfg.json", {"paths": {"corpus": "c.jsonl"}, "grid": {"m_values": 0.5}}, GEN_CONFIG),
+    "config-selection-delta-out-of-range": (
+        "cfg.json", {"paths": {"corpus": "c.jsonl"}, "selection": {"delta": 5}},
+        ["select", "--config", "{file}", "--out-dir", "{tmp}"]),
+    "config-embedding-file-missing": (
+        "cfg.json",
+        {"paths": {"corpus": "{corpus}", "embeddings": [{"space_id": "toy", "path": "nope.txt"}]}},
+        GEN_CONFIG_OUT),
+    "config-score-table-file-missing": (
+        "cfg.json",
+        {"paths": {"corpus": "{corpus}",
+                   "score_tables": [{"type_name": "airport", "path": "nope.jsonl"}]}},
+        GEN_CONFIG_OUT),
     "store-embedding-without-space-id": (
         "store.json",
         {"kind": "sdc-store", "registry": {"functions": [EMBEDDING_WITHOUT_SPACE_ID]},
@@ -374,12 +394,13 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_data_error(name, tmp_path, demo, pipeline):
     file_name, contents, argv = MALFORMED_INPUTS[name]
     path = tmp_path / file_name
+    slots = {"file": path, "tmp": tmp_path, "config": demo["config"],
+             "corpus": demo["data"] / "corpus.jsonl", "rules": pipeline / "rules.jsonl"}
     if isinstance(contents, bytes):
         path.write_bytes(contents)
     elif isinstance(contents, str):
         path.write_text(contents)
     else:
-        path.write_text(json.dumps(contents))
-    slots = {"file": path, "tmp": tmp_path, "config": demo["config"],
-             "corpus": demo["data"] / "corpus.jsonl", "rules": pipeline / "rules.jsonl"}
+        corpus = json.dumps(str(slots["corpus"]))
+        path.write_text(json.dumps(contents).replace('"{corpus}"', corpus))
     assert run([arg.format(**slots) for arg in argv]) == 2

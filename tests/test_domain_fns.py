@@ -3,7 +3,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdc.corpus import Column, corpus_from_lists
@@ -26,8 +26,11 @@ from sdc.domain_fns import (
     make_score_table_fn,
     pattern_to_regex,
     sample_centroids,
+    _validate_date,
 )
 from sdc.errors import DataFormatError
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +306,15 @@ def luhn_reference(digits: str) -> bool:
     return total % 10 == 0
 
 
+# ASCII digits, an Arabic-Indic digit, the separators, space and letters;
+# the second strategy joins three short digit fields like a date.
+DATE_ALPHABET = "0123456789\u0663/-. ab"
+DATE_FIELD = st.tuples(
+    st.sampled_from(["", " "]), st.text(alphabet="0123456789\u0663", min_size=1, max_size=4)
+).map("".join)
+DATE_SEP = st.sampled_from("/-.")
+
+
 class TestValidators:
     @pytest.fixture(autouse=True)
     def _fns(self):
@@ -325,6 +337,25 @@ class TestValidators:
     @pytest.mark.parametrize("value", ["2021-02-30", "13/13/2020", "yesterday", "2021", ""])
     def test_dates_invalid(self, value):
         assert not self.accepts("date", value)
+
+    @given(st.one_of(
+        st.text(alphabet=DATE_ALPHABET, max_size=14),
+        st.tuples(DATE_FIELD, DATE_SEP, DATE_FIELD, DATE_SEP, DATE_FIELD).map("".join),
+    ))
+    # A day may start with a space, and a year's digits may be any
+    # Unicode digits (strptime's \d); the filter must let both through.
+    @example(" 1/ 5/2020")
+    @example("1/ 5/2020")
+    @example("2020-01- 5")
+    @example(" 5/01/2020")
+    @example("١٢/٠٥/٢٠٢٠")
+    @example("1/5/٢٠٢٠")
+    @example("12345")
+    @example("555-123-4567")
+    @example("")
+    @settings(max_examples=1000)
+    def test_date_shape_filter_matches_reference(self, value):
+        assert _validate_date(value) == oracles.validate_date(value)
 
     @pytest.mark.parametrize(
         "value",
@@ -433,6 +464,16 @@ class TestRandomHash:
         fn = make_random_hash_fn(7)
         vals = [fn.distance(f"v{i}") for i in range(2000)]
         assert 0.45 < sum(vals) / len(vals) < 0.55
+
+    @given(st.lists(st.text(max_size=600), max_size=20), st.integers(0, 10**6))
+    @example([], 3)
+    @example([""], 3)
+    @example(["é", "東京", "x" * 513, "𝔘" * 600], 3)
+    @settings(max_examples=300)
+    def test_batch_equals_per_value(self, values, seed):
+        fn = make_random_hash_fn(seed)
+        want = np.asarray([fn.distance(v) for v in values], dtype=np.float64)
+        assert fn.distances(values).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
