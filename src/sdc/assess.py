@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .candidates import Sdc
-from .corpus import Corpus
+from .corpus import Corpus, read_lines
 from .domain_fns import DomainEvalFn, Registry, ValueIndex
 from .errors import DataFormatError
 
@@ -372,18 +372,17 @@ def save_assessed(assessed: list[AssessedSdc], path: str, meta: Optional[dict] =
 
 def load_assessed(path: str) -> list[AssessedSdc]:
     out: list[AssessedSdc] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
-            if isinstance(rec, dict) and rec.get("kind") == "assessed-meta":
-                continue
-            try:
-                out.append(AssessedSdc.from_record(rec))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path} line {lineno}: bad record ({exc})") from exc
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
+        if isinstance(rec, dict) and rec.get("kind") == "assessed-meta":
+            continue
+        try:
+            out.append(AssessedSdc.from_record(rec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path} line {lineno}: bad record ({exc})") from exc
     return out

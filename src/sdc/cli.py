@@ -61,7 +61,7 @@ class PipelineConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"cannot read config {path}: {exc}") from exc
         paths = data.get("paths", {})
         if "corpus" not in paths:
@@ -247,7 +247,7 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
     try:
         with open(registry_path, "r", encoding="utf-8") as fh:
             registry = Registry.from_manifest(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read registry {registry_path}: {exc}") from exc
 
     corpus = _load_training_corpus(cfg)

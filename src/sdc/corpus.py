@@ -166,6 +166,16 @@ def load_corpus(path: str, header_row: bool = False) -> Corpus:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a UTF-8 text file. A file that cannot be
+    opened or is not UTF-8 is a data error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def save_corpus(corpus: Corpus, path: str, meta: Optional[dict] = None) -> None:
     """Write a corpus as JSONL; ``load_corpus`` round-trips it exactly."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -37,12 +37,12 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 from urllib.parse import urlparse
 
 import numpy as np
 
-from .corpus import Column, Corpus, normalize_raw
+from .corpus import Column, Corpus, normalize_raw, read_lines
 from .errors import DataFormatError
 
 INFINITE_DISTANCE = math.inf
@@ -61,14 +61,6 @@ class EmbeddingSpace:
     id: str = "space"
 
 
-def _open_text(path: str) -> TextIO:
-    """Open a UTF-8 input file; a file that cannot be opened is a data error."""
-    try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-
-
 def load_embedding_space(path: str, space_id: Optional[str] = None) -> EmbeddingSpace:
     """Load a text-format embedding file: ``token v1 v2 ... vd`` per line.
 
@@ -78,27 +70,26 @@ def load_embedding_space(path: str, space_id: Optional[str] = None) -> Embedding
     """
     vectors: dict[str, np.ndarray] = {}
     dimension: Optional[int] = None
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2 or parts[0] == "":
-                if not line.strip():
-                    continue
-                raise DataFormatError(f"{path} line {lineno}: expected 'token v1 ... vd'")
-            token = parts[0]
-            try:
-                vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataFormatError(f"{path} line {lineno}: non-numeric vector component") from exc
-            if dimension is None:
-                dimension = vec.shape[0]
-            elif vec.shape[0] != dimension:
-                raise DataFormatError(
-                    f"{path} line {lineno}: dimension {vec.shape[0]} != {dimension}"
-                )
-            if token in vectors:
-                warnings.warn(f"duplicate token {token!r} in {path}; keeping last occurrence")
-            vectors[token] = vec
+    for lineno, line in read_lines(path):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) < 2 or parts[0] == "":
+            if not line.strip():
+                continue
+            raise DataFormatError(f"{path} line {lineno}: expected 'token v1 ... vd'")
+        token = parts[0]
+        try:
+            vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path} line {lineno}: non-numeric vector component") from exc
+        if dimension is None:
+            dimension = vec.shape[0]
+        elif vec.shape[0] != dimension:
+            raise DataFormatError(
+                f"{path} line {lineno}: dimension {vec.shape[0]} != {dimension}"
+            )
+        if token in vectors:
+            warnings.warn(f"duplicate token {token!r} in {path}; keeping last occurrence")
+        vectors[token] = vec
     if dimension is None:
         raise DataFormatError(f"{path}: empty embedding file")
     if space_id is None:
@@ -495,22 +486,21 @@ def load_score_table(path: str, type_name: str, default_score: float = 0.0) -> S
     if not 0.0 <= default_score <= 1.0:
         raise DataFormatError(f"default_score {default_score} outside [0, 1]")
     scores: dict[str, float] = {}
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
-            if not isinstance(rec, dict) or "value" not in rec or "score" not in rec:
-                raise DataFormatError(f"{path} line {lineno}: expected value/score object")
-            score = rec["score"]
-            if not isinstance(score, (int, float)) or not 0.0 <= float(score) <= 1.0:
-                raise DataFormatError(
-                    f"{path} line {lineno}: score {score!r} outside [0, 1]"
-                )
-            scores[normalize_raw(str(rec["value"]))] = float(score)
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
+        if not isinstance(rec, dict) or "value" not in rec or "score" not in rec:
+            raise DataFormatError(f"{path} line {lineno}: expected value/score object")
+        score = rec["score"]
+        if not isinstance(score, (int, float)) or not 0.0 <= float(score) <= 1.0:
+            raise DataFormatError(
+                f"{path} line {lineno}: score {score!r} outside [0, 1]"
+            )
+        scores[normalize_raw(str(rec["value"]))] = float(score)
     return ScoreTableFn(
         id=f"score:{type_name}",
         type_name=type_name,

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Column, Corpus, draw_donor_value
+from .corpus import Column, Corpus, draw_donor_value, read_lines
 from .domain_fns import DomainEvalFn, ValueIndex
 from .errors import DataFormatError
 from .infer import Detection
@@ -44,20 +44,19 @@ def save_truth(truth: GroundTruth, path: str) -> None:
 
 def load_truth(path: str) -> GroundTruth:
     truth: GroundTruth = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
-            if isinstance(rec, dict) and "kind" in rec and "id" not in rec:
-                continue
-            try:
-                truth[rec["id"]] = {int(i) for i in rec["error_indices"]}
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path} line {lineno}: bad record ({exc!r})") from exc
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
+        if isinstance(rec, dict) and "kind" in rec and "id" not in rec:
+            continue
+        try:
+            truth[rec["id"]] = {int(i) for i in rec["error_indices"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path} line {lineno}: bad record ({exc!r})") from exc
     return truth
 
 

@@ -8,17 +8,17 @@ candidate (budgets then hold in expectation and the expected objective
 is within (1 - 1/e) of optimal).
 
 Two flavors differ only in which candidates count as covering a
-synthetic column: the coarse problem accepts any detector, the fine
-problem only detectors whose confidence is within ``delta`` of the
-best confidence any candidate achieves on that column. ``delta = 1``
-makes them identical.
+synthetic column: the coarse problem accepts every detector, with no
+confidence floor; the fine problem only detectors whose confidence is
+within ``delta`` of the best confidence any candidate achieves on that
+column.
 
-Both problems, the LP's constraint matrix, the coverage count and
-budget enforcement work from entry arrays of the candidate × synthetic
-column incidence: two index arrays with one entry (candidate i,
-column j) per detection, sorted by (column, candidate). One pass over
-each candidate's ``detected`` set builds them; a cover set K_j is then
-a slice of the candidate array, found with ``np.searchsorted``.
+The candidate × synthetic column incidence has one form from the
+candidate stats to the LP: entry arrays, one (column j, candidate i)
+entry per detection, sorted by (column, candidate). Each candidate's
+``detected`` set holds its column positions; one pass over those sets
+builds the arrays, and the LP's constraint matrix, the coverage count
+and budget enforcement all read them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,24 +78,36 @@ class SelectionConfig:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class IlpProblem:
     """max sum(y_j) s.t. sum(x_i) <= b_size, sum(fpr_i x_i) <= b_fpr,
-    sum_{i in K_j} x_i >= y_j, all variables binary. ``cover_sets[j]``
-    is K_j as candidate indices."""
+    sum_{i in K_j} x_i >= y_j, all variables binary. ``cover_rows`` and
+    ``cover_members`` are the entries of the cover sets: one (row j,
+    candidate index i) pair per member i of K_j, sorted by (row,
+    candidate)."""
 
     candidate_ids: list[str]
     synth_ids: list[str]
-    cover_sets: list[frozenset[int]]
+    cover_rows: np.ndarray
+    cover_members: np.ndarray
     fprs: list[float]
     b_size: int
     b_fpr: float
 
     def __post_init__(self) -> None:
-        n = len(self.candidate_ids)
-        for j, k in enumerate(self.cover_sets):
-            if any(i < 0 or i >= n for i in k):
-                raise ValueError(f"cover set {j} references invalid candidate index")
+        members, rows = self.cover_members, self.cover_rows
+        if np.any((members < 0) | (members >= len(self.candidate_ids))):
+            raise ValueError("cover sets reference an invalid candidate index")
+        if np.any((rows < 0) | (rows >= len(self.synth_ids))):
+            raise ValueError("cover sets reference an invalid row")
+
+    @property
+    def cover_sets(self) -> list[frozenset[int]]:
+        """K_j as a frozenset of candidate indices, one per row, built
+        from the entry arrays on each call."""
+        bounds = np.searchsorted(self.cover_rows, np.arange(len(self.synth_ids) + 1)).tolist()
+        members = self.cover_members.tolist()
+        return [frozenset(members[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -104,101 +116,39 @@ class LpSolution:
     objective: float
 
 
-def _universe(stats: Sequence[CandidateStats], synth_ids: Optional[Sequence[str]]) -> list[str]:
-    if synth_ids is not None:
-        return list(synth_ids)
-    seen: set[str] = set()
-    for st in stats:
-        seen |= st.detected
-    return sorted(seen)
-
-
-def _detections(
-    stats: Sequence[CandidateStats], ids: Sequence[str]
-) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """Entry arrays of the incidence between candidates and the distinct
-    ids in ``ids``: the column index of each distinct id, then candidate
-    and column index arrays with one entry per detection, sorted by
-    (column, candidate). Detected ids outside ``ids`` are dropped."""
-    col_of = {sid: j for j, sid in enumerate(dict.fromkeys(ids))}
+def build_ilp(
+    stats: Sequence[CandidateStats], cfg: SelectionConfig, synth_ids: Sequence[str]
+) -> IlpProblem:
+    """The selection problem over the synthetic columns ``synth_ids``;
+    each candidate's ``detected`` holds positions in that list. With
+    strategy ``coarse``, K_j holds every candidate that detects column
+    j; with ``fine``, only those whose confidence is within ``delta`` of
+    the best confidence any candidate achieves on column j."""
+    m = len(synth_ids)
     sizes = np.fromiter((len(st.detected) for st in stats), dtype=np.intp, count=len(stats))
-    col = np.fromiter(
-        chain.from_iterable(map(col_of.get, st.detected, repeat(-1)) for st in stats),
-        dtype=np.intp,
-        count=int(sizes.sum()),
-    )
+    col = np.fromiter(chain.from_iterable(st.detected for st in stats), dtype=np.intp,
+                      count=int(sizes.sum()))
+    if np.any((col < 0) | (col >= m)):
+        raise ValueError(f"a detected position lies outside the {m} synthetic columns")
     cand = np.repeat(np.arange(len(stats), dtype=np.intp), sizes)
-    known = col >= 0
-    cand, col = cand[known], col[known]
+    if cfg.strategy == "fine":
+        conf = np.array([st.confidence for st in stats], dtype=np.float64)[cand]
+        best = np.zeros(m, dtype=np.float64)
+        np.maximum.at(best, col, conf)
+        keep = conf >= (best - cfg.delta)[col]
+        cand, col = cand[keep], col[keep]
     # Candidates come in index order, so a stable sort by column leaves
     # each column's candidates ascending.
     order = np.argsort(col, kind="stable")
-    return col_of, cand[order], col[order]
-
-
-def _cover_sets(
-    ids: Sequence[str], col_of: dict[str, int], cand: np.ndarray, col: np.ndarray
-) -> list[frozenset[int]]:
-    """K_j for each listed id, from entry arrays sorted by column."""
-    bounds = np.searchsorted(col, np.arange(len(col_of) + 1)).tolist()
-    members = cand.tolist()
-    per_col = [frozenset(members[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return [per_col[col_of[sid]] for sid in ids]
-
-
-def _problem(
-    stats: Sequence[CandidateStats],
-    ids: list[str],
-    cover: list[frozenset[int]],
-    cfg: SelectionConfig,
-) -> IlpProblem:
     return IlpProblem(
         candidate_ids=[st.sdc_id for st in stats],
-        synth_ids=ids,
-        cover_sets=cover,
+        synth_ids=list(synth_ids),
+        cover_rows=col[order],
+        cover_members=cand[order],
         fprs=[st.fpr for st in stats],
         b_size=cfg.b_size,
         b_fpr=cfg.b_fpr,
     )
-
-
-def build_css_ilp(
-    stats: Sequence[CandidateStats],
-    cfg: SelectionConfig,
-    synth_ids: Optional[Sequence[str]] = None,
-) -> IlpProblem:
-    """Coarse problem: K_j holds every candidate that detects column j."""
-    ids = _universe(stats, synth_ids)
-    return _problem(stats, ids, _cover_sets(ids, *_detections(stats, ids)), cfg)
-
-
-def build_fss_ilp(
-    stats: Sequence[CandidateStats],
-    cfg: SelectionConfig,
-    synth_ids: Optional[Sequence[str]] = None,
-) -> IlpProblem:
-    """Fine problem: K_j keeps only detectors within ``delta`` of the
-    best confidence any candidate achieves on column j. With delta = 1
-    this is the coarse problem (confidences live in [0, 1])."""
-    ids = _universe(stats, synth_ids)
-    col_of, cand, col = _detections(stats, ids)
-    conf = np.array([st.confidence for st in stats], dtype=np.float64)[cand]
-    best = np.zeros(len(col_of), dtype=np.float64)
-    np.maximum.at(best, col, conf)
-    keep = conf >= (best - cfg.delta)[col]
-    return _problem(stats, ids, _cover_sets(ids, col_of, cand[keep], col[keep]), cfg)
-
-
-def _cover_entries(problem: IlpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Row and candidate index arrays of the cover sets, one entry per
-    member of each K_j, sorted by (row, candidate)."""
-    sizes = np.fromiter(map(len, problem.cover_sets), dtype=np.intp,
-                        count=len(problem.cover_sets))
-    rows = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
-    members = np.fromiter(chain.from_iterable(problem.cover_sets), dtype=np.intp,
-                          count=int(sizes.sum()))
-    order = np.lexsort((members, rows))
-    return rows[order], members[order]
 
 
 def _lp_matrix(problem: IlpProblem):
@@ -211,8 +161,8 @@ def _lp_matrix(problem: IlpProblem):
     m = len(problem.synth_ids)
     fprs = np.asarray(problem.fprs, dtype=np.float64)
     priced = np.flatnonzero(fprs != 0.0)
-    cover_rows, members = _cover_entries(problem)
-    y = np.arange(len(problem.cover_sets), dtype=np.intp)
+    cover_rows, members = problem.cover_rows, problem.cover_members
+    y = np.arange(m, dtype=np.intp)
     # A stable sort by row lists y_j first in cover row j, then its
     # members ascending.
     block_rows = np.concatenate([y, cover_rows])
@@ -273,7 +223,7 @@ def coverage_objective(problem: IlpProblem, selected_ids: set[str]) -> int:
     idx = {cid: i for i, cid in enumerate(problem.candidate_ids)}
     chosen = np.zeros(len(problem.candidate_ids), dtype=bool)
     chosen[np.array([idx[c] for c in selected_ids if c in idx], dtype=np.intp)] = True
-    rows, members = _cover_entries(problem)
+    rows, members = problem.cover_rows, problem.cover_members
     return int(np.unique(rows[chosen[members]]).size)
 
 
@@ -296,11 +246,11 @@ def _enforce_budgets(problem: IlpProblem, selected: set[str]) -> set[str]:
     n = len(problem.candidate_ids)
     picked = np.zeros(n, dtype=bool)
     picked[np.array([idx[c] for c in current], dtype=np.intp)] = True
-    rows, members = _cover_entries(problem)
+    rows, members = problem.cover_rows, problem.cover_members
     live = picked[members]
     rows, members = rows[live], members[live]
     # Selected members covering each synthetic column.
-    count = np.bincount(rows, minlength=len(problem.cover_sets))
+    count = np.bincount(rows, minlength=len(problem.synth_ids))
 
     def over() -> bool:
         # Summed afresh in set order: a running total drifts in the last
@@ -322,13 +272,10 @@ def _enforce_budgets(problem: IlpProblem, selected: set[str]) -> set[str]:
 def run_selection(
     stats: Sequence[CandidateStats],
     cfg: SelectionConfig,
-    synth_ids: Optional[Sequence[str]] = None,
+    synth_ids: Sequence[str],
 ) -> SelectionOutcome:
     """Build the configured problem, solve the relaxation, round."""
-    if cfg.strategy == "fine":
-        problem = build_fss_ilp(stats, cfg, synth_ids)
-    else:
-        problem = build_css_ilp(stats, cfg, synth_ids)
+    problem = build_ilp(stats, cfg, synth_ids)
     solution = solve_lp_relaxation(problem)
     selected = randomized_round(solution, problem, cfg.seed)
     if cfg.enforce_budgets:
@@ -390,7 +337,7 @@ def read_store(path: str, base_dir: str = "") -> tuple[list[Sdc], Registry]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             store = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read store {path}: {exc}") from exc
     if not isinstance(store, dict) or store.get("kind") != "sdc-store":
         raise DataFormatError(f"{path} is not a constraint store")

@@ -37,17 +37,15 @@ class SynthColumn:
     def column(self) -> Column:
         return Column(id=self.id, values=self.values)
 
-    def base_values(self) -> tuple[str, ...]:
-        """The original column values (splice removed)."""
-        return self.values[: self.injected_index] + self.values[self.injected_index + 1 :]
-
 
 @dataclass(frozen=True)
 class CandidateStats:
-    """Selection inputs for one candidate."""
+    """Selection inputs for one candidate. ``detected`` holds the
+    positions, in the synthetic corpus, of the columns the candidate
+    detects."""
 
     sdc_id: str
-    detected: frozenset[str]
+    detected: frozenset[int]
     fpr: float
     confidence: float
 
@@ -114,6 +112,9 @@ def build_candidate_stats(
     for i, item in enumerate(assessed):
         by_fn.setdefault(item.sdc.fn_id, []).append(i)
 
+    # One int object per synthetic column, shared by every detected set:
+    # a set of fresh ints would hold about 28 bytes more per entry.
+    positions = list(range(len(synth)))
     results: list[Optional[CandidateStats]] = [None] * len(assessed)
     for fn_id, idxs in sorted(by_fn.items()):
         dists = index.distances(registry.get(fn_id))
@@ -124,7 +125,7 @@ def build_candidate_stats(
             hit = covered(item.sdc.d_in, item.sdc.m) & (injected_d > item.sdc.d_out)
             results[i] = CandidateStats(
                 sdc_id=item.sdc.id,
-                detected=frozenset(synth[j].id for j in np.nonzero(hit)[0]),
+                detected=frozenset(map(positions.__getitem__, np.flatnonzero(hit).tolist())),
                 fpr=estimate_fpr(item.table, corpus_size),
                 confidence=item.confidence,
             )

@@ -153,20 +153,15 @@ def detect_errors_naive(
 # Selection
 
 
-def _universe(stats: Sequence[CandidateStats], synth_ids: Optional[Sequence[str]]) -> list[str]:
-    if synth_ids is not None:
-        return list(synth_ids)
-    seen: set[str] = set()
-    for st in stats:
-        seen |= st.detected
-    return sorted(seen)
-
-
-def _problem(stats, ids, cover, cfg) -> IlpProblem:
+def _problem(stats, synth_ids, cover, cfg) -> IlpProblem:
+    """An ``IlpProblem`` from cover sets given as frozensets."""
+    rows = [j for j, k in enumerate(cover) for _ in k]
+    members = [i for k in cover for i in sorted(k)]
     return IlpProblem(
         candidate_ids=[st.sdc_id for st in stats],
-        synth_ids=ids,
-        cover_sets=cover,
+        synth_ids=list(synth_ids),
+        cover_rows=np.array(rows, dtype=np.intp),
+        cover_members=np.array(members, dtype=np.intp),
         fprs=[st.fpr for st in stats],
         b_size=cfg.b_size,
         b_fpr=cfg.b_fpr,
@@ -174,47 +169,43 @@ def _problem(stats, ids, cover, cfg) -> IlpProblem:
 
 
 def build_css_ilp(
-    stats: Sequence[CandidateStats],
-    cfg: SelectionConfig,
-    synth_ids: Optional[Sequence[str]] = None,
+    stats: Sequence[CandidateStats], cfg: SelectionConfig, synth_ids: Sequence[str]
 ) -> IlpProblem:
-    ids = _universe(stats, synth_ids)
     cover = [
-        frozenset(i for i, st in enumerate(stats) if sid in st.detected) for sid in ids
+        frozenset(i for i, st in enumerate(stats) if j in st.detected)
+        for j in range(len(synth_ids))
     ]
-    return _problem(stats, ids, cover, cfg)
+    return _problem(stats, synth_ids, cover, cfg)
 
 
-def conf_over_all(
-    stats: Sequence[CandidateStats], synth_ids: Optional[Sequence[str]] = None
-) -> dict[str, float]:
-    ids = _universe(stats, synth_ids)
-    best = {sid: 0.0 for sid in ids}
+def conf_over_all(stats: Sequence[CandidateStats], synth_ids: Sequence[str]) -> dict[int, float]:
+    """Best confidence on each synthetic column, by position; 0 when no
+    candidate detects it."""
+    best = {j: 0.0 for j in range(len(synth_ids))}
     for st in stats:
-        for sid in st.detected:
-            if sid in best and st.confidence > best[sid]:
-                best[sid] = st.confidence
+        for j in st.detected:
+            if j in best and st.confidence > best[j]:
+                best[j] = st.confidence
     return best
 
 
 def build_fss_ilp(
     stats: Sequence[CandidateStats],
-    all_confidences: dict[str, float],
+    all_confidences: dict[int, float],
     cfg: SelectionConfig,
-    synth_ids: Optional[Sequence[str]] = None,
+    synth_ids: Sequence[str],
 ) -> IlpProblem:
-    ids = _universe(stats, synth_ids)
     cover = []
-    for sid in ids:
-        floor = all_confidences.get(sid, 0.0) - cfg.delta
+    for j in range(len(synth_ids)):
+        floor = all_confidences.get(j, 0.0) - cfg.delta
         cover.append(
             frozenset(
                 i
                 for i, st in enumerate(stats)
-                if sid in st.detected and st.confidence >= floor
+                if j in st.detected and st.confidence >= floor
             )
         )
-    return _problem(stats, ids, cover, cfg)
+    return _problem(stats, synth_ids, cover, cfg)
 
 
 def lp_matrix(problem: IlpProblem):
@@ -309,12 +300,12 @@ def brute_force_ilp(problem: IlpProblem) -> tuple[int, frozenset[str]]:
     return -best_key[0], frozenset(best_key[1])
 
 
-def conf_of_column(synth_id: str, selected_ids: set[str], stats: Sequence[CandidateStats]) -> float:
-    """Best confidence among selected candidates detecting the column;
-    0 when none does."""
+def conf_of_column(position: int, selected_ids: set[str], stats: Sequence[CandidateStats]) -> float:
+    """Best confidence among selected candidates detecting the column at
+    ``position``; 0 when none does."""
     best = 0.0
     for st in stats:
-        if st.sdc_id in selected_ids and synth_id in st.detected and st.confidence > best:
+        if st.sdc_id in selected_ids and position in st.detected and st.confidence > best:
             best = st.confidence
     return best
 
@@ -322,7 +313,7 @@ def conf_of_column(synth_id: str, selected_ids: set[str], stats: Sequence[Candid
 def recall_of(selected: Sequence[CandidateStats]) -> int:
     """Absolute recall of a constraint set: the number of synthetic
     columns detected by at least one member."""
-    seen: set[str] = set()
+    seen: set[int] = set()
     for st in selected:
         seen |= st.detected
     return len(seen)

@@ -63,8 +63,7 @@ from sdc.infer import (
 from sdc.select import (
     CandidateStats,
     SelectionConfig,
-    build_css_ilp,
-    build_fss_ilp,
+    build_ilp,
     coverage_objective,
     randomized_round,
     run_selection,
@@ -72,7 +71,7 @@ from sdc.select import (
 )
 from sdc.synth import build_candidate_stats, build_synthetic_corpus
 
-from oracles import brute_force_ilp, detect_errors_naive
+from oracles import brute_force_ilp, build_css_ilp, detect_errors_naive
 
 
 def read_bytes(path):
@@ -196,12 +195,12 @@ def random_problem(rng, n_cands, n_synth, b_size, b_fpr):
         k = rng.randint(2, max(2, n_synth // 3))
         stats.append(CandidateStats(
             sdc_id=f"c{j:02d}",
-            detected=frozenset(rng.sample(synth_ids, k)),
+            detected=frozenset(rng.sample(range(n_synth), k)),
             fpr=rng.uniform(0.005, 0.03),
             confidence=rng.uniform(0.9, 0.99),
         ))
-    cfg = SelectionConfig(b_size=b_size, b_fpr=b_fpr)
-    return build_css_ilp(stats, cfg, synth_ids=synth_ids), stats
+    cfg = SelectionConfig(b_size=b_size, b_fpr=b_fpr, strategy="coarse")
+    return build_ilp(stats, cfg, synth_ids=synth_ids), stats
 
 
 def test_criterion_04_lp_bound_and_rounding_guarantees():
@@ -266,7 +265,7 @@ def test_criterion_05_delta_one_reduces_to_coarse_cover_sets():
         )
         synth_ids = problem.synth_ids
         cfg = SelectionConfig(delta=1.0)
-        fss = build_fss_ilp(stats, cfg, synth_ids)
+        fss = build_ilp(stats, cfg, synth_ids)
         css = build_css_ilp(stats, cfg, synth_ids)
         assert fss.candidate_ids == css.candidate_ids
         assert fss.synth_ids == css.synth_ids

@@ -346,9 +346,12 @@ GEN_GRID = ["gen", "--config", "{config}", "--grid", "{file}", "--out-dir", "{tm
 GEN_CONFIG = ["gen", "--config", "{file}"]
 GEN_CONFIG_OUT = GEN_CONFIG + ["--out-dir", "{tmp}"]
 
-# Each case: the file written, its contents, and the command that reads
-# it ({file} is that file, {tmp} a scratch directory). In JSON contents
-# the string "{corpus}" stands for the demo corpus's path.
+# Each case: the file written, its contents (None: nothing is written),
+# and the command that reads it ({file} is that file, {tmp} a scratch
+# directory). In JSON contents the string "{corpus}" stands for the demo
+# corpus's path. Every case's directory also holds LATIN1, a file that
+# is not UTF-8.
+LATIN1 = "latin1.txt"
 MALFORMED_INPUTS = {
     "truth-without-error-indices": (
         "truth.json", '{"id": "c0"}\n', INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
@@ -387,6 +390,33 @@ MALFORMED_INPUTS = {
          "--out-dir", "{tmp}"]),
     "corpus-not-utf8": (
         "corpus.jsonl", b'{"id": "c0", "values": ["caf\xe9"]}\n', INJECT + ["--corpus", "{file}"]),
+    "config-embedding-not-utf8": (
+        "cfg.json",
+        {"paths": {"corpus": "{corpus}", "embeddings": [{"space_id": "toy", "path": LATIN1}]}},
+        GEN_CONFIG_OUT),
+    "config-score-table-not-utf8": (
+        "cfg.json",
+        {"paths": {"corpus": "{corpus}",
+                   "score_tables": [{"type_name": "airport", "path": LATIN1}]}},
+        GEN_CONFIG_OUT),
+    "config-not-utf8": ("cfg.json", b'{"paths": {"corpus": "caf\xe9"}}', GEN_CONFIG),
+    "rules-missing": (
+        "rules.jsonl", None,
+        ["select", "--config", "{config}", "--rules", "{file}", "--out-dir", "{tmp}"]),
+    "rules-not-utf8": (
+        "rules.jsonl", b'{"kind": "caf\xe9"}\n',
+        ["select", "--config", "{config}", "--rules", "{file}", "--out-dir", "{tmp}"]),
+    "registry-not-utf8": (
+        "registry.json", b'{"functions": ["caf\xe9"]}',
+        ["select", "--config", "{config}", "--rules", "{rules}", "--registry", "{file}",
+         "--out-dir", "{tmp}"]),
+    "store-not-utf8": (
+        "store.json", b'{"kind": "caf\xe9"}',
+        ["infer", "--rules", "{file}", "--corpus", "{corpus}", "--out", "{tmp}/report.jsonl"]),
+    "truth-missing": ("truth.json", None, INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
+    "truth-not-utf8": (
+        "truth.json", b'{"id": "caf\xe9", "error_indices": []}\n',
+        INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
 }
 
 
@@ -396,11 +426,12 @@ def test_malformed_input_is_data_error(name, tmp_path, demo, pipeline):
     path = tmp_path / file_name
     slots = {"file": path, "tmp": tmp_path, "config": demo["config"],
              "corpus": demo["data"] / "corpus.jsonl", "rules": pipeline / "rules.jsonl"}
+    (tmp_path / LATIN1).write_bytes(b"caf\xe9 1.0 2.0\n")
     if isinstance(contents, bytes):
         path.write_bytes(contents)
     elif isinstance(contents, str):
         path.write_text(contents)
-    else:
+    elif contents is not None:
         corpus = json.dumps(str(slots["corpus"]))
         path.write_text(json.dumps(contents).replace('"{corpus}"', corpus))
     assert run([arg.format(**slots) for arg in argv]) == 2

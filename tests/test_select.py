@@ -1,11 +1,12 @@
 """LP-based constraint selection against a brute-force reference."""
 
+import dataclasses
 import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,8 +18,7 @@ from sdc.select import (
     SelectionConfig,
     _enforce_budgets,
     _lp_matrix,
-    build_css_ilp,
-    build_fss_ilp,
+    build_ilp,
     coverage_objective,
     randomized_round,
     read_store,
@@ -33,11 +33,19 @@ def stat(sdc_id, detected, fpr=0.0, conf=0.95):
     return CandidateStats(sdc_id, frozenset(detected), fpr, conf)
 
 
+def ids(n):
+    return [f"s{j}" for j in range(n)]
+
+
+def coarse(**kwargs):
+    return SelectionConfig(strategy="coarse", **kwargs)
+
+
 def random_instance(rng, n_cands=8, n_synth=12, fpr_scale=0.02):
-    synth_ids = [f"s{j}" for j in range(n_synth)]
+    synth_ids = ids(n_synth)
     stats = []
     for i in range(n_cands):
-        detected = frozenset(s for s in synth_ids if rng.random() < 0.3)
+        detected = frozenset(j for j in range(n_synth) if rng.random() < 0.3)
         stats.append(
             CandidateStats(
                 sdc_id=f"cand-{i:02d}",
@@ -83,26 +91,44 @@ class TestSelectionConfig:
 class TestProblemConstruction:
     def test_css_cover_sets(self):
         stats = [
-            stat("a", {"s0", "s1"}),
-            stat("b", {"s1"}),
+            stat("a", {0, 1}),
+            stat("b", {1}),
             stat("c", set()),
         ]
-        prob = build_css_ilp(stats, SelectionConfig(), synth_ids=["s0", "s1", "s2"])
+        prob = build_ilp(stats, coarse(), synth_ids=["s0", "s1", "s2"])
         assert prob.candidate_ids == ["a", "b", "c"]
         assert prob.synth_ids == ["s0", "s1", "s2"]
         assert prob.cover_sets == [frozenset({0}), frozenset({0, 1}), frozenset()]
+        assert prob.cover_rows.tolist() == [0, 1, 1]
+        assert prob.cover_members.tolist() == [0, 0, 1]
 
-    def test_universe_defaults_to_sorted_union(self):
-        stats = [stat("a", {"s2"}), stat("b", {"s0"})]
-        prob = build_css_ilp(stats, SelectionConfig())
-        assert prob.synth_ids == ["s0", "s2"]
+    @pytest.mark.parametrize("strategy", ["fine", "coarse"])
+    @pytest.mark.parametrize("position", [2, 7, -1])
+    def test_detected_position_outside_synth_ids_raises(self, strategy, position):
+        stats = [stat("a", {0}), stat("b", {1, position})]
+        with pytest.raises(ValueError):
+            build_ilp(stats, SelectionConfig(strategy=strategy), ids(2))
 
     def test_invalid_cover_index_rejected(self):
         with pytest.raises(ValueError):
             IlpProblem(
                 candidate_ids=["a"],
                 synth_ids=["s0"],
-                cover_sets=[frozenset({3})],
+                cover_rows=np.array([0], dtype=np.intp),
+                cover_members=np.array([3], dtype=np.intp),
+                fprs=[0.0],
+                b_size=1,
+                b_fpr=1.0,
+            )
+
+    @pytest.mark.parametrize("row", [1, -1])
+    def test_invalid_cover_row_rejected(self, row):
+        with pytest.raises(ValueError):
+            IlpProblem(
+                candidate_ids=["a"],
+                synth_ids=["s0"],
+                cover_rows=np.array([row], dtype=np.intp),
+                cover_members=np.array([0], dtype=np.intp),
                 fprs=[0.0],
                 b_size=1,
                 b_fpr=1.0,
@@ -110,19 +136,19 @@ class TestProblemConstruction:
 
     def test_conf_over_all(self):
         stats = [
-            stat("a", {"s0", "s1"}, conf=0.91),
-            stat("b", {"s1"}, conf=0.97),
+            stat("a", {0, 1}, conf=0.91),
+            stat("b", {1}, conf=0.97),
         ]
         best = oracles.conf_over_all(stats, synth_ids=["s0", "s1", "s2"])
-        assert best == {"s0": 0.91, "s1": 0.97, "s2": 0.0}
+        assert best == {0: 0.91, 1: 0.97, 2: 0.0}
 
     def test_fss_keeps_only_near_best_detectors(self):
         stats = [
-            stat("weak", {"s0"}, conf=0.90),
-            stat("strong", {"s0"}, conf=0.95),
+            stat("weak", {0}, conf=0.90),
+            stat("strong", {0}, conf=0.95),
         ]
-        tight = build_fss_ilp(stats, SelectionConfig(delta=0.01))
-        loose = build_fss_ilp(stats, SelectionConfig(delta=0.2))
+        tight = build_ilp(stats, SelectionConfig(delta=0.01), ids(1))
+        loose = build_ilp(stats, SelectionConfig(delta=0.2), ids(1))
         assert tight.cover_sets == [frozenset({1})]
         assert loose.cover_sets == [frozenset({0, 1})]
 
@@ -131,44 +157,56 @@ class TestProblemConstruction:
     def test_delta_one_fss_equals_css(self, seed):
         rng = random.Random(seed)
         stats, synth_ids = random_instance(rng)
-        cfg = SelectionConfig(delta=1.0)
-        fss = build_fss_ilp(stats, cfg, synth_ids)
-        css = build_css_ilp(stats, cfg, synth_ids)
-        assert fss.cover_sets == css.cover_sets
-        assert fss.candidate_ids == css.candidate_ids
-        assert fss.synth_ids == css.synth_ids
+        fss = build_ilp(stats, SelectionConfig(delta=1.0), synth_ids)
+        css = build_ilp(stats, coarse(), synth_ids)
+        assert_same_problem(fss, css)
 
 
 @st.composite
 def selection_inputs(draw):
-    """Small instances with the edge cases of the array code: detected
-    ids outside the synthetic-id list, ``synth_ids=None``, repeated
+    """Small instances with the edge cases of the array code: repeated
     synthetic ids, candidates that detect nothing, empty ``stats``,
-    ``delta = 1`` and confidences exactly at best - delta."""
+    ``delta = 1``, negative confidences and confidences exactly at
+    best - delta."""
     delta = draw(st.sampled_from([1e-3, 0.05, 1.0]))
     pool = [0.9, 0.95, 0.999, 1.0]
     pool += [c - delta for c in pool]
-    universe = [f"s{j}" for j in range(draw(st.integers(0, 8)))]
-    detectable = universe + ["x0", "x1"]
+    synth_ids = draw(st.lists(st.sampled_from(ids(8) + ["s99"]), max_size=10))
+    positions = (
+        st.lists(st.sampled_from(range(len(synth_ids))), max_size=6) if synth_ids else st.just([])
+    )
     stats = [
         CandidateStats(
             sdc_id=f"c{i:02d}",
-            detected=frozenset(draw(st.lists(st.sampled_from(detectable), max_size=6))),
+            detected=frozenset(draw(positions)),
             fpr=draw(st.sampled_from([0.0, 0.01, 0.03, 0.05])),
             confidence=draw(st.sampled_from(pool)),
         )
         for i in range(draw(st.integers(0, 10)))
     ]
-    synth_ids = draw(
-        st.one_of(st.none(), st.lists(st.sampled_from(universe + ["s99"]), max_size=10))
-    )
     cfg = SelectionConfig(
         b_size=draw(st.integers(0, 6)),
         b_fpr=draw(st.sampled_from([0.0, 0.02, 0.05, 0.1])),
         delta=delta,
+        strategy=draw(st.sampled_from(["fine", "coarse"])),
     )
     selected = {st_.sdc_id for st_ in stats if draw(st.booleans())}
     return stats, synth_ids, cfg, selected
+
+
+def oracle_problem(stats, cfg, synth_ids):
+    if cfg.strategy == "coarse":
+        return oracles.build_css_ilp(stats, cfg, synth_ids)
+    return oracles.build_fss_ilp(stats, oracles.conf_over_all(stats, synth_ids), cfg, synth_ids)
+
+
+def assert_same_problem(got, want):
+    for name in ("cover_rows", "cover_members"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.intp
+        assert np.array_equal(a, b)
+    for name in ("candidate_ids", "synth_ids", "fprs", "b_size", "b_fpr"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 def assert_same_csr(got, want):
@@ -184,18 +222,30 @@ class TestAgainstOracles:
     @settings(max_examples=300, deadline=None)
     def test_problems_match_loop_versions(self, inputs):
         stats, synth_ids, cfg, _ = inputs
-        assert build_fss_ilp(stats, cfg, synth_ids) == oracles.build_fss_ilp(
-            stats, oracles.conf_over_all(stats, synth_ids), cfg, synth_ids
-        )
-        assert build_css_ilp(stats, cfg, synth_ids) == oracles.build_css_ilp(
-            stats, cfg, synth_ids
-        )
+        assert_same_problem(build_ilp(stats, cfg, synth_ids), oracle_problem(stats, cfg, synth_ids))
+
+    @given(selection_inputs())
+    @example(([], ids(2), SelectionConfig(), set()))
+    @example(([], ids(2), coarse(), set()))
+    @example(([stat("a", set()), stat("b", {1}, conf=0.5)], ids(3), SelectionConfig(), set()))
+    @example(([stat("a", set()), stat("b", {1}, conf=-0.5)], ids(3), coarse(), set()))
+    @settings(max_examples=300, deadline=None)
+    def test_cover_sets_match_loop_versions(self, inputs):
+        stats, synth_ids, cfg, _ = inputs
+        for strategy in ("fine", "coarse"):
+            each = dataclasses.replace(cfg, strategy=strategy)
+            want = oracle_problem(stats, each, synth_ids)
+            # K_j read off the oracle's entries one row mask at a time,
+            # not through the property under test.
+            rows, members = want.cover_rows, want.cover_members
+            sets = [frozenset(members[rows == j].tolist()) for j in range(len(synth_ids))]
+            assert build_ilp(stats, each, synth_ids).cover_sets == sets
 
     @given(selection_inputs())
     @settings(max_examples=300, deadline=None)
     def test_selection_helpers_match_loop_versions(self, inputs):
         stats, synth_ids, cfg, selected = inputs
-        prob = build_fss_ilp(stats, cfg, synth_ids)
+        prob = build_ilp(stats, cfg, synth_ids)
         assert coverage_objective(prob, selected | {"missing"}) == (
             oracles.coverage_objective(prob, selected | {"missing"})
         )
@@ -204,8 +254,8 @@ class TestAgainstOracles:
 
     def test_confidence_at_floor_is_kept(self):
         delta = 0.01
-        stats = [stat("best", {"s0"}, conf=0.95), stat("edge", {"s0"}, conf=0.95 - delta)]
-        prob = build_fss_ilp(stats, SelectionConfig(delta=delta))
+        stats = [stat("best", {0}, conf=0.95), stat("edge", {0}, conf=0.95 - delta)]
+        prob = build_ilp(stats, SelectionConfig(delta=delta), ids(1))
         assert prob.cover_sets == [frozenset({0, 1})]
 
     def test_lp_matrix_large_instance(self):
@@ -215,40 +265,40 @@ class TestAgainstOracles:
         stats = [
             CandidateStats(
                 sdc_id=f"c{i:03d}",
-                detected=frozenset(synth_ids[j] for j in np.flatnonzero(row)),
+                detected=frozenset(np.flatnonzero(row).tolist()),
                 fpr=float(rng.choice([0.0, rng.random() * 0.05])),
                 confidence=float(rng.random()),
             )
             for i, row in enumerate(incidence)
         ]
-        prob = build_css_ilp(stats, SelectionConfig(), synth_ids)
+        prob = build_ilp(stats, coarse(), synth_ids)
         assert_same_csr(_lp_matrix(prob), oracles.lp_matrix(prob))
 
 
 class TestLpRelaxation:
     def test_empty_problem(self):
-        sol = solve_lp_relaxation(build_css_ilp([], SelectionConfig()))
+        sol = solve_lp_relaxation(build_ilp([], coarse(), []))
         assert sol.objective == 0.0
         assert sol.x.size == 0
 
     def test_zero_budget_forces_zero(self):
-        stats = [stat("a", {"s0"})]
-        prob = build_css_ilp(stats, SelectionConfig(b_size=0))
+        stats = [stat("a", {0})]
+        prob = build_ilp(stats, coarse(b_size=0), ids(1))
         sol = solve_lp_relaxation(prob)
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_known_optimum(self):
         # two disjoint single-column covers, room for only one pick
-        stats = [stat("a", {"s0"}), stat("b", {"s1"})]
-        prob = build_css_ilp(stats, SelectionConfig(b_size=1))
+        stats = [stat("a", {0}), stat("b", {1})]
+        prob = build_ilp(stats, coarse(b_size=1), ids(2))
         sol = solve_lp_relaxation(prob)
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
     def test_fpr_budget_binds(self):
         # both candidates needed for both columns, but fpr allows one
-        stats = [stat("a", {"s0"}, fpr=0.1), stat("b", {"s1"}, fpr=0.1)]
-        prob = build_css_ilp(stats, SelectionConfig(b_size=10, b_fpr=0.1))
+        stats = [stat("a", {0}, fpr=0.1), stat("b", {1}, fpr=0.1)]
+        prob = build_ilp(stats, coarse(b_size=10, b_fpr=0.1), ids(2))
         sol = solve_lp_relaxation(prob)
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
         assert float(np.dot(prob.fprs, sol.x)) <= 0.1 + 1e-9
@@ -256,7 +306,7 @@ class TestLpRelaxation:
     def test_solution_within_bounds_and_budgets(self):
         rng = random.Random(42)
         stats, synth_ids = random_instance(rng, n_cands=15, n_synth=25)
-        prob = build_css_ilp(stats, SelectionConfig(b_size=4, b_fpr=0.05), synth_ids)
+        prob = build_ilp(stats, coarse(b_size=4, b_fpr=0.05), synth_ids)
         sol = solve_lp_relaxation(prob)
         assert np.all(sol.x >= 0.0) and np.all(sol.x <= 1.0)
         assert float(sol.x.sum()) <= 4 + 1e-9
@@ -269,8 +319,8 @@ class TestLpRelaxation:
         stats, synth_ids = random_instance(
             rng, n_cands=rng.randint(1, 8), n_synth=rng.randint(1, 12)
         )
-        cfg = SelectionConfig(b_size=rng.randint(0, 6), b_fpr=rng.random() * 0.08)
-        prob = build_css_ilp(stats, cfg, synth_ids)
+        cfg = coarse(b_size=rng.randint(0, 6), b_fpr=rng.random() * 0.08)
+        prob = build_ilp(stats, cfg, synth_ids)
         lp = solve_lp_relaxation(prob)
         ilp_obj, _ = oracles.brute_force_ilp(prob)
         assert lp.objective >= ilp_obj - 1e-7
@@ -278,20 +328,20 @@ class TestLpRelaxation:
 
 class TestRounding:
     def test_deterministic_per_seed(self):
-        stats = [stat(f"c{i}", {f"s{i}"}) for i in range(10)]
-        prob = build_css_ilp(stats, SelectionConfig(b_size=5))
+        stats = [stat(f"c{i}", {i}) for i in range(10)]
+        prob = build_ilp(stats, coarse(b_size=5), ids(10))
         sol = solve_lp_relaxation(prob)
         assert randomized_round(sol, prob, seed=1) == randomized_round(sol, prob, seed=1)
 
     def test_integral_endpoints(self):
-        prob = build_css_ilp([stat("a", {"s0"}), stat("b", {"s1"})], SelectionConfig())
+        prob = build_ilp([stat("a", {0}), stat("b", {1})], coarse(), ids(2))
         sol_ones = type(solve_lp_relaxation(prob))(x=np.array([1.0, 0.0]), objective=1.0)
         for seed in range(50):
             assert randomized_round(sol_ones, prob, seed) == {"a"}
 
     def test_mean_size_tracks_lp_mass(self):
-        stats = [stat(f"c{i}", {f"s{i}"}) for i in range(8)]
-        prob = build_css_ilp(stats, SelectionConfig(b_size=4))
+        stats = [stat(f"c{i}", {i}) for i in range(8)]
+        prob = build_ilp(stats, coarse(b_size=4), ids(8))
         sol = solve_lp_relaxation(prob)
         mass = float(sol.x.sum())
         sizes = [len(randomized_round(sol, prob, s)) for s in range(4000)]
@@ -300,61 +350,61 @@ class TestRounding:
 
 class TestBruteForce:
     def test_refuses_large_instances(self):
-        stats = [stat(f"c{i:02d}", {"s0"}) for i in range(21)]
+        stats = [stat(f"c{i:02d}", {0}) for i in range(21)]
         with pytest.raises(ValueError):
-            oracles.brute_force_ilp(build_css_ilp(stats, SelectionConfig()))
+            oracles.brute_force_ilp(build_ilp(stats, coarse(), ids(1)))
 
     def test_hand_instance(self):
         # c0 covers two columns on its own; c1+c2 also cover two but
         # cost two picks. With b_size=1 the optimum is c0.
         stats = [
-            stat("c0", {"s0", "s1"}),
-            stat("c1", {"s0"}),
-            stat("c2", {"s1"}),
+            stat("c0", {0, 1}),
+            stat("c1", {0}),
+            stat("c2", {1}),
         ]
-        prob = build_css_ilp(stats, SelectionConfig(b_size=1))
+        prob = build_ilp(stats, coarse(b_size=1), ids(2))
         obj, picked = oracles.brute_force_ilp(prob)
         assert obj == 2
         assert picked == frozenset({"c0"})
 
     def test_fpr_budget_respected(self):
         stats = [
-            stat("cheap", {"s0"}, fpr=0.01),
-            stat("pricey", {"s0", "s1"}, fpr=0.5),
+            stat("cheap", {0}, fpr=0.01),
+            stat("pricey", {0, 1}, fpr=0.5),
         ]
-        prob = build_css_ilp(stats, SelectionConfig(b_size=5, b_fpr=0.1))
+        prob = build_ilp(stats, coarse(b_size=5, b_fpr=0.1), ids(2))
         obj, picked = oracles.brute_force_ilp(prob)
         assert obj == 1
         assert picked == frozenset({"cheap"})
 
     def test_tie_breaks_lexicographically(self):
-        stats = [stat("zz", {"s0"}), stat("aa", {"s0"})]
-        prob = build_css_ilp(stats, SelectionConfig(b_size=1))
+        stats = [stat("zz", {0}), stat("aa", {0})]
+        prob = build_ilp(stats, coarse(b_size=1), ids(1))
         _, picked = oracles.brute_force_ilp(prob)
         assert picked == frozenset({"aa"})
 
     def test_empty_selection_feasible(self):
-        stats = [stat("a", {"s0"}, fpr=1.0)]
-        prob = build_css_ilp(stats, SelectionConfig(b_size=5, b_fpr=0.0))
+        stats = [stat("a", {0}, fpr=1.0)]
+        prob = build_ilp(stats, coarse(b_size=5, b_fpr=0.0), ids(1))
         obj, picked = oracles.brute_force_ilp(prob)
         assert (obj, picked) == (0, frozenset())
 
 
 class TestHelpers:
     def test_coverage_objective(self):
-        stats = [stat("a", {"s0", "s1"}), stat("b", {"s1", "s2"})]
-        prob = build_css_ilp(stats, SelectionConfig())
+        stats = [stat("a", {0, 1}), stat("b", {1, 2})]
+        prob = build_ilp(stats, coarse(), ids(3))
         assert coverage_objective(prob, set()) == 0
         assert coverage_objective(prob, {"a"}) == 2
         assert coverage_objective(prob, {"a", "b"}) == 3
         assert coverage_objective(prob, {"missing"}) == 0
 
     def test_conf_of_column(self):
-        stats = [stat("a", {"s0"}, conf=0.91), stat("b", {"s0"}, conf=0.99)]
-        assert oracles.conf_of_column("s0", {"a"}, stats) == 0.91
-        assert oracles.conf_of_column("s0", {"a", "b"}, stats) == 0.99
-        assert oracles.conf_of_column("s0", set(), stats) == 0.0
-        assert oracles.conf_of_column("s9", {"a"}, stats) == 0.0
+        stats = [stat("a", {0}, conf=0.91), stat("b", {0}, conf=0.99)]
+        assert oracles.conf_of_column(0, {"a"}, stats) == 0.91
+        assert oracles.conf_of_column(0, {"a", "b"}, stats) == 0.99
+        assert oracles.conf_of_column(0, set(), stats) == 0.0
+        assert oracles.conf_of_column(9, {"a"}, stats) == 0.0
 
 
 class TestRunSelection:
@@ -374,14 +424,14 @@ class TestRunSelection:
         rng = random.Random(11)
         stats, synth_ids = random_instance(rng)
         fine = run_selection(stats, SelectionConfig(delta=1.0, seed=2), synth_ids)
-        coarse = run_selection(stats, SelectionConfig(strategy="coarse", seed=2), synth_ids)
-        assert fine.problem.cover_sets == coarse.problem.cover_sets
-        assert fine.selected_ids == coarse.selected_ids
+        rough = run_selection(stats, coarse(seed=2), synth_ids)
+        assert fine.problem.cover_sets == rough.problem.cover_sets
+        assert fine.selected_ids == rough.selected_ids
 
     def test_enforce_budgets_caps_selection(self):
-        stats = [stat(f"c{i}", {f"s{i}"}, fpr=0.04) for i in range(10)]
+        stats = [stat(f"c{i}", {i}, fpr=0.04) for i in range(10)]
         cfg = SelectionConfig(b_size=3, b_fpr=0.09, seed=0, enforce_budgets=True)
-        out = run_selection(stats, cfg)
+        out = run_selection(stats, cfg, ids(10))
         assert len(out.selected_ids) <= 3
         assert out.sum_fpr <= 0.09 + 1e-12
 
