@@ -272,7 +272,8 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
     )
     click.echo(
         f"select: {len(assessed)} constraints -> {len(chosen)} selected "
-        f"(LP objective {outcome.lp_objective:.1f}, sum FPR {outcome.sum_fpr:.4f})",
+        f"(LP objective {outcome.lp_objective:.1f} by {outcome.solution.method}, "
+        f"sum FPR {outcome.sum_fpr:.4f})",
         err=True,
     )
 

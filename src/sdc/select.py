@@ -7,6 +7,12 @@ solved exactly, and rounded with one independent Bernoulli draw per
 candidate (budgets then hold in expectation and the expected objective
 is within (1 - 1/e) of optimal).
 
+The LP objective can be no larger than the number of coverable
+synthetic columns, so a 0/1 cover of all of them that fits both budgets
+is an optimal LP solution. A greedy cover is tried first; scipy's HiGHS
+solver is loaded and run only when that cover does not fit: when a
+budget binds, or when the greedy cover is larger than it need be.
+
 Two flavors differ only in which candidates count as covering a
 synthetic column: the coarse problem accepts every detector, with no
 confidence floor; the fine problem only detectors whose confidence is
@@ -24,6 +30,7 @@ and budget enforcement all read them.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -112,8 +119,12 @@ class IlpProblem:
 
 @dataclass
 class LpSolution:
+    """The relaxation's optimum; ``method`` names the solver that found
+    it: ``"cover"`` (the greedy certificate) or ``"highs"``."""
+
     x: np.ndarray
     objective: float
+    method: str = "highs"
 
 
 def build_ilp(
@@ -177,11 +188,50 @@ def _lp_matrix(problem: IlpProblem):
     return sp.csr_matrix((vals, (rows, cols)), shape=(2 + m, n + m))
 
 
+def _greedy_cover(problem: IlpProblem) -> Optional[np.ndarray]:
+    """Candidate indices of a cover of every coverable row that fits
+    both budgets, or None. Each step picks the candidate covering the
+    most still-uncovered rows, ties to the larger index, and drops the
+    entries of the rows it covered."""
+    n, m = len(problem.candidate_ids), len(problem.synth_ids)
+    rows, members = problem.cover_rows, problem.cover_members
+    picks: list[int] = []
+    while rows.size:
+        if len(picks) == problem.b_size:
+            return None
+        gains = np.bincount(members, minlength=n)
+        best = n - 1 - int(np.argmax(gains[::-1]))
+        picks.append(best)
+        covered = np.zeros(m, dtype=bool)
+        covered[rows[members == best]] = True
+        live = ~covered[rows]
+        rows, members = rows[live], members[live]
+    if math.fsum(problem.fprs[i] for i in picks) > problem.b_fpr:
+        return None
+    return np.array(picks, dtype=np.intp)
+
+
 def solve_lp_relaxation(problem: IlpProblem) -> LpSolution:
     """Solve the LP relaxation (variables in [0,1]) exactly.
 
-    Always feasible: the zero vector satisfies both budgets.
+    The objective is at most |R|, the number of rows with a nonempty
+    cover set. A 0/1 x that covers all of R and satisfies both budgets
+    is feasible and reaches that bound, so it is optimal: such a greedy
+    cover is returned when one fits. Otherwise HiGHS solves the LP;
+    only then is scipy loaded.
     """
+    picks = _greedy_cover(problem)
+    if picks is None:
+        return _solve_highs(problem)
+    x = np.zeros(len(problem.candidate_ids), dtype=np.float64)
+    x[picks] = 1.0
+    objective = float(np.unique(problem.cover_rows).size)
+    return LpSolution(x=x, objective=objective, method="cover")
+
+
+def _solve_highs(problem: IlpProblem) -> LpSolution:
+    """The LP relaxation by HiGHS. Always feasible: the zero vector
+    satisfies both budgets."""
     # Imported here: scipy dominates start-up, and only selection solves LPs.
     from scipy.optimize import linprog
 

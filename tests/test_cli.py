@@ -59,11 +59,42 @@ def pipeline(demo):
     return out
 
 
+def fresh_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy is most of the start-up time, and only selection needs it.
+    # scipy is most of the start-up time, and only a selection whose
+    # budget binds needs it.
     code = "import sys, sdc.cli; sys.exit(int('scipy' in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=fresh_env(), timeout=120).returncode == 0
+
+
+def select_in_fresh_process(demo, pipeline, out, *options):
+    """(scipy.optimize loaded?, stderr, store selection block) of one
+    ``sdc select`` in a new interpreter."""
+    code = ("import sys; from sdc.cli import main; rc = main(sys.argv[1:]); "
+            "print('scipy.optimize' in sys.modules); sys.exit(rc)")
+    argv = ["select", "--config", str(demo["config"]),
+            "--rules", str(pipeline / "rules.jsonl"), "--registry", str(pipeline / "registry.json"),
+            "--out-dir", str(out), *options]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    selection = json.loads((out / "store.json").read_text())["selection"]
+    return proc.stdout.split()[-1] == "True", proc.stderr, selection
+
+
+def test_select_loads_scipy_only_when_a_budget_binds(demo, pipeline, tmp_path):
+    loaded, log, slack = select_in_fresh_process(demo, pipeline, tmp_path / "slack")
+    assert not loaded
+    assert "by cover" in log
+    loaded, log, tight = select_in_fresh_process(demo, pipeline, tmp_path / "tight", "--b-size", "1")
+    assert loaded
+    assert "by highs" in log
+    # The cover's objective is the number of coverable columns; one
+    # constraint covers fewer.
+    assert tight["lp_objective"] < slack["lp_objective"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from sdc.select import (
     SelectionConfig,
     _enforce_budgets,
     _lp_matrix,
+    _solve_highs,
     build_ilp,
     coverage_objective,
     randomized_round,
@@ -289,17 +290,22 @@ class TestLpRelaxation:
         assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_known_optimum(self):
-        # two disjoint single-column covers, room for only one pick
+        # two disjoint single-column covers, room for only one pick: the
+        # cover is one pick over b_size, so HiGHS solves it
         stats = [stat("a", {0}), stat("b", {1})]
         prob = build_ilp(stats, coarse(b_size=1), ids(2))
         sol = solve_lp_relaxation(prob)
+        assert sol.method == "highs"
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
+        wider = solve_lp_relaxation(build_ilp(stats, coarse(b_size=2), ids(2)))
+        assert (wider.method, wider.objective) == ("cover", 2.0)
 
     def test_fpr_budget_binds(self):
         # both candidates needed for both columns, but fpr allows one
         stats = [stat("a", {0}, fpr=0.1), stat("b", {1}, fpr=0.1)]
         prob = build_ilp(stats, coarse(b_size=10, b_fpr=0.1), ids(2))
         sol = solve_lp_relaxation(prob)
+        assert sol.method == "highs"
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
         assert float(np.dot(prob.fprs, sol.x)) <= 0.1 + 1e-9
 
@@ -324,6 +330,66 @@ class TestLpRelaxation:
         lp = solve_lp_relaxation(prob)
         ilp_obj, _ = oracles.brute_force_ilp(prob)
         assert lp.objective >= ilp_obj - 1e-7
+
+
+@st.composite
+def lp_instances(draw):
+    """Stats and budgets on both sides of the cover certificate: b_size
+    from 0 to n, tight and slack b_fpr, zero FPRs, empty ``stats``,
+    candidates that detect nothing and duplicate candidates."""
+    m = draw(st.integers(0, 8))
+    positions = st.frozensets(st.integers(0, m - 1), max_size=m) if m else st.just(frozenset())
+    stats = [
+        CandidateStats(
+            sdc_id=f"c{i:02d}",
+            detected=draw(positions),
+            fpr=draw(st.sampled_from([0.0, 0.0, 0.01, 0.03, 0.05])),
+            confidence=draw(st.sampled_from([-0.5, 0.9, 0.95, 1.0])),
+        )
+        for i in range(draw(st.integers(0, 10)))
+    ]
+    b_size = draw(st.integers(0, len(stats)))
+    b_fpr = draw(st.sampled_from([0.0, 0.01, 0.04, 0.1, 1.0]))
+    return stats, ids(m), b_size, b_fpr
+
+
+class TestCoverCertificate:
+    @given(lp_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_highs_and_is_feasible(self, inputs):
+        stats, synth_ids, b_size, b_fpr = inputs
+        for strategy in ("fine", "coarse"):
+            cfg = SelectionConfig(b_size=b_size, b_fpr=b_fpr, strategy=strategy)
+            prob = build_ilp(stats, cfg, synth_ids)
+            sol = solve_lp_relaxation(prob)
+            assert sol.objective == pytest.approx(_solve_highs(prob).objective, abs=1e-7)
+            assert np.all(sol.x >= 0.0) and np.all(sol.x <= 1.0)
+            assert float(sol.x.sum()) <= b_size + 1e-9
+            assert float(np.dot(prob.fprs, sol.x)) <= b_fpr + 1e-9
+
+    def test_fpr_sum_equal_to_b_fpr_is_accepted(self):
+        stats = [stat("a", {0}, fpr=0.1), stat("b", {1}, fpr=0.2)]
+        prob = build_ilp(stats, coarse(b_size=2, b_fpr=0.1 + 0.2), ids(2))
+        sol = solve_lp_relaxation(prob)
+        assert sol.method == "cover"
+        assert sol.objective == 2.0
+        assert sol.x.tolist() == [1.0, 1.0]
+
+    def test_duplicate_candidates_pick_the_larger_index(self):
+        stats = [stat("a", {0, 1}), stat("b", {0, 1}), stat("c", {1})]
+        prob = build_ilp(stats, coarse(b_size=1), ids(3))
+        sol = solve_lp_relaxation(prob)
+        assert sol.method == "cover"
+        assert sol.x.tolist() == [0.0, 1.0, 0.0]
+        assert sol.objective == 2.0
+        # Rounding an integral solution returns the cover itself.
+        assert all(randomized_round(sol, prob, seed) == {"b"} for seed in range(20))
+
+    def test_greedy_takes_the_largest_gain_first(self):
+        stats = [stat("a", {0}), stat("b", {0, 1, 2}), stat("c", {3})]
+        prob = build_ilp(stats, coarse(b_size=2), ids(5))
+        sol = solve_lp_relaxation(prob)
+        assert (sol.method, sol.x.tolist(), sol.objective) == ("cover", [0.0, 1.0, 1.0], 4.0)
 
 
 class TestRounding:
