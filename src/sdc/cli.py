@@ -287,11 +287,15 @@ def cmd_infer(store_path: str, corpus_path: str, min_confidence: float, out_path
     """Apply a constraint store to a corpus; writes a detection report
     (JSONL, one detection per line)."""
     sdcs, registry = read_store(store_path)
-    corpus = load_corpus(corpus_path)
+    index = ValueIndex(load_corpus(corpus_path))
     ruleset = compile_ruleset(sdcs)
-    report = detect_corpus(ruleset, corpus, registry, min_confidence)
+    report = detect_corpus(ruleset, index, registry, min_confidence)
     save_report(report, out_path, meta={"store": os.path.basename(store_path)})
-    click.echo(f"infer: {len(report)} detections over {len(corpus)} columns", err=True)
+    click.echo(
+        f"infer: {len(report)} detections over {len(index)} columns, "
+        f"{len(index.values)} distinct values",
+        err=True,
+    )
 
 
 @cli.command("inject")

@@ -14,7 +14,7 @@ import os
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import DataFormatError
 
@@ -27,8 +27,11 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 def normalize_raw(raw: str) -> str:
     """Return the normalized (trimmed, case-folded, truncated) string.
-    Normalization is idempotent."""
-    return raw.strip().casefold()[:MAX_EVAL_CHARS]
+    Normalization is idempotent. A value it leaves unchanged comes back
+    as the same object, so an index of normalized values can share the
+    cell strings."""
+    norm = raw.strip().casefold()[:MAX_EVAL_CHARS]
+    return raw if norm == raw else norm
 
 
 @dataclass(frozen=True)
@@ -79,34 +82,34 @@ class Corpus:
             return NotImplemented
         return self.columns == other.columns
 
-    def column_by_id(self, column_id: str) -> Column:
-        for col in self.columns:
-            if col.id == column_id:
-                return col
-        raise KeyError(column_id)
-
     def ids(self) -> list[str]:
         return [c.id for c in self.columns]
 
 
-def _column_from_record(rec: dict, where: str) -> Column:
+def _column_from_record(rec: dict, shared: dict[str, str]) -> Column:
+    """The column a JSONL record describes. Each value is replaced by
+    the first equal string in ``shared``, so a corpus holds one object
+    per distinct raw value. Errors name the problem without its place,
+    which the caller prefixes."""
     if not isinstance(rec, dict):
-        raise DataFormatError(f"{where}: expected an object, got {type(rec).__name__}")
+        raise DataFormatError(f"expected an object, got {type(rec).__name__}")
     if "id" not in rec or not isinstance(rec["id"], str):
-        raise DataFormatError(f"{where}: missing or non-string 'id'")
+        raise DataFormatError("missing or non-string 'id'")
     values = rec.get("values")
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise DataFormatError(f"{where}: 'values' must be a list of strings")
+        raise DataFormatError("'values' must be a list of strings")
     if len(values) == 0:
-        raise DataFormatError(f"{where}: empty column {rec['id']!r}")
+        raise DataFormatError(f"empty column {rec['id']!r}")
     header = rec.get("header")
     if header is not None and not isinstance(header, str):
-        raise DataFormatError(f"{where}: 'header' must be a string when present")
-    return Column(id=rec["id"], values=tuple(values), header=header)
+        raise DataFormatError("'header' must be a string when present")
+    return Column(id=rec["id"], values=tuple(map(shared.setdefault, values, values)),
+                  header=header)
 
 
 def _load_jsonl(path: str) -> Corpus:
     columns: list[Column] = []
+    shared: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -119,7 +122,10 @@ def _load_jsonl(path: str) -> Corpus:
             # declares a kind and carries no values.
             if isinstance(rec, dict) and "kind" in rec and "values" not in rec:
                 continue
-            columns.append(_column_from_record(rec, f"{path} line {lineno}"))
+            try:
+                columns.append(_column_from_record(rec, shared))
+            except DataFormatError as exc:
+                raise DataFormatError(f"{path} line {lineno}: {exc}") from None
     return Corpus(columns)
 
 
@@ -255,8 +261,3 @@ def filter_columns(
     if not skip_numeric:
         return corpus
     return Corpus([c for c in corpus if not is_numeric_dominant(c, numeric_threshold)])
-
-
-def corpus_from_lists(values_by_id: dict[str, Iterable[str]]) -> Corpus:
-    """Convenience constructor used by tests and demos."""
-    return Corpus([Column(id=k, values=tuple(v)) for k, v in values_by_id.items()])

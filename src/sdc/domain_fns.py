@@ -14,10 +14,12 @@ families are provided:
 All families are pure: repeated evaluation of the same (function, value)
 pair returns bit-identical results.
 
-``ValueIndex`` evaluates each function once per distinct value:
+``ValueIndex`` holds each distinct normalized value once and evaluates
+each function once per distinct value:
 
-- ``embedding``: one matrix of the distinct values' vectors per space,
-  and one row-wise norm over it per centroid;
+- ``embedding``: per space, the positions of the distinct values the
+  space can embed and one matrix of just their vectors; one row-wise
+  norm over it per centroid, and every other value is infinitely far;
 - ``random_hash``: one keyed BLAKE2b state, copied for each value;
 - ``score_table``, ``pattern`` and ``validator``: one ``distance`` call
   per value. The date validator tries ``strptime`` only on values shaped
@@ -35,6 +37,7 @@ import math
 import os
 import re
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -696,11 +699,13 @@ def _fn_from_manifest(entry: dict, reg: Registry, base_dir: str = "") -> DomainE
 class ValueIndex:
     """The normalized values of a sequence of columns, interned once.
 
-    ``values`` lists the distinct normalized values. ``codes`` gives each
-    cell's position in ``values``, column after column, and column ``j``
-    owns cells ``offsets[j]:offsets[j + 1]``. A function is evaluated
-    once per distinct value: embedding functions share one distinct-value
-    matrix per space, and every other family goes through its
+    ``values`` lists the distinct normalized values in first-seen order;
+    a value that normalization leaves unchanged is the cell's own string.
+    ``codes`` (``intp``) gives each cell's position in ``values``, column
+    after column, and column ``j`` owns cells ``offsets[j]:offsets[j +
+    1]``. A function is evaluated once per distinct value: embedding
+    functions share, per space, one matrix of the vectors of the values
+    that space embeds, and every other family goes through its
     ``distances`` batch method (see the module docstring). Nothing is
     keyed on column ids, so an index always describes exactly the
     columns it was built from.
@@ -709,12 +714,21 @@ class ValueIndex:
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns = list(columns)
         table: dict[str, int] = {}
-        codes = [
-            table.setdefault(nv, len(table)) for col in self.columns for nv in col.normalized()
-        ]
+        known = table.get
+
+        def intern(raw: str) -> int:
+            return table.setdefault(normalize_raw(raw), len(table))
+
+        # A raw value equal to a known normalized value is normalized
+        # (normalization is idempotent), so it needs no normalizing. Codes
+        # grow column by column in a typed buffer: no list of one Python
+        # int per cell is ever built.
+        codes = array(np.dtype(np.intp).char)
+        for col in self.columns:
+            codes.extend([c if (c := known(v)) is not None else intern(v) for v in col.values])
         self.values = list(table)
-        self.codes = np.asarray(codes, dtype=np.intp)
-        self.lengths = np.asarray([len(col) for col in self.columns], dtype=np.intp)
+        self.codes = np.frombuffer(codes, dtype=np.intp)
+        self.lengths = np.fromiter(map(len, self.columns), dtype=np.intp, count=len(self.columns))
         self.offsets = np.concatenate(([0], np.cumsum(self.lengths))).astype(np.intp)
         self._spaces: dict[int, tuple[EmbeddingSpace, np.ndarray, np.ndarray]] = {}
 
@@ -732,26 +746,28 @@ class ValueIndex:
     def distances(self, fn: DomainEvalFn) -> np.ndarray:
         """Per-cell distances under ``fn``, in cell order."""
         if isinstance(fn, EmbeddingFn):
-            mat, oov = self._space_matrix(fn.space)
-            distinct = centroid_distances(mat, fn.centroid_vector)
-            distinct[oov] = INFINITE_DISTANCE
+            rows, mat = self._space_matrix(fn.space)
+            distinct = np.full(len(self.values), INFINITE_DISTANCE)
+            distinct[rows] = centroid_distances(mat, fn.centroid_vector)
         else:
             distinct = fn.distances(self.values)
         return distinct[self.codes]
 
     def _space_matrix(self, space: EmbeddingSpace) -> tuple[np.ndarray, np.ndarray]:
+        """The positions in ``values`` of the values ``space`` embeds, and
+        a (positions x dimension) matrix of their vectors."""
         got = self._spaces.get(id(space))
         if got is None:
-            mat = np.zeros((len(self.values), space.dimension), dtype=np.float64)
-            oov = np.zeros(len(self.values), dtype=bool)
+            rows: list[int] = []
+            vecs: list[np.ndarray] = []
             for i, v in enumerate(self.values):
                 vec = embed_value(space, v)
-                if vec is None:
-                    oov[i] = True
-                else:
-                    mat[i] = vec
+                if vec is not None:
+                    rows.append(i)
+                    vecs.append(vec)
+            mat = np.array(vecs, dtype=np.float64).reshape(len(vecs), space.dimension)
             # The space is kept so its id() cannot be reused while cached.
-            got = (space, mat, oov)
+            got = (space, np.asarray(rows, dtype=np.intp), mat)
             self._spaces[id(space)] = got
         return got[1], got[2]
 

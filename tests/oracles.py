@@ -5,6 +5,8 @@ rather than in ``sdc`` because only tests call it:
 
 - the date validator without its shape filter: all seven ``strptime``
   formats tried on every value;
+- value interning by one list comprehension over every cell's
+  normalized value;
 - cell-by-cell checks of the pre- and post-condition, the contingency
   table, a candidate's synthetic detections and detection itself. They
   call ``fn.distance`` once per cell and never touch ``ValueIndex``,
@@ -14,7 +16,8 @@ rather than in ``sdc`` because only tests call it:
   constraint matrix entry by entry, the coverage count, and budget
   enforcement that recomputes every marginal gain from the cover sets;
 - the exact ILP optimum by subset enumeration, and small helpers
-  (recall of a constraint set, best selected confidence on a column).
+  (recall of a constraint set, best selected confidence on a column,
+  a corpus from plain lists, a column looked up by id).
 
 Where the library has a counterpart, tests require it to return
 exactly what the reference returns.
@@ -25,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from datetime import datetime
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +55,31 @@ def validate_date(value: str) -> bool:
         except ValueError:
             continue
     return False
+
+
+# ---------------------------------------------------------------------------
+# Corpora
+
+
+def corpus_from_lists(values_by_id: dict[str, Iterable[str]]) -> Corpus:
+    """A corpus with one column per id, in the dict's order."""
+    return Corpus([Column(id=k, values=tuple(v)) for k, v in values_by_id.items()])
+
+
+def column_by_id(corpus: Iterable[Column], column_id: str) -> Column:
+    for col in corpus:
+        if col.id == column_id:
+            return col
+    raise KeyError(column_id)
+
+
+def value_index_codes(columns: Sequence[Column]) -> tuple[list[str], list[int]]:
+    """The distinct normalized values in first-seen order and each
+    cell's position among them. The reference for ``ValueIndex.values``
+    and ``ValueIndex.codes``."""
+    table: dict[str, int] = {}
+    codes = [table.setdefault(nv, len(table)) for col in columns for nv in col.normalized()]
+    return list(table), codes
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from sdc.evaluation import load_truth, total_errors
 from sdc.infer import load_report
 from sdc.select import read_store
 
+from oracles import column_by_id
+
 
 def read_bytes(path):
     with open(path, "rb") as fh:
@@ -248,7 +250,7 @@ def test_inject_outputs(demo, injected):
     assert total_errors(truth) == int(0.2 * len(clean))
     changed = [
         cid for cid in clean.ids()
-        if clean.column_by_id(cid).values != dirty.column_by_id(cid).values
+        if column_by_id(clean, cid).values != column_by_id(dirty, cid).values
     ]
     assert set(changed) == set(truth)
 
@@ -266,6 +268,20 @@ def test_infer_runs_and_is_worker_invariant(demo, pipeline, injected):
     report = load_report(str(rep1))
     corpus_ids = set(load_corpus(str(injected["dirty"])).ids())
     assert all(d.column_id in corpus_ids for d in report)
+
+
+def test_infer_stderr_counts_distinct_values(demo, pipeline, injected, capsys):
+    report = demo["root"] / "report-counts.jsonl"
+    rc = run(["infer", "--rules", str(pipeline / "store.json"),
+              "--corpus", str(injected["dirty"]), "--out", str(report)])
+    assert rc == 0
+    corpus = load_corpus(str(injected["dirty"]))
+    distinct = {nv for col in corpus for nv in col.normalized()}
+    detections = len(load_report(str(report)))
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"infer: {detections} detections over {len(corpus)} columns, "
+        f"{len(distinct)} distinct values"
+    )
 
 
 def test_inject_reads_csv_directory(tmp_path):

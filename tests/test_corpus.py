@@ -6,7 +6,6 @@ from sdc.corpus import (
     MAX_EVAL_CHARS,
     Column,
     Corpus,
-    corpus_from_lists,
     filter_columns,
     is_numeric_dominant,
     load_corpus,
@@ -16,6 +15,8 @@ from sdc.corpus import (
     save_corpus,
 )
 from sdc.errors import DataFormatError
+
+from oracles import column_by_id, corpus_from_lists
 
 
 class TestNormalize:
@@ -33,6 +34,11 @@ class TestNormalize:
         for raw in ["  A b ", "x" * 600, "\tmixed CASE\n"]:
             once = normalize_raw(raw)
             assert normalize_raw(once) == once
+
+    def test_unchanged_value_is_the_same_object(self):
+        raw = "".join(["already", " normalized"])
+        assert normalize_raw(raw) is raw
+        assert normalize_raw(" " + raw) == raw
 
 
 class TestColumn:
@@ -61,9 +67,8 @@ class TestCorpus:
         corpus = corpus_from_lists({"a": ["1"], "b": ["2"]})
         assert len(corpus) == 2
         assert corpus.ids() == ["a", "b"]
-        assert corpus.column_by_id("b").values == ("2",)
-        with pytest.raises(KeyError):
-            corpus.column_by_id("missing")
+        assert corpus[1].values == ("2",)
+        assert [col.id for col in corpus] == ["a", "b"]
 
 
 class TestJsonlRoundTrip:
@@ -108,6 +113,28 @@ class TestJsonlRoundTrip:
             with pytest.raises(DataFormatError):
                 load_corpus(str(path))
 
+    def test_bad_record_messages_name_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        for rec, message in [
+            ([1], "expected an object, got list"),
+            ({"values": ["x"]}, "missing or non-string 'id'"),
+            ({"id": "a", "values": ["x", 3]}, "'values' must be a list of strings"),
+            ({"id": "a", "values": []}, "empty column 'a'"),
+            ({"id": "a", "values": ["x"], "header": 1}, "'header' must be a string when present"),
+        ]:
+            path.write_text('{"id": "ok", "values": ["x"]}\n\n' + json.dumps(rec) + "\n")
+            with pytest.raises(DataFormatError) as err:
+                load_corpus(str(path))
+            assert str(err.value) == f"{path} line 3: {message}"
+
+    def test_equal_values_are_one_object(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "values": ["x y", "z", "x y"]}\n'
+                        '{"id": "b", "values": ["z", "x y"]}\n')
+        a, b = load_corpus(str(path))
+        assert a.values[0] is a.values[2] is b.values[1]
+        assert a.values[1] is b.values[0]
+
     def test_missing_path(self):
         with pytest.raises(DataFormatError):
             load_corpus("/no/such/file.jsonl")
@@ -126,20 +153,20 @@ class TestCsvDir:
         corpus = load_corpus(str(tmp_path))
         # sorted file order, then column index
         assert corpus.ids() == ["a.csv:0", "a.csv:1", "b.csv:0", "b.csv:1"]
-        assert corpus.column_by_id("a.csv:1").values == ("y,z", "v")
+        assert column_by_id(corpus, "a.csv:1").values == ("y,z", "v")
 
     def test_header_row(self, tmp_path):
         (tmp_path / "a.csv").write_text("name,age\nbob,3\n")
         corpus = load_corpus(str(tmp_path), header_row=True)
-        col = corpus.column_by_id("a.csv:0")
+        col = column_by_id(corpus, "a.csv:0")
         assert col.header == "name"
         assert col.values == ("bob",)
 
     def test_ragged_rows(self, tmp_path):
         (tmp_path / "a.csv").write_text("a,b\nc\n")
         corpus = load_corpus(str(tmp_path))
-        assert corpus.column_by_id("a.csv:0").values == ("a", "c")
-        assert corpus.column_by_id("a.csv:1").values == ("b",)
+        assert column_by_id(corpus, "a.csv:0").values == ("a", "c")
+        assert column_by_id(corpus, "a.csv:1").values == ("b",)
 
 
 class TestSampleColumns:

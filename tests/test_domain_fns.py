@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdc.corpus import Column, corpus_from_lists
+from sdc.corpus import Column
 from sdc.datagen import generate_corpus
 from sdc.domain_fns import (
     INFINITE_DISTANCE,
@@ -166,7 +166,7 @@ class TestSampleCentroids:
             assert fn.distance(fn.centroid) == 0.0
 
     def test_pool_too_small(self, space2d):
-        corpus = corpus_from_lists({"a": ["red", "qqq"], "b": ["blue", "qqq"]})
+        corpus = oracles.corpus_from_lists({"a": ["red", "qqq"], "b": ["blue", "qqq"]})
         with pytest.raises(ValueError):
             sample_centroids(corpus, space2d, 5, seed=0)
 
@@ -253,7 +253,7 @@ class TestGeneralize:
 
 class TestInferPatterns:
     def test_counts_columns_not_values(self):
-        corpus = corpus_from_lists(
+        corpus = oracles.corpus_from_lists(
             {
                 "p1": ["555-123-4567", "555-000-1111", "555-222-3333"],
                 "p2": ["111-222-3333", "444-555-6666"],
@@ -266,7 +266,7 @@ class TestInferPatterns:
 
     def test_half_column_threshold(self):
         # pattern must cover at least half a column's values to count
-        corpus = corpus_from_lists(
+        corpus = oracles.corpus_from_lists(
             {
                 "a": ["x1", "y2", "word", "word2x"],  # no shape reaches half
                 "b": ["x1", "y2", "z3"],
@@ -277,12 +277,12 @@ class TestInferPatterns:
         assert "[a-zA-Z]+\\d+" in by_pattern
 
     def test_tie_breaks_lexicographic(self):
-        corpus = corpus_from_lists({"a": ["abc"], "b": ["123"]})
+        corpus = oracles.corpus_from_lists({"a": ["abc"], "b": ["123"]})
         fns = infer_patterns(corpus, top_k=2)
         assert [f.pattern for f in fns] == sorted([f.pattern for f in fns])
 
     def test_top_k_bounds(self):
-        corpus = corpus_from_lists({"a": ["abc"]})
+        corpus = oracles.corpus_from_lists({"a": ["abc"]})
         assert len(infer_patterns(corpus, top_k=5)) == 1
         with pytest.raises(ValueError):
             infer_patterns(corpus, top_k=0)
@@ -553,7 +553,86 @@ class TestRegistry:
             Registry.from_manifest(manifest)
 
 
+# Words of every kind ``ValueIndex`` must evaluate exactly as ``distance``
+# does: in vocabulary (ASCII and not), out of vocabulary, and the shapes
+# the pattern and validator families accept.
+INDEX_VOCAB = {
+    "red": [0.1, 0.7, -1.3],
+    "crimson": [0.3, 0.2, -0.9],
+    "blue": [5.5, -2.25, 0.125],
+    "café": [1e-3, 2.5, 7.0],
+    "日本": [-4.0, 0.3, 0.3],
+}
+INDEX_WORDS = list(INDEX_VOCAB) + [
+    "zzz", "straße", "naïve", "12-34", "2021-02-03", "a@b.io", "10.0.0.1", "",
+]
+
+
+def index_cell(words: list[str], upper: bool, pad: tuple[str, str]) -> str:
+    cell = pad[0] + " ".join(words) + pad[1]
+    return cell.upper() if upper else cell
+
+
+INDEX_CELL = st.builds(
+    index_cell,
+    st.lists(st.sampled_from(INDEX_WORDS), min_size=1, max_size=3),
+    st.booleans(),
+    st.tuples(*[st.sampled_from(["", " ", "\t", "  \n"])] * 2),
+)
+
+
+def index_space() -> EmbeddingSpace:
+    return EmbeddingSpace(
+        dimension=3, vectors={w: np.asarray(v) for w, v in INDEX_VOCAB.items()}, id="idx3"
+    )
+
+
 class TestValueIndex:
+    @given(st.lists(st.lists(INDEX_CELL, min_size=1, max_size=6), max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_distances_bit_identical_per_cell(self, cells_by_column):
+        space = index_space()
+        columns = [Column(id=f"c{j}", values=tuple(v)) for j, v in enumerate(cells_by_column)]
+        fns = (
+            [make_embedding_fn(space, w) for w in ("red", "café", "blue 日本")]
+            + [make_score_table_fn("t", {"red": 0.9, "Café": 0.25, "zzz": 1.0})]
+            + [make_pattern_fn(p) for p in ("[a-zA-Z]+", "\\d+-\\d+", "[a-zA-Z]+ [a-zA-Z]+")]
+            + builtin_validators()
+            + [make_random_hash_fn(3)]
+        )
+        index = ValueIndex(columns)
+        values, codes = oracles.value_index_codes(columns)
+        assert index.values == values
+        assert index.codes.dtype == np.intp and index.codes.tolist() == codes
+        normalized = [nv for col in columns for nv in col.normalized()]
+        for fn in fns:
+            want = np.asarray([fn.distance(nv) for nv in normalized], dtype=np.float64)
+            assert index.distances(fn).tobytes() == want.tobytes(), fn.id
+
+    def test_matrix_rows_are_the_embeddable_values(self):
+        space = index_space()
+        index = ValueIndex([Column(id="c", values=("Red", "zzz", "red zzz", "日本", "qq rr", "RED"))])
+        rows, mat = index._space_matrix(space)
+        assert index.values == ["red", "zzz", "red zzz", "日本", "qq rr"]
+        embeddable = [i for i, v in enumerate(index.values) if embed_value(space, v) is not None]
+        assert rows.tolist() == embeddable == [0, 2, 3]
+        assert mat.shape == (len(embeddable), space.dimension)
+        assert mat.tobytes() == np.stack([embed_value(space, index.values[i]) for i in rows]).tobytes()
+
+    def test_no_value_embeds(self):
+        space = index_space()
+        index = ValueIndex([Column(id="c", values=("zzz", "qq rr")), Column(id="d", values=("zzz",))])
+        rows, mat = index._space_matrix(space)
+        assert rows.shape == (0,) and mat.shape == (0, space.dimension)
+        got = index.distances(make_embedding_fn(space, "red"))
+        assert got.shape == (3,) and np.all(np.isinf(got))
+
+    def test_values_share_the_cell_strings(self):
+        cells = ["already normalized", "Not Yet", "already normalized"]
+        index = ValueIndex([Column(id="c", values=tuple(cells))])
+        assert index.values == ["already normalized", "not yet"]
+        assert index.values[0] is cells[0]
+
     def test_matches_direct_eval(self, space2d, word_corpus):
         index = ValueIndex(word_corpus)
         fns = [
@@ -639,3 +718,7 @@ class TestValueIndex:
         assert dists.shape == (0,)
         assert index.precondition(dists, [0.5])(0.5, 0.5).shape == (0,)
         assert index.column_max(dists).shape == (0,)
+        space = index_space()
+        rows, mat = index._space_matrix(space)
+        assert rows.shape == (0,) and mat.shape == (0, space.dimension)
+        assert index.distances(make_embedding_fn(space, "red")).shape == (0,)

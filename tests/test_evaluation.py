@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdc.corpus import Column, Corpus, corpus_from_lists, normalize_raw
+from sdc.corpus import Column, Corpus, normalize_raw
 from sdc.domain_fns import (
     EmbeddingSpace,
     Registry,
@@ -29,6 +29,8 @@ from sdc.evaluation import (
     zscore_report,
 )
 from sdc.infer import Detection
+
+from oracles import column_by_id, corpus_from_lists
 
 
 def det(cid, idx, conf, value="v"):
@@ -211,7 +213,7 @@ class TestInjectErrors:
         corpus = corpus_from_lists({f"c{i}": vals for i, vals in enumerate(columns)})
         noisy, truth = inject_errors(corpus, {}, 1.0, seed)
         for cid, idxs in truth.items():
-            values = noisy.column_by_id(cid).values
+            values = column_by_id(noisy, cid).values
             for idx in idxs:
                 rest = {normalize_raw(v) for i, v in enumerate(values) if i != idx}
                 assert normalize_raw(values[idx]) not in rest

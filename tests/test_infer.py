@@ -255,6 +255,21 @@ class TestDetectCorpus:
         dets = detect_corpus(ruleset, dirty, reg)
         assert [(d.column_id, d.value_index, d.value) for d in dets] == [("c1", 2, "zz")]
 
+    def test_reports_raw_spelling(self):
+        # The index holds "apple" once, first as c0's own cell; c1's
+        # " Apple" normalizes to it but is reported as written.
+        reg = build_registry()
+        ruleset = compile_ruleset([make_sdc("emb:toy2d:red", 1.5, 2.0, 0.6).with_confidence(0.9)])
+        corpus = Corpus([
+            Column(id="c0", values=("apple",)),
+            Column(id="c1", values=("red", "crimson", " Apple", "scarlet")),
+        ])
+        index = ValueIndex(corpus)
+        assert index.values.count("apple") == 1
+        dets = detect_corpus(ruleset, index, reg)
+        assert [(d.column_id, d.value_index, d.value) for d in dets] == [("c1", 2, " Apple")]
+        assert "' Apple'" in dets[0].explanation
+
     def test_shared_cache(self):
         reg = build_registry()
         index = ValueIndex(self.corpus())
