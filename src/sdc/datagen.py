@@ -232,21 +232,6 @@ def generate_corpus(
     )
 
 
-def generate_random_string_corpus(n_columns: int, seed: int = 0) -> Corpus:
-    """Columns of structureless strings (mixed shapes); useful as a
-    negative control that should yield almost no constraints."""
-    rng = random.Random(seed)
-    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789-_./:@#"
-    cols = []
-    for i in range(n_columns):
-        n = rng.randint(10, 30)
-        values = tuple(
-            "".join(rng.choice(alphabet) for _ in range(rng.randint(3, 18))) for _ in range(n)
-        )
-        cols.append(Column(id=f"rnd-{i:05d}", values=values))
-    return Corpus(cols)
-
-
 def write_dataset(dataset: DeskDataset, out_dir: str) -> dict[str, str]:
     """Materialize a dataset on disk: corpus JSONL, embedding file and
     score tables. Returns the paths."""

@@ -5,6 +5,11 @@ is marked erroneous in the ground truth. Precision/recall points are
 swept over every distinct confidence in a report, descending; the area
 under the curve uses trapezoidal integration anchored at (recall 0,
 precision of the top point).
+
+The z-score baselines are scored from arrays, without building a
+report. The test suite's ``tests/oracles.py`` keeps the references: a
+baseline that builds ``Detection`` reports (``zscore_report``) and the
+loop form of the PR sweep (``pr_curve_loop``).
 """
 
 from __future__ import annotations
@@ -111,31 +116,31 @@ def _dedupe(report: Sequence[Detection]) -> list[tuple[str, int, float]]:
     return [(cid, idx, conf) for (cid, idx), conf in best.items()]
 
 
+def _curve(conf: np.ndarray, hit: np.ndarray, n_errors: int) -> list[PrPoint]:
+    """The PR points of cells with confidences ``conf`` and truth flags
+    ``hit``: one point per distinct confidence, descending."""
+    if len(conf) == 0:
+        return []
+    order = np.argsort(-conf, kind="stable")
+    conf = conf[order]
+    tp = np.cumsum(hit[order])
+    # Each tie group is scored at its last cell and named by its first.
+    ends = np.append(np.flatnonzero(conf[1:] != conf[:-1]), len(conf) - 1)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    return [
+        PrPoint(threshold=t, precision=k / seen, recall=k / n_errors if n_errors > 0 else 0.0)
+        for t, k, seen in zip(conf[starts].tolist(), tp[ends].tolist(), (ends + 1).tolist())
+    ]
+
+
 def pr_curve(report: Sequence[Detection], truth: GroundTruth) -> list[PrPoint]:
     """One point per distinct confidence, descending: precision and
     recall of all detections at or above that confidence. Empty report
     gives an empty curve."""
     cells = _dedupe(report)
-    if not cells:
-        return []
-    n_errors = total_errors(truth)
-    cells.sort(key=lambda c: -c[2])
-    points: list[PrPoint] = []
-    tp = 0
-    seen = 0
-    i = 0
-    while i < len(cells):
-        threshold = cells[i][2]
-        while i < len(cells) and cells[i][2] == threshold:
-            cid, idx, _ = cells[i]
-            seen += 1
-            if idx in truth.get(cid, ()):
-                tp += 1
-            i += 1
-        precision = tp / seen
-        recall = tp / n_errors if n_errors > 0 else 0.0
-        points.append(PrPoint(threshold=threshold, precision=precision, recall=recall))
-    return points
+    conf = np.array([c for _, _, c in cells], dtype=np.float64)
+    hit = np.array([idx in truth.get(cid, ()) for cid, idx, _ in cells], dtype=bool)
+    return _curve(conf, hit, total_errors(truth))
 
 
 def pr_auc(points: Sequence[PrPoint]) -> float:
@@ -173,67 +178,45 @@ def f1_at_precision(points: Sequence[PrPoint], p0: float = 0.8) -> float:
 _FINITE_CAP = 1e9
 
 
-def zscore_baseline(fn: DomainEvalFn, column: Column, z_thresh: float) -> list[Detection]:
-    """Flag values whose distance z-score under one function exceeds
-    ``z_thresh``. A zero-variance column flags nothing. The reported
-    confidence is the z-score itself (so curves sweep the threshold)."""
-    if len(column) < 2:
-        raise ValueError("z-score baseline needs at least 2 values")
-    return zscore_report(fn, [column], z_thresh)
-
-
-def zscore_report(
-    fn: DomainEvalFn, corpus: Iterable[Column], z_thresh: float = 0.0
-) -> list[Detection]:
-    """Baseline detections over a whole corpus, which may be a prebuilt
-    ``ValueIndex`` (columns of fewer than two values are skipped)."""
-    index = ValueIndex.of(corpus)
-    dists = index.distances(fn)
-    dists[~np.isfinite(dists)] = _FINITE_CAP
-    out: list[Detection] = []
-    for j, column in enumerate(index):
-        if len(column) < 2:
-            continue
-        # Statistics per column slice, exactly as on the column alone.
-        col_d = dists[index.offsets[j] : index.offsets[j + 1]]
-        mean = float(col_d.mean())
-        std = float(col_d.std())
-        if std == 0.0:
-            continue
-        z = (col_d - mean) / std
-        found: list[Detection] = []
-        for idx in np.nonzero(z > z_thresh)[0]:
-            idx = int(idx)
-            found.append(
-                Detection(
-                    column_id=column.id,
-                    value_index=idx,
-                    value=column.values[idx],
-                    confidence=float(z[idx]),
-                    sdc_id=f"zscore:{fn.id}",
-                    explanation=(
-                        f"distance z-score {z[idx]:.3f} above +{z_thresh:g} under {fn.describe()}"
-                    ),
-                )
-            )
-        found.sort(key=lambda d: (-d.confidence, d.value_index))
-        out.extend(found)
-    return out
-
-
 def best_zscore_baseline(
-    fns: Sequence[DomainEvalFn],
-    corpus: Iterable[Column],
-    truth: GroundTruth,
-    z_thresh: float = 0.0,
+    fns: Sequence[DomainEvalFn], corpus: Iterable[Column], truth: GroundTruth
 ) -> tuple[Optional[str], float, dict[str, float]]:
     """PR-AUC of the z-score baseline for each function; returns the
-    best function id, its AUC, and the full id -> AUC map."""
+    best function id, its AUC, and the full id -> AUC map.
+
+    The baseline flags every cell whose distance z-score within its
+    column is positive, with the z-score as its confidence. Columns of
+    fewer than two values and zero-variance columns flag nothing. The
+    columns, which may be a prebuilt ``ValueIndex``, have unique ids."""
     index = ValueIndex.of(corpus)
+    is_error = np.zeros(int(index.offsets[-1]), dtype=bool)
+    for j, column in enumerate(index):
+        labels = [i for i in truth.get(column.id, ()) if 0 <= i < len(column)]
+        is_error[index.offsets[j] + np.array(labels, dtype=np.intp)] = True
+    # Columns of one length L form one (k x L) block of cell positions;
+    # the block's row-wise mean and std are bit for bit those of each
+    # column alone.
+    blocks = []
+    for length in np.unique(index.lengths[index.lengths >= 2]).tolist():
+        starts = index.offsets[:-1][index.lengths == length]
+        blocks.append(starts[:, None] + np.arange(length))
+    n_errors = total_errors(truth)
     aucs: dict[str, float] = {}
     for fn in fns:
-        report = zscore_report(fn, index, z_thresh)
-        aucs[fn.id] = pr_auc(pr_curve(report, truth))
+        dists = index.distances(fn)
+        dists[~np.isfinite(dists)] = _FINITE_CAP
+        conf, cells = [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
+        for block in blocks:
+            d = dists[block]
+            mean = d.mean(axis=1)
+            std = d.std(axis=1)
+            varies = std != 0.0
+            z = (d[varies] - mean[varies, None]) / std[varies, None]
+            flagged = z > 0.0
+            conf.append(z[flagged])
+            cells.append(block[varies][flagged])
+        hit = is_error[np.concatenate(cells)]
+        aucs[fn.id] = pr_auc(_curve(np.concatenate(conf), hit, n_errors))
     if not aucs:
         return None, 0.0, {}
     best_id = max(sorted(aucs), key=lambda k: aucs[k])

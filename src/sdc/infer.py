@@ -21,7 +21,6 @@ import numpy as np
 from .candidates import Sdc
 from .corpus import Column
 from .domain_fns import Registry, ValueIndex
-from .errors import DataFormatError
 
 PrecondKey = tuple[str, float, float]  # (fn_id, d_in, m)
 
@@ -148,19 +147,6 @@ def _detect(
     return out
 
 
-def detect_errors(
-    ruleset: CompiledRuleset,
-    column: Column,
-    registry: Registry,
-    min_confidence: float = 0.0,
-) -> list[Detection]:
-    """Apply the ruleset to one column: each pre-condition group is
-    evaluated once; flagged (index, value) pairs are unioned; each flag
-    carries the max confidence among its flaggers. Sorted by descending
-    confidence, then index."""
-    return _detect(ruleset, ValueIndex([column]), registry, min_confidence)
-
-
 def detect_corpus(
     ruleset: CompiledRuleset,
     corpus: Iterable[Column],
@@ -179,22 +165,3 @@ def save_report(report: Sequence[Detection], path: str, meta: Optional[dict] = N
             fh.write(json.dumps({"kind": "report-meta", **meta}, sort_keys=True) + "\n")
         for det in report:
             fh.write(json.dumps(det.to_record(), ensure_ascii=False) + "\n")
-
-
-def load_report(path: str) -> list[Detection]:
-    out: list[Detection] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
-            if isinstance(rec, dict) and rec.get("kind") == "report-meta":
-                continue
-            try:
-                out.append(Detection.from_record(rec))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path} line {lineno}: bad record ({exc})") from exc
-    return out

@@ -8,16 +8,20 @@ rather than in ``sdc`` because only tests call it:
 - value interning by one list comprehension over every cell's
   normalized value;
 - cell-by-cell checks of the pre- and post-condition, the contingency
-  table, a candidate's synthetic detections and detection itself. They
-  call ``fn.distance`` once per cell and never touch ``ValueIndex``,
-  so they do not share the kernel they check;
+  table, a candidate's synthetic detections, detection itself and the
+  z-score baseline's report. They call ``fn.distance`` once per cell
+  and never touch ``ValueIndex``, so they do not share the kernel they
+  check;
+- the PR sweep as a loop over a report's cells, one tie group at a
+  time;
 - loop forms of selection's array code: cover sets by a membership test
   per (column, candidate), best confidences per column, the LP
   constraint matrix entry by entry, the coverage count, and budget
   enforcement that recomputes every marginal gain from the cover sets;
 - the exact ILP optimum by subset enumeration, and small helpers
   (recall of a constraint set, best selected confidence on a column,
-  a corpus from plain lists, a column looked up by id).
+  a corpus from plain lists or of random strings, a column looked up by
+  id, a report read back from its file).
 
 Where the library has a counterpart, tests require it to return
 exactly what the reference returns.
@@ -25,6 +29,8 @@ exactly what the reference returns.
 
 from __future__ import annotations
 
+import json
+import random
 from collections import Counter
 from datetime import datetime
 from itertools import combinations
@@ -36,7 +42,9 @@ from sdc.assess import ContingencyTable
 from sdc.candidates import Sdc
 from sdc.corpus import Column, Corpus
 from sdc.domain_fns import _DATE_FORMATS, DomainEvalFn, Registry
-from sdc.infer import Detection, _explanation, _finalize
+from sdc.errors import DataFormatError
+from sdc.evaluation import _FINITE_CAP, GroundTruth, PrPoint, total_errors
+from sdc.infer import Detection, _explanation
 from sdc.select import IlpProblem, SelectionConfig
 from sdc.synth import CandidateStats, SynthColumn
 
@@ -64,6 +72,21 @@ def validate_date(value: str) -> bool:
 def corpus_from_lists(values_by_id: dict[str, Iterable[str]]) -> Corpus:
     """A corpus with one column per id, in the dict's order."""
     return Corpus([Column(id=k, values=tuple(v)) for k, v in values_by_id.items()])
+
+
+def generate_random_string_corpus(n_columns: int, seed: int = 0) -> Corpus:
+    """Columns of structureless strings (mixed shapes); useful as a
+    negative control that should yield almost no constraints."""
+    rng = random.Random(seed)
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789-_./:@#"
+    cols = []
+    for i in range(n_columns):
+        n = rng.randint(10, 30)
+        values = tuple(
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(3, 18))) for _ in range(n)
+        )
+        cols.append(Column(id=f"rnd-{i:05d}", values=values))
+    return Corpus(cols)
 
 
 def column_by_id(corpus: Iterable[Column], column_id: str) -> Column:
@@ -151,8 +174,12 @@ def detect_errors_naive(
     counts: Optional[Counter] = None,
 ) -> list[Detection]:
     """Evaluate every constraint separately, cell by cell: the reference
-    for ``sdc.infer.detect_errors``. ``counts["preconditions"]``, when
-    ``counts`` is given, grows by one per pre-condition evaluated."""
+    for ``sdc.infer.detect_corpus`` on one column. Each flagged cell
+    keeps its highest-confidence flagger (ties to the larger constraint
+    id), flags below ``min_confidence`` are dropped, and the report is
+    sorted by descending confidence, then index.
+    ``counts["preconditions"]``, when ``counts`` is given, grows by one
+    per pre-condition evaluated."""
     n = len(column)
     flaggers: dict[int, list[tuple[float, str, float, str]]] = {}
     for sdc in sdcs:
@@ -174,7 +201,101 @@ def detect_errors_naive(
                     _explanation(sdc, fn.describe(), column.values[idx], float(dists[idx])),
                 )
             )
-    return _finalize(column, flaggers, min_confidence)
+    out = []
+    for idx, hits in flaggers.items():
+        conf, sdc_id, _, expl = max(hits, key=lambda h: (h[0], h[1]))
+        if conf >= min_confidence:
+            out.append(Detection(column.id, idx, column.values[idx], conf, sdc_id, expl))
+    return sorted(out, key=lambda d: (-d.confidence, d.value_index))
+
+
+# ---------------------------------------------------------------------------
+# Scoring
+
+
+def zscore_baseline(fn: DomainEvalFn, column: Column) -> list[Detection]:
+    """Flag the values whose distance z-score within the column is
+    positive, with the z-score as confidence, sorted by descending
+    confidence, then index. Infinite distances count as ``_FINITE_CAP``;
+    a zero-variance column flags nothing."""
+    if len(column) < 2:
+        raise ValueError("z-score baseline needs at least 2 values")
+    dists = column_distances(fn, column)
+    dists[~np.isfinite(dists)] = _FINITE_CAP
+    mean = float(dists.mean())
+    std = float(dists.std())
+    if std == 0.0:
+        return []
+    z = (dists - mean) / std
+    found = [
+        Detection(
+            column_id=column.id,
+            value_index=idx,
+            value=column.values[idx],
+            confidence=float(z[idx]),
+            sdc_id=f"zscore:{fn.id}",
+            explanation=f"distance z-score {z[idx]:.3f} under {fn.describe()}",
+        )
+        for idx in np.nonzero(z > 0.0)[0].tolist()
+    ]
+    return sorted(found, key=lambda d: (-d.confidence, d.value_index))
+
+
+def zscore_report(fn: DomainEvalFn, corpus: Iterable[Column]) -> list[Detection]:
+    """The z-score baseline's report over every column of at least two
+    values: with ``pr_curve_loop`` and ``pr_auc``, the reference for
+    ``sdc.evaluation.best_zscore_baseline``."""
+    return [d for col in corpus if len(col) >= 2 for d in zscore_baseline(fn, col)]
+
+
+def pr_curve_loop(report: Sequence[Detection], truth: GroundTruth) -> list[PrPoint]:
+    """The reference for ``sdc.evaluation.pr_curve``: each cell keeps its
+    highest confidence, then the cells are walked in descending
+    confidence and a point is emitted per tie group."""
+    best: dict[tuple[str, int], float] = {}
+    for det in report:
+        key = (det.column_id, det.value_index)
+        if key not in best or det.confidence > best[key]:
+            best[key] = det.confidence
+    cells = [(cid, idx, conf) for (cid, idx), conf in best.items()]
+    n_errors = total_errors(truth)
+    cells.sort(key=lambda c: -c[2])
+    points: list[PrPoint] = []
+    tp = 0
+    seen = 0
+    i = 0
+    while i < len(cells):
+        threshold = cells[i][2]
+        while i < len(cells) and cells[i][2] == threshold:
+            cid, idx, _ = cells[i]
+            seen += 1
+            if idx in truth.get(cid, ()):
+                tp += 1
+            i += 1
+        precision = tp / seen
+        recall = tp / n_errors if n_errors > 0 else 0.0
+        points.append(PrPoint(threshold=threshold, precision=precision, recall=recall))
+    return points
+
+
+def load_report(path: str) -> list[Detection]:
+    """A report as ``sdc.infer.save_report`` wrote it, meta line skipped."""
+    out: list[Detection] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
+            if isinstance(rec, dict) and rec.get("kind") == "report-meta":
+                continue
+            try:
+                out.append(Detection.from_record(rec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataFormatError(f"{path} line {lineno}: bad record ({exc})") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from sdc.datagen import (
     HIGH_CARDINALITY_DOMAINS,
     WORD_CATEGORIES,
     generate_corpus,
-    generate_random_string_corpus,
 )
 from sdc.domain_fns import (
     EmbeddingSpace,
@@ -57,7 +56,6 @@ from sdc.infer import (
     Detection,
     compile_ruleset,
     detect_corpus,
-    detect_errors,
     save_report,
 )
 from sdc.select import (
@@ -71,7 +69,12 @@ from sdc.select import (
 )
 from sdc.synth import build_candidate_stats, build_synthetic_corpus
 
-from oracles import brute_force_ilp, build_css_ilp, detect_errors_naive
+from oracles import (
+    brute_force_ilp,
+    build_css_ilp,
+    detect_errors_naive,
+    generate_random_string_corpus,
+)
 
 
 def read_bytes(path):
@@ -378,7 +381,7 @@ def test_criterion_07_compiled_inference_is_exact_and_cheaper(precondition_count
         ruleset = compile_ruleset(sdcs)
         precondition_counts.clear()
         c_naive = Counter()
-        got = detect_errors(ruleset, column, reg)
+        got = detect_corpus(ruleset, [column], reg)
         want = detect_errors_naive(sdcs, column, reg, counts=c_naive)
         assert got == want
         if len(ruleset.precondition_groups) < len(sdcs):

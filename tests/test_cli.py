@@ -14,12 +14,10 @@ import pytest
 
 from sdc.cli import main
 from sdc.corpus import filter_columns, load_corpus, save_corpus
-from sdc.datagen import generate_random_string_corpus
 from sdc.evaluation import load_truth, total_errors
-from sdc.infer import load_report
 from sdc.select import read_store
 
-from oracles import column_by_id
+from oracles import column_by_id, generate_random_string_corpus, load_report
 
 
 def read_bytes(path):

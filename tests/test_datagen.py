@@ -12,7 +12,6 @@ from sdc.datagen import (
     WORD_CATEGORIES,
     build_toy_space,
     generate_corpus,
-    generate_random_string_corpus,
     make_airport_score_fn,
     write_dataset,
 )
@@ -22,6 +21,8 @@ from sdc.domain_fns import (
     load_embedding_space,
     load_score_table,
 )
+
+from oracles import generate_random_string_corpus
 
 VALIDATOR_OF_DOMAIN = {
     "dates": "validator:date",

@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdc.corpus import Column, Corpus, normalize_raw
@@ -25,12 +26,16 @@ from sdc.evaluation import (
     pr_curve,
     save_truth,
     total_errors,
-    zscore_baseline,
-    zscore_report,
 )
 from sdc.infer import Detection
 
-from oracles import column_by_id, corpus_from_lists
+from oracles import (
+    column_by_id,
+    corpus_from_lists,
+    pr_curve_loop,
+    zscore_baseline,
+    zscore_report,
+)
 
 
 def det(cid, idx, conf, value="v"):
@@ -78,6 +83,30 @@ class TestPrCurve:
     def test_no_true_errors_gives_zero_recall(self):
         pts = pr_curve([det("c0", 0, 0.9)], {})
         assert pts == [PrPoint(0.9, 0.0, 0.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        report=st.lists(
+            st.tuples(
+                st.sampled_from(["c0", "c1", "c2"]),
+                st.integers(0, 4),
+                st.one_of(st.sampled_from([0.0, -0.0, 0.5, 0.9]), st.floats(-3, 3)),
+            ),
+            max_size=30,
+        ),
+        truth=st.dictionaries(
+            st.sampled_from(["c0", "c1", "c3"]), st.sets(st.integers(0, 6)), max_size=3
+        ),
+    )
+    def test_matches_loop(self, report, truth):
+        # Duplicate cells, tied confidences, signed zeros, empty
+        # reports and empty truths.
+        dets = [det(cid, idx, conf) for cid, idx, conf in report]
+        assert bits(pr_curve(dets, truth)) == bits(pr_curve_loop(dets, truth))
+
+
+def bits(points):
+    return [tuple(float.hex(x) for x in (p.threshold, p.precision, p.recall)) for p in points]
 
 
 class TestPrAuc:
@@ -259,7 +288,7 @@ class TestZscoreBaseline:
     def test_single_outlier_z_is_sqrt_n_minus_1(self):
         fn = one_hot_fn()
         col = Column(id="c0", values=("good",) * 99 + ("bad",))
-        dets = zscore_baseline(fn, col, z_thresh=3.0)
+        dets = zscore_baseline(fn, col)
         assert len(dets) == 1
         assert dets[0].value_index == 99
         assert dets[0].confidence == pytest.approx(math.sqrt(99), abs=1e-9)
@@ -268,22 +297,22 @@ class TestZscoreBaseline:
     def test_zero_variance_flags_nothing(self):
         fn = one_hot_fn()
         col = Column(id="c0", values=("good",) * 10)
-        assert zscore_baseline(fn, col, z_thresh=0.0) == []
+        assert zscore_baseline(fn, col) == []
 
     def test_needs_two_values(self):
         fn = one_hot_fn()
         with pytest.raises(ValueError):
-            zscore_baseline(fn, Column(id="c0", values=("good",)), 0.0)
+            zscore_baseline(fn, Column(id="c0", values=("good",)))
 
     def test_infinite_distances_clamped(self):
         space = EmbeddingSpace(
             dimension=2,
-            vectors={"red": [0.0, 0.0], "blue": [10.0, 0.0]},
+            vectors={"red": np.array([0.0, 0.0]), "blue": np.array([10.0, 0.0])},
             id="mini",
         )
         fn = make_embedding_fn(space, "red")
         col = Column(id="c0", values=("red", "red", "red", "mystery"))
-        dets = zscore_baseline(fn, col, z_thresh=1.0)
+        dets = zscore_baseline(fn, col)
         assert len(dets) == 1
         assert dets[0].value == "mystery"
         assert math.isfinite(dets[0].confidence)
@@ -291,7 +320,7 @@ class TestZscoreBaseline:
     def test_sorted_output(self):
         fn = one_hot_fn()
         col = Column(id="c0", values=("bad", "good", "good", "worse", "good", "good"))
-        dets = zscore_baseline(fn, col, z_thresh=0.5)
+        dets = zscore_baseline(fn, col)
         assert [d.value_index for d in dets] == [0, 3]
         assert dets[0].confidence == dets[1].confidence
 
@@ -305,11 +334,67 @@ class TestZscoreReport:
                 Column(id="c0", values=("good",) * 9 + ("bad",)),
             ]
         )
-        dets = zscore_report(fn, corpus, z_thresh=1.0)
+        dets = zscore_report(fn, corpus)
         assert [d.column_id for d in dets] == ["c0"]
 
 
+ZSCORE_VOCAB = ["red", "crimson", "scarlet", "blue", "navy", "mystery", "zzz"]
+
+
+def zscore_fns():
+    # Irregular coordinates, so means and deviations are inexact sums;
+    # "mystery" and "zzz" are out of vocabulary (infinite distance).
+    rng = np.random.default_rng(3)
+    space = EmbeddingSpace(
+        dimension=3, vectors={t: rng.normal(size=3) for t in ZSCORE_VOCAB[:5]}, id="z3"
+    )
+    return [
+        make_embedding_fn(space, "red"),
+        make_embedding_fn(space, "blue"),
+        # few levels: tied z-scores and zero-variance columns
+        make_score_table_fn("reds", {"red": 1.0, "crimson": 0.9, "scarlet": 0.9}),
+    ]
+
+
+@st.composite
+def zscore_cases(draw):
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 5, 9, 9, 13]), min_size=1, max_size=8))
+    columns = [
+        draw(st.lists(st.sampled_from(ZSCORE_VOCAB), min_size=n, max_size=n)) for n in lengths
+    ]
+    # Labels may name one-value columns, indices past a column's end and
+    # columns absent from the corpus.
+    labels = draw(
+        st.lists(st.tuples(st.integers(0, len(lengths) + 1), st.integers(0, 13)), max_size=10)
+    )
+    truth = {}
+    for j, idx in labels:
+        truth.setdefault(f"c{j}", set()).add(idx)
+    return corpus_from_lists({f"c{j}": vals for j, vals in enumerate(columns)}), truth
+
+
 class TestBestZscoreBaseline:
+    @settings(max_examples=150, deadline=None)
+    @given(case=zscore_cases())
+    # Two 9-value columns whose capped z-scores tie only when each
+    # column's mean is summed the way ``ndarray.mean`` sums it alone.
+    @example(
+        case=(
+            corpus_from_lists({
+                "c0": ["mystery"] * 2 + ["red"] * 7,
+                "c1": ["red"] * 5 + ["blue", "navy"] + ["mystery"] * 2,
+            }),
+            {"c0": {0}},
+        )
+    )
+    def test_matches_report_oracle(self, case):
+        corpus, truth = case
+        fns = zscore_fns()
+        _, _, aucs = best_zscore_baseline(fns, corpus, truth)
+        for fn in fns:
+            want = pr_auc(pr_curve_loop(zscore_report(fn, corpus), truth))
+            assert aucs[fn.id].hex() == want.hex(), fn.id
+
     def test_picks_higher_auc(self):
         space = EmbeddingSpace(
             dimension=2,

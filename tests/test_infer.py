@@ -22,12 +22,10 @@ from sdc.infer import (
     Detection,
     compile_ruleset,
     detect_corpus,
-    detect_errors,
-    load_report,
     save_report,
 )
 
-from oracles import detect_errors_naive
+from oracles import detect_errors_naive, load_report
 
 TOKENS = ["red", "crimson", "scarlet", "blue", "navy", "azure", "zzz", "tt1"]
 
@@ -89,7 +87,7 @@ class TestDetectErrors:
         reg = build_registry()
         sdc = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.75).with_confidence(0.95)
         col = Column(id="c0", values=("red", "crimson", "Blue", "scarlet"))
-        dets = detect_errors(compile_ruleset([sdc]), col, reg)
+        dets = detect_corpus(compile_ruleset([sdc]), [col], reg)
         assert len(dets) == 1
         d = dets[0]
         assert (d.column_id, d.value_index, d.value) == ("c0", 2, "Blue")
@@ -102,29 +100,29 @@ class TestDetectErrors:
         sdc = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.9).with_confidence(0.95)
         # only 3/4 inside: 0.75 < 0.9, so nothing is flagged
         col = Column(id="c0", values=("red", "crimson", "blue", "scarlet"))
-        assert detect_errors(compile_ruleset([sdc]), col, reg) == []
+        assert detect_corpus(compile_ruleset([sdc]), [col], reg) == []
 
     def test_outer_boundary_not_flagged(self):
         reg = build_registry()
         # scarlet is at distance exactly 1.0 from the red centroid
         sdc = make_sdc("emb:toy2d:red", 1.0, 1.0, 0.5).with_confidence(0.9)
         col = Column(id="c0", values=("red", "scarlet"))
-        assert detect_errors(compile_ruleset([sdc]), col, reg) == []
+        assert detect_corpus(compile_ruleset([sdc]), [col], reg) == []
 
     def test_min_confidence_filter(self):
         reg = build_registry()
         sdc = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.5).with_confidence(0.7)
         col = Column(id="c0", values=("red", "blue"))
         ruleset = compile_ruleset([sdc])
-        assert len(detect_errors(ruleset, col, reg)) == 1
-        assert detect_errors(ruleset, col, reg, min_confidence=0.8) == []
+        assert len(detect_corpus(ruleset, [col], reg)) == 1
+        assert detect_corpus(ruleset, [col], reg, min_confidence=0.8) == []
 
     def test_highest_confidence_wins(self):
         reg = build_registry()
         weak = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.5).with_confidence(0.88)
         strong = make_sdc("emb:toy2d:red", 1.5, 3.0, 0.5).with_confidence(0.93)
         col = Column(id="c0", values=("red", "crimson", "blue"))
-        dets = detect_errors(compile_ruleset([weak, strong]), col, reg)
+        dets = detect_corpus(compile_ruleset([weak, strong]), [col], reg)
         assert len(dets) == 1
         assert dets[0].confidence == 0.93
         assert dets[0].sdc_id == strong.id
@@ -134,7 +132,7 @@ class TestDetectErrors:
         a = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.5).with_confidence(0.9)
         b = make_sdc("emb:toy2d:red", 1.5, 3.0, 0.5).with_confidence(0.9)
         col = Column(id="c0", values=("red", "blue"))
-        dets = detect_errors(compile_ruleset([a, b]), col, reg)
+        dets = detect_corpus(compile_ruleset([a, b]), [col], reg)
         assert dets[0].sdc_id == max(a.id, b.id)
 
     def test_sorted_by_confidence_then_index(self):
@@ -145,7 +143,7 @@ class TestDetectErrors:
         # only (zzz scores 0, blue also 0 -> both beyond 0.5; but blue
         # is flagged by the embedding at higher confidence too)
         col = Column(id="c0", values=("red", "blue", "crimson", "zzz"))
-        dets = detect_errors(compile_ruleset([red, reds]), col, reg)
+        dets = detect_corpus(compile_ruleset([red, reds]), [col], reg)
         assert [(d.value_index, d.confidence) for d in dets] == [
             (1, 0.92),
             (3, 0.92),
@@ -155,7 +153,7 @@ class TestDetectErrors:
         reg = build_registry()
         sdc = make_sdc("emb:toy2d:red", 1.5, 5.0, 0.75).with_confidence(0.9)
         col = Column(id="c0", values=("red", "crimson", "scarlet", "mystery"))
-        dets = detect_errors(compile_ruleset([sdc]), col, reg)
+        dets = detect_corpus(compile_ruleset([sdc]), [col], reg)
         assert len(dets) == 1
         assert dets[0].value == "mystery"
         assert "distance inf" in dets[0].explanation
@@ -166,8 +164,8 @@ class TestDetectErrors:
         ruleset = compile_ruleset([sdc])
         covered = Column(id="c0", values=("red",))
         uncovered = Column(id="c1", values=("blue",))
-        assert detect_errors(ruleset, covered, reg) == []
-        assert detect_errors(ruleset, uncovered, reg) == []
+        assert detect_corpus(ruleset, [covered], reg) == []
+        assert detect_corpus(ruleset, [uncovered], reg) == []
 
 
 def random_case(seed):
@@ -189,7 +187,7 @@ class TestCompiledMatchesNaive:
     def test_reports_identical(self, seed):
         reg = build_registry()
         sdcs, col = random_case(seed)
-        compiled = detect_errors(compile_ruleset(sdcs), col, reg)
+        compiled = detect_corpus(compile_ruleset(sdcs), [col], reg)
         naive = detect_errors_naive(sdcs, col, reg)
         assert compiled == naive
 
@@ -203,7 +201,7 @@ class TestCompiledMatchesNaive:
         ]
         col = Column(id="c0", values=("red", "crimson", "blue"))
         c_naive = Counter()
-        a = detect_errors(compile_ruleset(sdcs), col, reg)
+        a = detect_corpus(compile_ruleset(sdcs), [col], reg)
         b = detect_errors_naive(sdcs, col, reg, counts=c_naive)
         assert a == b
         assert c_naive["preconditions"] == 4
@@ -217,7 +215,7 @@ class TestCompiledMatchesNaive:
             make_sdc("score:reds", 0.25, 0.5, 0.6).with_confidence(0.9),
         ]
         col = Column(id="c0", values=("red", "blue"))
-        detect_errors(compile_ruleset(sdcs), col, reg)
+        detect_corpus(compile_ruleset(sdcs), [col], reg)
         assert precondition_counts["preconditions"] == 2
 
 
