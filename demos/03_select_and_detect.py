@@ -52,13 +52,16 @@ print(f"{len(kept)} constraints survived assessment")
 # Synthetic errors: splice one value from a random donor column into
 # each training column. A constraint "detects" a synthetic column when
 # it flags the planted value and nothing else; its false-positive rate
-# is how often it flags anything in the clean corpus.
+# is how often it flags anything in the clean corpus. Constraints that
+# detect the same columns with the same FPR and confidence are
+# interchangeable in selection, so the stats come one per such
+# detection class.
 
 synth = build_synthetic_corpus(train, seed=5)
 stats = build_candidate_stats(kept, synth, len(train), registry)
-detecting = sum(1 for st in stats if st.detected)
+detecting = sum(st.members for st in stats)
 print(f"{len(synth)} synthetic error columns; "
-      f"{detecting} constraints detect at least one")
+      f"{detecting} constraints detect at least one, in {len(stats)} detection classes")
 
 # ---------------------------------------------------------------------------
 # Selection: maximize the number of synthetic columns covered subject

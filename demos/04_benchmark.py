@@ -4,7 +4,7 @@
 # select under the default budgets, inject one foreign value into 10%
 # of the 400 held-out columns, and compare the ruleset's
 # precision-recall curve against the strongest per-function z-score
-# outlier detector. Runs in about 15 seconds on a two-core machine.
+# outlier detector. Runs in about 10 seconds on a two-core machine.
 #
 # The z-score baseline gets a generous deal: it may pick, per run,
 # whichever domain function produces the best PR-AUC on the *test*

@@ -270,8 +270,10 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
         },
         config_hash=cfg.config_hash(),
     )
+    idle = len(assessed) - sum(st.members for st in stats)
     click.echo(
-        f"select: {len(assessed)} constraints -> {len(chosen)} selected "
+        f"select: {len(assessed)} constraints -> {len(stats)} detection classes "
+        f"({idle} detect nothing) -> {len(chosen)} selected "
         f"(LP objective {outcome.lp_objective:.1f} by {outcome.solution.method}, "
         f"sum FPR {outcome.sum_fpr:.4f})",
         err=True,

@@ -49,6 +49,9 @@ from .corpus import Column, Corpus, normalize_raw, read_lines
 from .errors import DataFormatError
 
 INFINITE_DISTANCE = math.inf
+# Cells per block of ``ValueIndex.inside_counts``: its two per-cell
+# index arrays then take about 1 MiB.
+_BLOCK_CELLS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +65,11 @@ class EmbeddingSpace:
     dimension: int
     vectors: dict[str, np.ndarray]
     id: str = "space"
+
+    def __post_init__(self) -> None:
+        # Vectors given as lists become float64 arrays once, so single
+        # values and whole batches are embedded from the same rows.
+        self.vectors = {t: np.asarray(v, dtype=np.float64) for t, v in self.vectors.items()}
 
 
 def load_embedding_space(path: str, space_id: Optional[str] = None) -> EmbeddingSpace:
@@ -771,6 +779,28 @@ class ValueIndex:
             self._spaces[id(space)] = got
         return got[1], got[2]
 
+    def inside_counts(self, dists: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """A (columns x radii) matrix: how many of each column's values
+        lie within each of the ascending ``radii`` (non-strict).
+
+        Each cell lands in the bin of the first radius at or beyond its
+        distance (``inf`` and NaN past the last), one histogram per
+        column counts the bins, and a cumulative sum over them gives
+        every radius. Columns go in blocks of about ``_BLOCK_CELLS``
+        cells, so the per-cell temporaries stay small."""
+        n, r = len(self.lengths), len(radii)
+        out = np.empty((n, r), dtype=np.intp)
+        lo = 0
+        while lo < n:
+            end = self.offsets[lo] + _BLOCK_CELLS
+            hi = max(lo + 1, int(np.searchsorted(self.offsets, end, "right")) - 1)
+            bins = np.repeat(np.arange(hi - lo) * (r + 1), self.lengths[lo:hi])
+            bins += np.searchsorted(radii, dists[self.offsets[lo]:self.offsets[hi]], "left")
+            hist = np.bincount(bins, minlength=(hi - lo) * (r + 1)).reshape(-1, r + 1)
+            np.cumsum(hist[:, :r], axis=1, out=out[lo:hi])
+            lo = hi
+        return out
+
     def precondition(
         self, dists: np.ndarray, d_ins: Iterable[float]
     ) -> Callable[[float, float], np.ndarray]:
@@ -780,8 +810,7 @@ class ValueIndex:
         ``m`` of the values lie within ``d_in`` (non-strict)". Each
         distinct radius is counted once, whatever ``m`` is asked."""
         radii = sorted(set(d_ins))
-        inside = (dists[:, None] <= np.asarray(radii, dtype=np.float64)).astype(np.intp)
-        counts = np.add.reduceat(inside, self.offsets[:-1], axis=0)
+        counts = self.inside_counts(dists, np.asarray(radii, dtype=np.float64))
         column_of = {d: k for k, d in enumerate(radii)}
 
         def covered(d_in: float, m: float) -> np.ndarray:

@@ -197,7 +197,8 @@ def best_zscore_baseline(
     # the block's row-wise mean and std are bit for bit those of each
     # column alone.
     blocks = []
-    for length in np.unique(index.lengths[index.lengths >= 2]).tolist():
+    lengths = np.flatnonzero(np.bincount(index.lengths))
+    for length in lengths[lengths >= 2].tolist():
         starts = index.offsets[:-1][index.lengths == length]
         blocks.append(starts[:, None] + np.arange(length))
     n_errors = total_errors(truth)

@@ -7,6 +7,11 @@ solved exactly, and rounded with one independent Bernoulli draw per
 candidate (budgets then hold in expectation and the expected objective
 is within (1 - 1/e) of optimal).
 
+The candidates come as detection classes (see ``sdc.synth``), one
+representative each. Members of a class are interchangeable, so the
+optimum, the LP bound and the rounding guarantee are those of the
+problem over every survivor.
+
 The LP objective can be no larger than the number of coverable
 synthetic columns, so a 0/1 cover of all of them that fits both budgets
 is an optimal LP solution. A greedy cover is tried first; scipy's HiGHS
@@ -19,12 +24,12 @@ confidence floor; the fine problem only detectors whose confidence is
 within ``delta`` of the best confidence any candidate achieves on that
 column.
 
-The candidate × synthetic column incidence has one form from the
-candidate stats to the LP: entry arrays, one (column j, candidate i)
-entry per detection, sorted by (column, candidate). Each candidate's
-``detected`` set holds its column positions; one pass over those sets
-builds the arrays, and the LP's constraint matrix, the coverage count
-and budget enforcement all read them.
+The class × synthetic column incidence has one form from the class
+stats to the LP: entry arrays, one (column j, class i) entry per
+detection, sorted by (column, class). Each class's ``detected`` set
+holds its column positions; one pass over those sets builds the
+arrays, and the LP's constraint matrix, the coverage count and budget
+enforcement all read them.
 """
 
 from __future__ import annotations
@@ -225,7 +230,7 @@ def solve_lp_relaxation(problem: IlpProblem) -> LpSolution:
         return _solve_highs(problem)
     x = np.zeros(len(problem.candidate_ids), dtype=np.float64)
     x[picks] = 1.0
-    objective = float(np.unique(problem.cover_rows).size)
+    objective = float(np.count_nonzero(np.bincount(problem.cover_rows)))
     return LpSolution(x=x, objective=objective, method="cover")
 
 
@@ -274,7 +279,7 @@ def coverage_objective(problem: IlpProblem, selected_ids: set[str]) -> int:
     chosen = np.zeros(len(problem.candidate_ids), dtype=bool)
     chosen[np.array([idx[c] for c in selected_ids if c in idx], dtype=np.intp)] = True
     rows, members = problem.cover_rows, problem.cover_members
-    return int(np.unique(rows[chosen[members]]).size)
+    return int(np.count_nonzero(np.bincount(rows[chosen[members]])))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Distant supervision: synthetic error columns and per-candidate stats.
+"""Distant supervision: synthetic error columns and detection-class stats.
 
 Selection needs two quantities per surviving constraint: which errors
 it would catch, and how often it fires on clean data. Both are
@@ -8,6 +8,12 @@ almost always an error in its new context); a constraint "detects" a
 synthetic column when its pre-condition holds there and it flags the
 transplanted value itself. The false-positive rate is the fraction of
 clean corpus columns the constraint both covers and triggers on.
+
+Selection tells constraints apart by nothing else: which synthetic
+columns they detect, their FPR and their confidence. Constraints equal
+in all three form one detection class and are interchangeable in the
+selection problem and in its LP relaxation, so selection sees one
+member per class. Constraints that detect nothing are in no class.
 """
 
 from __future__ import annotations
@@ -40,14 +46,16 @@ class SynthColumn:
 
 @dataclass(frozen=True)
 class CandidateStats:
-    """Selection inputs for one candidate. ``detected`` holds the
-    positions, in the synthetic corpus, of the columns the candidate
-    detects."""
+    """Selection inputs for one detection class. ``sdc_id`` names the
+    member that stands for the class, ``detected`` holds the positions,
+    in the synthetic corpus, of the columns every member detects, and
+    ``members`` counts the surviving candidates in the class."""
 
     sdc_id: str
     detected: frozenset[int]
     fpr: float
     confidence: float
+    members: int = 1
 
 
 def build_synthetic_corpus(
@@ -101,9 +109,15 @@ def build_candidate_stats(
     corpus_size: int,
     registry: Registry,
 ) -> list[CandidateStats]:
-    """Detection sets and FPR estimates for every surviving candidate,
-    in input order. Each function is evaluated once over an index of
-    the synthetic columns."""
+    """One ``CandidateStats`` per detection class of the surviving
+    candidates. A class is represented by its member with the largest
+    input index (the greedy cover breaks ties toward larger indices),
+    and classes come in the input order of their representatives.
+
+    Each function is evaluated once over an index of the synthetic
+    columns. Its candidates' hits form one (candidates x synthetic
+    columns) mask; a row packed to bytes, with the candidate's FPR and
+    confidence, is the class key."""
     index = ValueIndex(sc.column() for sc in synth)
     injected_cells = index.offsets[:-1] + np.asarray(
         [sc.injected_index for sc in synth], dtype=np.intp
@@ -112,21 +126,35 @@ def build_candidate_stats(
     for i, item in enumerate(assessed):
         by_fn.setdefault(item.sdc.fn_id, []).append(i)
 
-    # One int object per synthetic column, shared by every detected set:
-    # a set of fresh ints would hold about 28 bytes more per entry.
-    positions = list(range(len(synth)))
-    results: list[Optional[CandidateStats]] = [None] * len(assessed)
+    # Class key -> [representative index, members, detected positions].
+    classes: dict[tuple[bytes, float, float], list] = {}
     for fn_id, idxs in sorted(by_fn.items()):
+        sdcs = [assessed[i].sdc for i in idxs]
         dists = index.distances(registry.get(fn_id))
-        injected_d = dists[injected_cells]
-        covered = index.precondition(dists, (assessed[i].sdc.d_in for i in idxs))
-        for i in idxs:
+        covered = index.precondition(dists, (s.d_in for s in sdcs))
+        # One mask per distinct pre-condition (d_in, m) and one per
+        # distinct d_out; each candidate's hits are a row of each, and-ed.
+        pre: dict[tuple[float, float], int] = {}
+        post: dict[float, int] = {}
+        pre_of = [pre.setdefault((s.d_in, s.m), len(pre)) for s in sdcs]
+        post_of = [post.setdefault(s.d_out, len(post)) for s in sdcs]
+        pre_masks = np.array([covered(d_in, m) for d_in, m in pre]).reshape(len(pre), len(synth))
+        post_masks = dists[injected_cells] > np.array(list(post))[:, None]
+        hit = pre_masks[pre_of] & post_masks[post_of]
+        packed = np.packbits(hit, axis=1)
+        for r in np.flatnonzero(hit.any(axis=1)).tolist():
+            i = idxs[r]
             item = assessed[i]
-            hit = covered(item.sdc.d_in, item.sdc.m) & (injected_d > item.sdc.d_out)
-            results[i] = CandidateStats(
-                sdc_id=item.sdc.id,
-                detected=frozenset(map(positions.__getitem__, np.flatnonzero(hit).tolist())),
-                fpr=estimate_fpr(item.table, corpus_size),
-                confidence=item.confidence,
-            )
-    return [r for r in results if r is not None]
+            key = (packed[r].tobytes(), estimate_fpr(item.table, corpus_size), item.confidence)
+            cls = classes.get(key)
+            if cls is None:
+                classes[key] = [i, 1, frozenset(np.flatnonzero(hit[r]).tolist())]
+            else:
+                cls[0] = max(cls[0], i)
+                cls[1] += 1
+    return [
+        CandidateStats(sdc_id=assessed[rep].sdc.id, detected=detected, fpr=fpr,
+                       confidence=conf, members=members)
+        for (_, fpr, conf), (rep, members, detected)
+        in sorted(classes.items(), key=lambda kv: kv[1][0])
+    ]

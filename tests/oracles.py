@@ -7,11 +7,15 @@ rather than in ``sdc`` because only tests call it:
   formats tried on every value;
 - value interning by one list comprehension over every cell's
   normalized value;
+- the pre-condition counts as a dense (cells x radii) mask summed per
+  column;
 - cell-by-cell checks of the pre- and post-condition, the contingency
   table, a candidate's synthetic detections, detection itself and the
   z-score baseline's report. They call ``fn.distance`` once per cell
   and never touch ``ValueIndex``, so they do not share the kernel they
   check;
+- selection stats one survivor at a time, and their grouping into
+  detection classes by a dict over (detected set, FPR, confidence);
 - the PR sweep as a loop over a report's cells, one tie group at a
   time;
 - loop forms of selection's array code: cover sets by a membership test
@@ -38,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from sdc.assess import ContingencyTable
+from sdc.assess import AssessedSdc, ContingencyTable
 from sdc.candidates import Sdc
 from sdc.corpus import Column, Corpus
 from sdc.domain_fns import _DATE_FORMATS, DomainEvalFn, Registry
@@ -105,6 +109,16 @@ def value_index_codes(columns: Sequence[Column]) -> tuple[list[str], list[int]]:
     return list(table), codes
 
 
+def inside_counts_dense(lengths: Sequence[int], dists: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """(columns x radii) counts of each column's values within each
+    radius, from a dense (cells x radii) mask summed column by column.
+    The reference for ``ValueIndex.inside_counts``."""
+    inside = (dists[:, None] <= np.asarray(radii, dtype=np.float64)).astype(np.intp)
+    bounds = np.concatenate(([0], np.cumsum(lengths, dtype=np.intp)))
+    return np.array([inside[a:b].sum(axis=0) for a, b in zip(bounds, bounds[1:])],
+                    dtype=np.intp).reshape(len(lengths), len(radii))
+
+
 # ---------------------------------------------------------------------------
 # Cell-by-cell evaluation
 
@@ -164,6 +178,45 @@ def detection_set(sdc: Sdc, synth: Sequence[SynthColumn], registry: Registry) ->
         if dists[sc.injected_index] > sdc.d_out:
             out.add(sc.id)
     return out
+
+
+def candidate_stats_loop(
+    assessed: Sequence[AssessedSdc],
+    synth: Sequence[SynthColumn],
+    corpus_size: int,
+    registry: Registry,
+) -> list[CandidateStats]:
+    """One ``CandidateStats`` per surviving candidate, in input order,
+    each from its cell-by-cell detection set."""
+    position = {sc.id: j for j, sc in enumerate(synth)}
+    return [
+        CandidateStats(
+            sdc_id=a.sdc.id,
+            detected=frozenset(position[sid] for sid in detection_set(a.sdc, synth, registry)),
+            fpr=a.table.covered_triggered / corpus_size,
+            confidence=a.confidence,
+        )
+        for a in assessed
+    ]
+
+
+def detection_classes(stats: Sequence[CandidateStats]) -> list[CandidateStats]:
+    """Per-survivor stats grouped by (detected, FPR, confidence). Each
+    class keeps its last member's id and counts its members; stats that
+    detect nothing are dropped; classes come in the order of their last
+    members. With ``candidate_stats_loop``, the reference for
+    ``sdc.synth.build_candidate_stats``."""
+    last: dict[tuple, int] = {}
+    count: Counter = Counter()
+    for i, st in enumerate(stats):
+        if st.detected:
+            key = (st.detected, st.fpr, st.confidence)
+            last[key] = i
+            count[key] += 1
+    return [
+        CandidateStats(stats[i].sdc_id, key[0], key[1], key[2], members=count[key])
+        for key, i in sorted(last.items(), key=lambda kv: kv[1])
+    ]
 
 
 def detect_errors_naive(

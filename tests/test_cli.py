@@ -7,6 +7,7 @@ synthetic dataset is generated once per module and shared.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -70,15 +71,15 @@ def test_import_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=fresh_env(), timeout=120).returncode == 0
 
 
-def select_in_fresh_process(demo, pipeline, out, *options):
-    """(scipy.optimize loaded?, stderr, store selection block) of one
+def select_in_fresh_process(demo, pipeline, out, *options, module="scipy.optimize"):
+    """(``module`` loaded?, stderr, store selection block) of one
     ``sdc select`` in a new interpreter."""
-    code = ("import sys; from sdc.cli import main; rc = main(sys.argv[1:]); "
-            "print('scipy.optimize' in sys.modules); sys.exit(rc)")
+    code = ("import sys; from sdc.cli import main; rc = main(sys.argv[2:]); "
+            "print(sys.argv[1] in sys.modules); sys.exit(rc)")
     argv = ["select", "--config", str(demo["config"]),
             "--rules", str(pipeline / "rules.jsonl"), "--registry", str(pipeline / "registry.json"),
             "--out-dir", str(out), *options]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
+    proc = subprocess.run([sys.executable, "-c", code, module, *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     selection = json.loads((out / "store.json").read_text())["selection"]
@@ -95,6 +96,26 @@ def test_select_loads_scipy_only_when_a_budget_binds(demo, pipeline, tmp_path):
     # The cover's objective is the number of coverable columns; one
     # constraint covers fewer.
     assert tight["lp_objective"] < slack["lp_objective"]
+
+
+def test_select_on_the_cover_path_leaves_numpy_ma_unloaded(demo, pipeline, tmp_path):
+    # numpy.ma loads lazily (np.unique pulls it in); selection counts
+    # distinct rows without it.
+    loaded, log, _ = select_in_fresh_process(demo, pipeline, tmp_path, module="numpy.ma")
+    assert "by cover" in log
+    assert not loaded
+
+
+def test_select_reports_detection_classes(demo, pipeline, tmp_path):
+    _, log, _ = select_in_fresh_process(demo, pipeline, tmp_path)
+    surviving = json.loads((pipeline / "gen-stats.json").read_text())["surviving"]
+    selected = len(read_store(str(tmp_path / "store.json"))[0])
+    got = re.search(r"^select: (\d+) constraints -> (\d+) detection classes "
+                    r"\((\d+) detect nothing\) -> (\d+) selected \(LP objective ", log, re.M)
+    assert got, log
+    n, classes, idle, chosen = map(int, got.groups())
+    assert (n, chosen) == (surviving, selected)
+    assert 0 < classes <= surviving - idle
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdc import domain_fns
 from sdc.corpus import Column
 from sdc.datagen import generate_corpus
 from sdc.domain_fns import (
@@ -109,6 +111,15 @@ class TestEmbedding:
         fn = make_embedding_fn(space2d, "  RED ")
         assert fn.centroid == "red"
         assert fn.id == "emb:toy2d:red"
+
+    def test_space_of_lists_matches_the_index(self):
+        space = EmbeddingSpace(2, {"red": [0, 0], "crimson": [0.0, 1.0], "navy": (10, 1)}, id="l")
+        assert all(v.dtype == np.float64 for v in space.vectors.values())
+        fn = make_embedding_fn(space, "red")
+        values = ("red", "crimson", "navy", "red navy", "zzz")
+        got = ValueIndex([Column(id="c", values=values)]).distances(fn)
+        assert got.tobytes() == np.asarray([fn.distance(v) for v in values]).tobytes()
+        assert got[:3].tolist() == [0.0, 1.0, math.sqrt(101.0)]
 
     def test_embed_value_exact_beats_tokenization(self, space2d):
         # single-token lookup must not fall into the split path
@@ -711,6 +722,29 @@ class TestValueIndex:
         assert index.column_max(dists).tolist() == [1.0, 0.5]
         assert covered(0.5, 2 / 3).tolist() == [True, True]
         assert covered(0.0, 0.5).tolist() == [False, False]
+
+    @given(
+        st.lists(st.integers(1, 6), max_size=8).flatmap(lambda lengths: st.tuples(
+            st.just(lengths),
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, math.inf, math.nan]),
+                     min_size=sum(lengths), max_size=sum(lengths)),
+        )),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.25, 2.0, math.inf]), max_size=6),
+        st.sampled_from([1, 4, domain_fns._BLOCK_CELLS]),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(([1], [math.nan]), [0.5, 0.5], 1)
+    @example(([3, 1, 2], [0.5, math.inf, 2.0, 1.0, 1.5, 0.0]), [1.0], 2)
+    def test_inside_counts_match_the_dense_mask(self, cells, radii, block):
+        lengths, dists = cells
+        # Repeated radii are kept: each column of the result is one radius.
+        radii = np.sort(np.asarray(radii, dtype=np.float64))
+        index = ValueIndex([Column(id=f"c{j}", values=("v",) * n) for j, n in enumerate(lengths)])
+        dists = np.asarray(dists, dtype=np.float64)
+        with mock.patch.object(domain_fns, "_BLOCK_CELLS", block):
+            got = index.inside_counts(dists, radii)
+        want = oracles.inside_counts_dense(lengths, dists, radii)
+        assert got.dtype == np.intp and got.tolist() == want.tolist()
 
     def test_empty(self):
         index = ValueIndex([])

@@ -276,6 +276,52 @@ class TestAgainstOracles:
         assert_same_csr(_lp_matrix(prob), oracles.lp_matrix(prob))
 
 
+@st.composite
+def survivor_stats(draw):
+    """Per-survivor stats drawn from a few detection classes: members of
+    a class share their detected set, FPR and confidence, and a class
+    may detect nothing."""
+    synth_ids = ids(draw(st.integers(1, 10)))
+    protos = draw(st.lists(
+        st.tuples(
+            st.frozensets(st.integers(0, len(synth_ids) - 1), max_size=5),
+            st.sampled_from([0.0, 0.01, 0.03]),
+            st.sampled_from([0.9, 0.95, 0.999]),
+        ),
+        min_size=1, max_size=5,
+    ))
+    picks = draw(st.lists(st.integers(0, len(protos) - 1), max_size=14))
+    stats = [CandidateStats(f"c{i:02d}", *protos[k]) for i, k in enumerate(picks)]
+    cfg = SelectionConfig(
+        b_size=draw(st.integers(0, 6)),
+        b_fpr=draw(st.sampled_from([0.0, 0.02, 0.05, 0.1])),
+        delta=draw(st.sampled_from([1e-3, 0.05, 1.0])),
+        strategy=draw(st.sampled_from(["fine", "coarse"])),
+        seed=draw(st.integers(0, 3)),
+        enforce_budgets=draw(st.booleans()),
+    )
+    return stats, synth_ids, cfg
+
+
+class TestDetectionClasses:
+    @given(survivor_stats())
+    @settings(max_examples=200, deadline=None)
+    def test_selection_over_classes_matches_selection_over_survivors(self, inputs):
+        stats, synth_ids, cfg = inputs
+        got = run_selection(oracles.detection_classes(stats), cfg, synth_ids)
+        want = run_selection(stats, cfg, synth_ids)
+        # Members of a class are interchangeable, so the LP optimum is
+        # the same (up to HiGHS's tolerance when HiGHS solves both).
+        assert got.lp_objective == pytest.approx(want.lp_objective, abs=1e-6)
+        assert got.solution.method == want.solution.method
+        if got.solution.method == "cover":
+            # The greedy cover ties to the larger index, which is each
+            # class's representative.
+            assert got.selected_ids == want.selected_ids
+            assert got.rounded_objective == want.rounded_objective
+            assert got.sum_fpr == want.sum_fpr
+
+
 class TestLpRelaxation:
     def test_empty_problem(self):
         sol = solve_lp_relaxation(build_ilp([], coarse(), []))

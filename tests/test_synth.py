@@ -1,11 +1,13 @@
-"""Synthetic error columns and per-candidate selection stats."""
+"""Synthetic error columns and detection-class selection stats."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdc.assess import AssessedSdc
 from sdc.candidates import make_sdc as new_sdc
 from sdc.corpus import Column, Corpus, normalize_raw
-from sdc.domain_fns import Registry, make_score_table_fn
+from sdc.domain_fns import EmbeddingSpace, Registry, make_embedding_fn, make_score_table_fn
 from sdc.errors import DataFormatError
 from sdc.infer import compile_ruleset, detect_corpus
 from sdc.synth import (
@@ -17,7 +19,13 @@ from sdc.synth import (
 )
 
 from conftest import table
-from oracles import build_contingency, detection_set, recall_of
+from oracles import (
+    build_contingency,
+    candidate_stats_loop,
+    detection_classes,
+    detection_set,
+    recall_of,
+)
 
 
 def make_sdc(fn_id, d_in, d_out, m, conf=0.95):
@@ -204,10 +212,68 @@ class TestBuildCandidateStats:
         sc = SynthColumn("syn-000000", "c0", "far", 99, values)
         sdc = make_sdc("score:t", 0.1, 0.9, 0.07)
         stats = build_candidate_stats([assessed(sdc)], [sc], 1, reg)
-        detected = bool(stats[0].detected)
+        # A candidate that detects nothing yields no class.
+        assert stats == detection_classes(candidate_stats_loop([assessed(sdc)], [sc], 1, reg))
+        detected = bool(detection_set(sdc, [sc], reg))
         flagged = bool(detect_corpus(compile_ruleset([sdc]), [sc.column()], reg))
         covered = build_contingency(sdc, [sc.column()], reg).coverage == 1
-        assert detected == flagged == covered
+        assert bool(stats) == detected == flagged == covered
+
+
+CLASS_GRID = st.tuples(
+    st.sampled_from(["emb:toy2d:red", "emb:toy2d:blue", "score:reds"]),
+    st.sampled_from([0.1, 0.3, 1.0, 1.5]),
+    st.sampled_from([0.0, 0.5, 2.0, 9.0]),
+    st.sampled_from([0.5, 0.8, 1.0]),
+    st.sampled_from([0.9, 0.95]),
+    st.sampled_from([0, 2]),
+)
+
+
+class TestDetectionClasses:
+    def test_interchangeable_candidates_share_a_class(self, word_corpus, registry2d):
+        synth = build_synthetic_corpus(word_corpus, n=40, seed=5)
+        cands = [
+            assessed(make_sdc("emb:toy2d:red", 1.5, 2.0, 0.8, 0.93)),
+            # Same hits, FPR and confidence: a wider outer ball still
+            # flags every injected blue word.
+            assessed(make_sdc("emb:toy2d:red", 1.5, 3.0, 0.8, 0.93)),
+            # Same hits at another confidence: a class of its own.
+            assessed(make_sdc("emb:toy2d:red", 1.5, 4.0, 0.8, 0.94)),
+            # Flags nothing: no injected value is that far.
+            assessed(make_sdc("emb:toy2d:red", 1.5, 99.0, 0.8, 0.93)),
+        ]
+        stats = build_candidate_stats(cands, synth, len(word_corpus), registry2d)
+        assert [(s.sdc_id, s.members) for s in stats] == [
+            (cands[1].sdc.id, 2), (cands[2].sdc.id, 1)
+        ]
+        assert stats[0].detected == stats[1].detected != frozenset()
+        assert stats == detection_classes(
+            candidate_stats_loop(cands, synth, len(word_corpus), registry2d)
+        )
+
+    @given(st.lists(CLASS_GRID, max_size=12), st.integers(0, 50), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_classes_of_the_per_survivor_stats(self, grid, seed, n):
+        # The conftest space, corpus and registry, built per example.
+        space = EmbeddingSpace(2, {"red": [0, 0], "crimson": [0, 1], "scarlet": [1, 0],
+                                   "blue": [10, 0], "navy": [10, 1], "azure": [11, 0]},
+                               id="toy2d")
+        reds, blues = ("red", "crimson", "scarlet"), ("blue", "navy", "azure")
+        word_corpus = Corpus([Column(id=f"c{i}", values=(blues if i % 2 else reds) * 4)
+                              for i in range(6)])
+        reg = Registry()
+        reg.add_space(space)
+        reg.add(make_embedding_fn(space, "red"))
+        reg.add(make_embedding_fn(space, "blue"))
+        reg.add(make_score_table_fn("reds", {"red": 1.0, "crimson": 0.9, "scarlet": 0.8}))
+        synth = build_synthetic_corpus(word_corpus, n=n, seed=seed)
+        cands = [
+            assessed(make_sdc(fn_id, d_in, d_in + extra, m, conf), table(ct, 30, 20, 20))
+            for fn_id, d_in, extra, m, conf, ct in grid
+        ]
+        got = build_candidate_stats(cands, synth, len(word_corpus), reg)
+        assert got == detection_classes(candidate_stats_loop(cands, synth, len(word_corpus), reg))
 
 
 class TestRecallOf:
