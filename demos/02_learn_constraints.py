@@ -57,7 +57,7 @@ print(f"registry: {len(registry)} functions -> {n_cands} candidate constraints")
 # Assess every candidate. The coverage gate alone kills most of them:
 # at confidence threshold 0.9 a candidate needs this many covered
 # columns before its Wilson lower bound can possibly reach 0.9, so
-# anything rarer is pruned without touching the corpus again.
+# anything rarer fails before any statistic is computed.
 
 print(f"minimum coverage for confidence 0.9: {min_coverage_for(0.9)} columns")
 
@@ -70,7 +70,7 @@ kept = assess_all(
     gate_counts=gate_counts,
 )
 print(f"assessed in {time.perf_counter() - t0:.1f}s; gate funnel:")
-for key in ("total", "pruned_skips", "failed_coverage", "passed_coverage",
+for key in ("total", "failed_coverage", "passed_coverage",
             "passed_effect", "passed_significance", "passed_confidence"):
     print(f"  {key:22s} {gate_counts.get(key, 0)}")
 print(f"surviving constraints: {len(kept)}")

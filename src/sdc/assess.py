@@ -7,16 +7,13 @@ post-condition is evaluated on every column, covered or not). A
 candidate is kept only when all of the following hold:
 
 - its coverage admits a confidence upper bound of at least ``c_thres``
-  (an analytic minimum-coverage cutoff, which also powers pruning);
+  (an analytic minimum-coverage cutoff);
 - it triggers proportionally less often on covered columns than on
   uncovered ones (rho < rho-bar) with a Cohen's h effect size of at
   least ``h_min``;
 - the standard chi-squared independence test is significant at
   ``p_max``;
 - the Wilson lower-bound confidence reaches ``c_thres``.
-
-Pruning only skips work; the accepted set is identical with pruning on
-or off.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import numpy as np
 
 from .candidates import Sdc
 from .corpus import Corpus, read_lines
-from .domain_fns import DomainEvalFn, Registry, ValueIndex
+from .domain_fns import DomainEvalFn, Registry, ValueIndex, distinct_rows
 from .errors import DataFormatError
 
 
@@ -245,80 +242,64 @@ _GATE_KEYS = (
 )
 
 
+def _later_gates(
+    table: ContingencyTable, cfg: AssessConfig
+) -> tuple[int, Optional[tuple[float, float, float]]]:
+    """How many of the effect, significance and confidence gates a table
+    that passed coverage passes in turn, and its (h, p, confidence) when
+    it passes all three."""
+    if table.not_coverage == 0 or not table.rho < table.rho_bar:
+        return 0, None
+    h = cohens_h(table)
+    if h < cfg.h_min:
+        return 0, None
+    p = chi_squared_p(table)
+    if p > cfg.p_max:
+        return 1, None
+    conf = wilson_lower_confidence(table, cfg.z)
+    if conf < cfg.c_thres:
+        return 2, None
+    return 3, (h, p, conf)
+
+
 def _assess_fn_group(
     fn: DomainEvalFn,
     group: list[Sdc],
     index: ValueIndex,
     cfg: AssessConfig,
-    prune: bool,
 ) -> tuple[list[AssessedSdc], dict[str, int]]:
+    """Screen one function's candidates from one mask per distinct
+    pre-condition (d_in, m) and one trigger mask per distinct d_out; the
+    later gates run once per distinct contingency table."""
     dists = index.distances(fn)
-    covered = index.precondition(dists, (c.d_in for c in group))
-    max_dist = index.column_max(dists)
-    min_cov = min_coverage_for(cfg.c_thres, cfg.z)
-    n_cols = len(index)
-    counts = {k: 0 for k in _GATE_KEYS}
-    counts["total"] = len(group)
-
-    trig_cache: dict[float, np.ndarray] = {}
-
-    def triggered_mask(d_out: float) -> np.ndarray:
-        got = trig_cache.get(d_out)
-        if got is None:
-            got = max_dist > d_out
-            trig_cache[d_out] = got
-        return got
-
-    # Group by (d_out, m); within a group, coverage shrinks with d_in,
-    # so once it dips below the analytic minimum every smaller d_in can
-    # be skipped outright.
-    by_out_m: dict[tuple[float, float], list[Sdc]] = {}
-    for cand in group:
-        by_out_m.setdefault((cand.d_out, cand.m), []).append(cand)
-
-    kept: list[AssessedSdc] = []
-    for (d_out, m), cands in sorted(by_out_m.items()):
-        cands = sorted(cands, key=lambda c: -c.d_in)
-        trig = triggered_mask(d_out)
-        n_trig = int(np.count_nonzero(trig))
-        for pos, cand in enumerate(cands):
-            counts["evaluated"] += 1
-            cov_mask = covered(cand.d_in, m)
-            coverage = int(np.count_nonzero(cov_mask))
-            if coverage < max(1, min_cov):
-                # Candidates with smaller d_in cover subsets of these
-                # columns, so they fail this gate too.
-                rest = len(cands) - pos - 1
-                counts["failed_coverage"] += 1 + (rest if prune else 0)
-                if prune:
-                    counts["pruned_skips"] += rest
-                    break
-                continue
-            counts["passed_coverage"] += 1
-            ct = int(np.count_nonzero(cov_mask & trig))
-            table = ContingencyTable(
-                covered_triggered=ct,
-                covered_not_triggered=coverage - ct,
-                notcovered_triggered=n_trig - ct,
-                notcovered_not_triggered=n_cols - coverage - (n_trig - ct),
-            )
-            if table.not_coverage == 0:
-                continue
-            if not table.rho < table.rho_bar:
-                continue
-            h = cohens_h(table)
-            if h < cfg.h_min:
-                continue
-            counts["passed_effect"] += 1
-            p = chi_squared_p(table)
-            if p > cfg.p_max:
-                continue
-            counts["passed_significance"] += 1
-            conf = wilson_lower_confidence(table, cfg.z)
-            if conf < cfg.c_thres:
-                continue
-            counts["passed_confidence"] += 1
-            kept.append(AssessedSdc(sdc=cand.with_confidence(conf), table=table, h=h, p=p))
+    pre, pre_of = index.preconditions(dists, ((c.d_in, c.m) for c in group))
+    d_outs, post_of = distinct_rows(c.d_out for c in group)
+    post = index.column_max(dists) > np.asarray(d_outs)[:, None]
+    coverage = np.count_nonzero(pre, axis=1)[pre_of]
+    passed = np.flatnonzero(coverage >= max(1, min_coverage_for(cfg.c_thres, cfg.z)))
+    pre_of, post_of, coverage = pre_of[passed], post_of[passed], coverage[passed]
+    ct = np.count_nonzero(pre[pre_of] & post[post_of], axis=1)
+    nt = np.count_nonzero(post, axis=1)[post_of] - ct
+    rows = np.stack([ct, coverage - ct, nt, len(index) - coverage - nt], axis=1)
+    distinct, table_of = distinct_rows(map(tuple, rows.tolist()))
+    tables = [ContingencyTable(*row) for row in distinct]
+    verdicts = [_later_gates(t, cfg) for t in tables]
+    levels = np.asarray([v[0] for v in verdicts], dtype=np.intp)[table_of]
+    counts = {
+        "total": len(group),
+        "evaluated": len(group),
+        "pruned_skips": 0,
+        "failed_coverage": len(group) - len(passed),
+        "passed_coverage": len(passed),
+        "passed_effect": int(np.count_nonzero(levels >= 1)),
+        "passed_significance": int(np.count_nonzero(levels >= 2)),
+        "passed_confidence": int(np.count_nonzero(levels == 3)),
+    }
+    kept = []
+    for r in np.flatnonzero(levels == 3).tolist():
+        h, p, conf = verdicts[table_of[r]][1]
+        sdc = group[passed[r]].with_confidence(conf)
+        kept.append(AssessedSdc(sdc=sdc, table=tables[table_of[r]], h=h, p=p))
     return kept, counts
 
 
@@ -328,14 +309,14 @@ def assess_all(
     registry: Registry,
     cfg: Optional[AssessConfig] = None,
     *,
-    prune: bool = True,
     gate_counts: Optional[dict] = None,
 ) -> list[AssessedSdc]:
     """Assess every candidate against the corpus and keep the survivors,
     sorted by candidate id.
 
     ``gate_counts``, when given, is filled with how many candidates
-    passed each successive gate.
+    passed each successive gate (every candidate is evaluated, so
+    ``evaluated`` equals ``total`` and ``pruned_skips`` is 0).
     """
     cfg = cfg or AssessConfig()
     index = ValueIndex(corpus)
@@ -346,7 +327,7 @@ def assess_all(
     results: list[AssessedSdc] = []
     merged = {k: 0 for k in _GATE_KEYS}
     for fn_id in sorted(by_fn):
-        kept, counts = _assess_fn_group(registry.get(fn_id), by_fn[fn_id], index, cfg, prune)
+        kept, counts = _assess_fn_group(registry.get(fn_id), by_fn[fn_id], index, cfg)
         results.extend(kept)
         for k in _GATE_KEYS:
             merged[k] += counts[k]

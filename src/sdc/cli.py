@@ -36,7 +36,7 @@ from .domain_fns import (
 )
 from .errors import DataFormatError, SdcError
 from .infer import compile_ruleset, detect_corpus, save_report
-from .select import SelectionConfig, read_store, run_selection, write_store
+from .select import SelectionConfig, json_flag, read_store, run_selection, write_store
 from .synth import build_candidate_stats, build_synthetic_corpus
 
 
@@ -74,17 +74,19 @@ class PipelineConfig:
         try:
             embeddings = [dict(e, path=absolute(e["path"])) for e in paths.get("embeddings", [])]
             score_tables = [dict(s, path=absolute(s["path"])) for s in paths.get("score_tables", [])]
+            functions = data.get("functions", {})
+            json_flag(functions, "validators", True)  # read by build_registry
             return cls(
                 corpus_path=absolute(paths["corpus"]),
                 embeddings=embeddings,
                 score_tables=score_tables,
-                functions=data.get("functions", {}),
+                functions=functions,
                 grid=GridSpec.from_json(data.get("grid", {})),
                 assess=AssessConfig.from_json(data.get("assess", {})) if data.get("assess") else AssessConfig(),
                 selection=SelectionConfig.from_json(data.get("selection", {})),
                 out_dir=absolute(data.get("out_dir", "out")),
                 seed=int(data.get("seed", 0)),
-                skip_numeric=bool(data.get("skip_numeric_columns", True)),
+                skip_numeric=json_flag(data, "skip_numeric_columns", True),
                 raw=data,
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -704,6 +704,14 @@ def _fn_from_manifest(entry: dict, reg: Registry, base_dir: str = "") -> DomainE
 # Value index (shared by screening, selection stats, inference and baselines)
 
 
+def distinct_rows(keys: Iterable) -> tuple[list, np.ndarray]:
+    """The distinct ``keys`` in first-seen order, and each key's
+    position among them."""
+    rows: dict = {}
+    row_of = [rows.setdefault(k, len(rows)) for k in keys]
+    return list(rows), np.asarray(row_of, dtype=np.intp)
+
+
 class ValueIndex:
     """The normalized values of a sequence of columns, interned once.
 
@@ -801,22 +809,22 @@ class ValueIndex:
             lo = hi
         return out
 
-    def precondition(
-        self, dists: np.ndarray, d_ins: Iterable[float]
-    ) -> Callable[[float, float], np.ndarray]:
-        """The pre-condition on every column, for constraints over
-        ``dists`` whose inner radii are among ``d_ins``. Returns
-        ``covered(d_in, m)``: the per-column mask "at least a fraction
-        ``m`` of the values lie within ``d_in`` (non-strict)". Each
-        distinct radius is counted once, whatever ``m`` is asked."""
-        radii = sorted(set(d_ins))
+    def preconditions(
+        self, dists: np.ndarray, pairs: Iterable[tuple[float, float]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The pre-conditions over ``dists`` of constraints with the
+        given (d_in, m) ``pairs`` on every column. Returns a (distinct
+        pairs x columns) mask, true where at least a fraction ``m`` of
+        the column's values lie within ``d_in`` (non-strict), and each
+        pair's row in it. Each distinct radius is counted once."""
+        distinct, row_of = distinct_rows(pairs)
+        radii = sorted({d_in for d_in, _ in distinct})
         counts = self.inside_counts(dists, np.asarray(radii, dtype=np.float64))
         column_of = {d: k for k, d in enumerate(radii)}
-
-        def covered(d_in: float, m: float) -> np.ndarray:
-            return counts[:, column_of[d_in]] >= m * self.lengths
-
-        return covered
+        masks = np.empty((len(distinct), len(self)), dtype=bool)
+        for r, (d_in, m) in enumerate(distinct):
+            np.greater_equal(counts[:, column_of[d_in]], m * self.lengths, out=masks[r])
+        return masks, row_of
 
     def column_max(self, dists: np.ndarray) -> np.ndarray:
         """Each column's largest distance (which alone decides whether

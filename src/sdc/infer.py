@@ -126,9 +126,9 @@ def _detect(
         fn = registry.get(fn_id)
         fn_desc = fn.describe()
         dists = index.distances(fn)
-        covered = index.precondition(dists, (d_in for d_in, _, _ in groups))
-        for d_in, m, members in groups:
-            cells_covered = np.repeat(covered(d_in, m), index.lengths)
+        masks, row_of = index.preconditions(dists, ((d_in, m) for d_in, m, _ in groups))
+        for (_, _, members), covered in zip(groups, masks[row_of]):
+            cells_covered = np.repeat(covered, index.lengths)
             for i in members:
                 sdc = ruleset.sdcs[i]
                 conf = sdc.confidence if sdc.confidence is not None else 0.0

@@ -49,6 +49,15 @@ from .errors import DataFormatError, SdcError
 from .synth import CandidateStats
 
 
+def json_flag(data: dict, key: str, default: bool) -> bool:
+    """``data[key]`` when it is a JSON ``true``/``false``, ``default``
+    when it is absent; any other value is a ``ValueError``."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     b_size: int = 500
@@ -86,7 +95,7 @@ class SelectionConfig:
             delta=float(data.get("delta", 1e-3)),
             strategy=str(data.get("strategy", "fine")),
             seed=int(data.get("seed", 0)),
-            enforce_budgets=bool(data.get("enforce_budgets", False)),
+            enforce_budgets=json_flag(data, "enforce_budgets", False),
         )
 
 

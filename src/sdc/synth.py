@@ -26,7 +26,7 @@ import numpy as np
 
 from .assess import AssessedSdc
 from .corpus import Column, Corpus, draw_donor_value
-from .domain_fns import Registry, ValueIndex
+from .domain_fns import Registry, ValueIndex, distinct_rows
 from .errors import DataFormatError
 
 
@@ -131,15 +131,11 @@ def build_candidate_stats(
     for fn_id, idxs in sorted(by_fn.items()):
         sdcs = [assessed[i].sdc for i in idxs]
         dists = index.distances(registry.get(fn_id))
-        covered = index.precondition(dists, (s.d_in for s in sdcs))
         # One mask per distinct pre-condition (d_in, m) and one per
         # distinct d_out; each candidate's hits are a row of each, and-ed.
-        pre: dict[tuple[float, float], int] = {}
-        post: dict[float, int] = {}
-        pre_of = [pre.setdefault((s.d_in, s.m), len(pre)) for s in sdcs]
-        post_of = [post.setdefault(s.d_out, len(post)) for s in sdcs]
-        pre_masks = np.array([covered(d_in, m) for d_in, m in pre]).reshape(len(pre), len(synth))
-        post_masks = dists[injected_cells] > np.array(list(post))[:, None]
+        pre_masks, pre_of = index.preconditions(dists, ((s.d_in, s.m) for s in sdcs))
+        d_outs, post_of = distinct_rows(s.d_out for s in sdcs)
+        post_masks = dists[injected_cells] > np.asarray(d_outs)[:, None]
         hit = pre_masks[pre_of] & post_masks[post_of]
         packed = np.packbits(hit, axis=1)
         for r in np.flatnonzero(hit.any(axis=1)).tolist():

@@ -58,20 +58,16 @@ def table(a: int, b: int, c: int, d: int) -> ContingencyTable:
 
 @pytest.fixture
 def precondition_counts(monkeypatch) -> Counter:
-    """``counts["preconditions"]`` grows by the number of columns each
-    time a ``covered(d_in, m)`` from ``ValueIndex.precondition``
-    evaluates a pre-condition, for the rest of the test."""
+    """``counts["preconditions"]`` grows by (mask rows x columns) each
+    time ``ValueIndex.preconditions`` evaluates pre-conditions, for the
+    rest of the test: one per distinct (d_in, m) per column."""
     counts: Counter = Counter()
-    original = ValueIndex.precondition
+    original = ValueIndex.preconditions
 
-    def spy(self, dists, d_ins):
-        covered = original(self, dists, d_ins)
+    def spy(self, dists, pairs):
+        masks, row_of = original(self, dists, pairs)
+        counts["preconditions"] += masks.shape[0] * len(self)
+        return masks, row_of
 
-        def counted(d_in, m):
-            counts["preconditions"] += len(self)
-            return covered(d_in, m)
-
-        return counted
-
-    monkeypatch.setattr(ValueIndex, "precondition", spy)
+    monkeypatch.setattr(ValueIndex, "preconditions", spy)
     return counts

@@ -10,8 +10,9 @@ rather than in ``sdc`` because only tests call it:
 - the pre-condition counts as a dense (cells x radii) mask summed per
   column;
 - cell-by-cell checks of the pre- and post-condition, the contingency
-  table, a candidate's synthetic detections, detection itself and the
-  z-score baseline's report. They call ``fn.distance`` once per cell
+  table, screening one candidate at a time through it, a candidate's
+  synthetic detections, detection itself and the z-score baseline's
+  report. They call ``fn.distance`` once per cell
   and never touch ``ValueIndex``, so they do not share the kernel they
   check;
 - selection stats one survivor at a time, and their grouping into
@@ -42,7 +43,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from sdc.assess import AssessedSdc, ContingencyTable
+from sdc.assess import (
+    AssessConfig,
+    AssessedSdc,
+    ContingencyTable,
+    chi_squared_p,
+    cohens_h,
+    min_coverage_for,
+    wilson_lower_confidence,
+)
 from sdc.candidates import Sdc
 from sdc.corpus import Column, Corpus
 from sdc.domain_fns import _DATE_FORMATS, DomainEvalFn, Registry
@@ -143,16 +152,20 @@ def eval_postcondition(sdc: Sdc, column: Column, registry: Registry) -> set[tupl
     return {(int(i), column.values[int(i)]) for i in idx}
 
 
-def build_contingency(sdc: Sdc, corpus: Corpus, registry: Registry) -> ContingencyTable:
+def build_contingency(
+    sdc: Sdc, corpus: Corpus, registry: Registry, dists: Optional[Sequence[list[float]]] = None
+) -> ContingencyTable:
     """Classify every corpus column by (covered, triggered). Triggering
-    is evaluated on all columns, covered or not. The reference for
-    ``sdc.assess.assess_all``."""
-    fn = registry.get(sdc.fn_id)
+    is evaluated on all columns, covered or not. ``dists``, when given,
+    holds each column's ``column_distances`` as a list, so that a caller
+    screening many candidates of one function computes them once."""
+    if dists is None:
+        fn = registry.get(sdc.fn_id)
+        dists = [column_distances(fn, col).tolist() for col in corpus]
     ct = ctbar = nt = ntbar = 0
-    for col in corpus:
-        dists = column_distances(fn, col)
-        covered = int(np.count_nonzero(dists <= sdc.d_in)) >= sdc.m * len(col)
-        triggered = bool(np.any(dists > sdc.d_out))
+    for col, col_dists in zip(corpus, dists):
+        covered = sum(d <= sdc.d_in for d in col_dists) >= sdc.m * len(col)
+        triggered = any(d > sdc.d_out for d in col_dists)
         if covered and triggered:
             ct += 1
         elif covered:
@@ -162,6 +175,54 @@ def build_contingency(sdc: Sdc, corpus: Corpus, registry: Registry) -> Contingen
         else:
             ntbar += 1
     return ContingencyTable(ct, ctbar, nt, ntbar)
+
+
+def assess_loop(
+    candidates: Iterable[Sdc],
+    corpus: Corpus,
+    registry: Registry,
+    cfg: Optional[AssessConfig] = None,
+) -> tuple[list[AssessedSdc], dict[str, int]]:
+    """Screen candidate by candidate: one ``build_contingency`` table
+    each, then the coverage, effect, significance and confidence gates
+    in turn. Returns the survivors sorted by id and how many candidates
+    passed each gate. The reference for ``sdc.assess.assess_all`` and
+    its ``gate_counts``."""
+    cfg = cfg or AssessConfig()
+    min_cov = max(1, min_coverage_for(cfg.c_thres, cfg.z))
+    counts = dict.fromkeys(("total", "evaluated", "pruned_skips", "failed_coverage",
+                            "passed_coverage", "passed_effect", "passed_significance",
+                            "passed_confidence"), 0)
+    dists_of: dict[str, list[list[float]]] = {}
+    kept = []
+    for cand in candidates:
+        counts["total"] += 1
+        counts["evaluated"] += 1
+        if cand.fn_id not in dists_of:
+            fn = registry.get(cand.fn_id)
+            dists_of[cand.fn_id] = [column_distances(fn, col).tolist() for col in corpus]
+        table = build_contingency(cand, corpus, registry, dists_of[cand.fn_id])
+        if table.coverage < min_cov:
+            counts["failed_coverage"] += 1
+            continue
+        counts["passed_coverage"] += 1
+        if table.not_coverage == 0 or not table.rho < table.rho_bar:
+            continue
+        h = cohens_h(table)
+        if h < cfg.h_min:
+            continue
+        counts["passed_effect"] += 1
+        p = chi_squared_p(table)
+        if p > cfg.p_max:
+            continue
+        counts["passed_significance"] += 1
+        conf = wilson_lower_confidence(table, cfg.z)
+        if conf < cfg.c_thres:
+            continue
+        counts["passed_confidence"] += 1
+        kept.append(AssessedSdc(sdc=cand.with_confidence(conf), table=table, h=h, p=p))
+    kept.sort(key=lambda a: a.sdc.id)
+    return kept, counts
 
 
 def detection_set(sdc: Sdc, synth: Sequence[SynthColumn], registry: Registry) -> set[str]:

@@ -2,7 +2,7 @@
 
 Each test states its tolerance inline and prints a one-line PASS
 summary (visible with ``pytest -s``). These are the checks the rest of
-the suite hangs off: statistical gates, pruning soundness, LP bounds,
+the suite hangs off: statistical gates, the coverage cutoff, LP bounds,
 rounding guarantees, robustness to noise functions, inference
 equivalence, and the desk-scale benchmark.
 """
@@ -70,6 +70,7 @@ from sdc.select import (
 from sdc.synth import build_candidate_stats, build_synthetic_corpus
 
 from oracles import (
+    assess_loop,
     brute_force_ilp,
     build_css_ilp,
     detect_errors_naive,
@@ -139,7 +140,8 @@ def test_criterion_02_confidence_bound_matches_reference():
 
 
 # ---------------------------------------------------------------------------
-# 3. Coverage pruning: threshold value, monotone bound, identical output
+# 3. Coverage pruning: threshold value, monotone bound, and the array
+#    screen equal to screening candidate by candidate
 
 
 def test_criterion_03_pruning_is_sound(tmp_path):
@@ -173,18 +175,19 @@ def test_criterion_03_pruning_is_sound(tmp_path):
         reg.add(make_random_hash_fn(i))
         reg.add(make_random_hash_fn(500 + i))
         cands = list(islice(enumerate_candidates(reg.functions(), GridSpec()), 500))
-        kept_pruned = assess_all(cands, corpus, reg, prune=True)
-        kept_full = assess_all(cands, corpus, reg, prune=False)
-        assert kept_pruned == kept_full
-        p_path = tmp_path / f"pruned-{i}.jsonl"
-        f_path = tmp_path / f"full-{i}.jsonl"
-        save_assessed(kept_pruned, str(p_path), meta={"case": i})
-        save_assessed(kept_full, str(f_path), meta={"case": i})
-        assert read_bytes(p_path) == read_bytes(f_path)
-        survivors += len(kept_pruned)
+        gate_counts = {}
+        kept = assess_all(cands, corpus, reg, gate_counts=gate_counts)
+        kept_loop, loop_counts = assess_loop(cands, corpus, reg)
+        assert gate_counts == loop_counts
+        a_path = tmp_path / f"array-{i}.jsonl"
+        l_path = tmp_path / f"loop-{i}.jsonl"
+        save_assessed(kept, str(a_path), meta={"case": i})
+        save_assessed(kept_loop, str(l_path), meta={"case": i})
+        assert read_bytes(a_path) == read_bytes(l_path)
+        survivors += len(kept)
     print(f"PASS criterion 3: min coverage 25, bound monotone on [0, 1e6], "
-          f"pruned output byte-identical on 50 corpora ({survivors} survivors)",
-          flush=True)
+          f"array screen byte-identical to the per-candidate loop on 50 corpora "
+          f"({survivors} survivors)", flush=True)
 
 
 # ---------------------------------------------------------------------------

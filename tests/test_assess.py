@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdc.assess import (
@@ -26,7 +26,7 @@ from sdc.domain_fns import Registry, make_random_hash_fn, make_score_table_fn
 from sdc.errors import DataFormatError
 
 from conftest import table
-from oracles import build_contingency, eval_postcondition, eval_precondition
+from oracles import assess_loop, build_contingency, eval_postcondition, eval_precondition
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,10 @@ class TestPrePost:
 # full assessment
 
 
+# Score-table distances 0, 0.1, 0.5 and 0.9; anything else is at 1.
+SCREEN_VOCAB = ["a", "b", "c", "d", "zz", "tok-1"]
+
+
 def hash_corpus(n_cols: int, seed: int, min_len: int = 5, max_len: int = 40) -> Corpus:
     """Columns of arbitrary distinct tokens; hash functions see uniform
     distances, score functions see their table hits."""
@@ -333,17 +337,50 @@ class TestAssessAll:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_pruned_equals_unpruned(self, seed):
+        # The array screen evaluates every candidate (nothing is pruned) and
+        # must keep exactly what the per-candidate loop keeps, gate by gate.
         corpus = hash_corpus(random.Random(seed).randint(30, 120), seed=seed)
         reg = small_registry(seed)
         cands = list(enumerate_candidates(reg.functions(), GridSpec()))
-        counts_p, counts_u = {}, {}
-        pruned = assess_all(cands, corpus, reg, prune=True, gate_counts=counts_p)
-        unpruned = assess_all(cands, corpus, reg, prune=False, gate_counts=counts_u)
-        assert [a.to_record() for a in pruned] == [a.to_record() for a in unpruned]
-        assert counts_u["pruned_skips"] == 0
-        # pruning only skips doomed work, never changes gate outcomes
-        assert counts_p["failed_coverage"] == counts_u["failed_coverage"]
-        assert counts_p["passed_confidence"] == counts_u["passed_confidence"]
+        gate_counts = {}
+        kept = assess_all(cands, corpus, reg, gate_counts=gate_counts)
+        want, want_counts = assess_loop(cands, corpus, reg)
+        assert [a.to_record() for a in kept] == [a.to_record() for a in want]
+        assert gate_counts == want_counts
+        assert gate_counts["pruned_skips"] == 0
+        assert gate_counts["evaluated"] == gate_counts["total"] == len(cands)
+
+    @given(
+        st.lists(st.lists(st.sampled_from(SCREEN_VOCAB), min_size=1, max_size=6),
+                 min_size=1, max_size=40),
+        st.lists(st.tuples(st.sampled_from(["score:s", "hash:3", "hash:4"]),
+                           st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+                           st.sampled_from([0.0, 0.05, 0.5]),
+                           st.sampled_from([0.1, 0.5, 0.8, 1.0])),
+                 min_size=1, max_size=40),
+        # Minimum coverage 0, 1, 3 and 25.
+        st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+        st.sampled_from([0.01, 0.8]),
+        st.sampled_from([0.05, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    # Every value within d_in = 1 of the table: no column is uncovered.
+    @example([["a"], ["zz", "b"], ["c"]], [("score:s", 1.0, 0.0, 0.5)], 0.0, 0.01, 1.0)
+    def test_array_screen_matches_the_loop(self, columns, specs, c_thres, h_min, p_max):
+        corpus = Corpus([Column(id=f"c{j}", values=tuple(v)) for j, v in enumerate(columns)])
+        reg = Registry()
+        reg.add(make_score_table_fn("s", {"a": 1.0, "b": 0.9, "c": 0.5, "d": 0.1}))
+        reg.add(make_random_hash_fn(3))
+        reg.add(make_random_hash_fn(4))
+        cands = [make_sdc(fn_id, d_in, d_in + off, m) for fn_id, d_in, off, m in specs]
+        cfg = AssessConfig(h_min=h_min, p_max=p_max, c_thres=c_thres)
+        gate_counts = {}
+        kept = assess_all(cands, corpus, reg, cfg, gate_counts=gate_counts)
+        want, want_counts = assess_loop(cands, corpus, reg, cfg)
+        assert [a.to_record() for a in kept] == [a.to_record() for a in want]
+        assert gate_counts == want_counts
+        assert gate_counts["evaluated"] == gate_counts["total"] == len(cands)
+        assert gate_counts["pruned_skips"] == 0
 
     def test_output_sorted_by_id(self):
         corpus = hash_corpus(60, seed=4)

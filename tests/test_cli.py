@@ -106,6 +106,18 @@ def test_select_on_the_cover_path_leaves_numpy_ma_unloaded(demo, pipeline, tmp_p
     assert not loaded
 
 
+def test_gen_leaves_numpy_ma_unloaded(demo, tmp_path):
+    # Screening finds its distinct radii without np.unique, which loads
+    # numpy.ma on first use and adds about 2 MB to the command's peak RSS.
+    code = ("import sys; from sdc.cli import main; rc = main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules); sys.exit(rc)")
+    argv = ["gen", "--config", str(demo["config"]), "--out-dir", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+
+
 def test_select_reports_detection_classes(demo, pipeline, tmp_path):
     _, log, _ = select_in_fresh_process(demo, pipeline, tmp_path)
     surviving = json.loads((pipeline / "gen-stats.json").read_text())["surviving"]
@@ -433,6 +445,16 @@ MALFORMED_INPUTS = {
         GEN_CONFIG),
     "config-m-values-not-a-list": (
         "cfg.json", {"paths": {"corpus": "c.jsonl"}, "grid": {"m_values": 0.5}}, GEN_CONFIG),
+    # Config flags take only JSON true/false. The corpus exists, so
+    # only the flag can fail the run.
+    "config-enforce-budgets-not-a-boolean": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "selection": {"enforce_budgets": "false"}},
+        GEN_CONFIG_OUT),
+    "config-skip-numeric-columns-not-a-boolean": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "skip_numeric_columns": 0}, GEN_CONFIG_OUT),
+    "config-validators-not-a-boolean": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "functions": {"validators": "no"}},
+        GEN_CONFIG_OUT),
     "config-selection-delta-out-of-range": (
         "cfg.json", {"paths": {"corpus": "c.jsonl"}, "selection": {"delta": 5}},
         ["select", "--config", "{file}", "--out-dir", "{tmp}"]),

@@ -711,17 +711,19 @@ class TestValueIndex:
         index = ValueIndex([Column(id="c0", values=("a", "b", "z")),
                             Column(id="c1", values=("b", "b"))])
         dists = index.distances(fn)  # 0, 0.5, 1 | 0.5, 0.5
-        covered = index.precondition(dists, [0.5, 0.0, 0.5])
         # Inside-counts per column at d_in = 0.0 and 0.5: c0 has 1 and
         # 2 of 3, c1 has 0 and 2 of 2. A count k of n holds at m = k/n
         # and fails just above it.
         for d_in, counts in ((0.0, [1, 0]), (0.5, [2, 2])):
             for j, (k, n) in enumerate(zip(counts, index.lengths.tolist())):
-                assert covered(d_in, k / n)[j]
-                assert not covered(d_in, k / n + 1e-9)[j]
+                masks, row_of = index.preconditions(dists, [(d_in, k / n), (d_in, k / n + 1e-9)])
+                assert masks[row_of[0], j] and not masks[row_of[1], j]
         assert index.column_max(dists).tolist() == [1.0, 0.5]
-        assert covered(0.5, 2 / 3).tolist() == [True, True]
-        assert covered(0.0, 0.5).tolist() == [False, False]
+        # A repeated pair shares its row; rows come in first-seen order.
+        masks, row_of = index.preconditions(
+            dists, [(0.5, 2 / 3), (0.0, 0.5), (0.5, 2 / 3), (0.5, 1.0)])
+        assert row_of.dtype == np.intp and row_of.tolist() == [0, 1, 0, 2]
+        assert masks.tolist() == [[True, True], [False, False], [False, True]]
 
     @given(
         st.lists(st.integers(1, 6), max_size=8).flatmap(lambda lengths: st.tuples(
@@ -750,7 +752,10 @@ class TestValueIndex:
         index = ValueIndex([])
         dists = index.distances(make_random_hash_fn(1))
         assert dists.shape == (0,)
-        assert index.precondition(dists, [0.5])(0.5, 0.5).shape == (0,)
+        masks, row_of = index.preconditions(dists, [(0.5, 0.5), (0.5, 0.5)])
+        assert masks.shape == (1, 0) and row_of.tolist() == [0, 0]
+        masks, row_of = index.preconditions(dists, [])
+        assert masks.shape == (0, 0) and row_of.shape == (0,)
         assert index.column_max(dists).shape == (0,)
         space = index_space()
         rows, mat = index._space_matrix(space)

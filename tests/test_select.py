@@ -88,6 +88,13 @@ class TestSelectionConfig:
     def test_from_json_defaults(self):
         assert SelectionConfig.from_json({}) == SelectionConfig()
 
+    def test_enforce_budgets_takes_only_json_booleans(self):
+        for flag in (True, False):
+            assert SelectionConfig.from_json({"enforce_budgets": flag}).enforce_budgets is flag
+        for value in ("false", "true", 0, 1, None):
+            with pytest.raises(ValueError, match="enforce_budgets must be true or false"):
+                SelectionConfig.from_json({"enforce_budgets": value})
+
 
 class TestProblemConstruction:
     def test_css_cover_sets(self):
