@@ -121,28 +121,12 @@ class AssessedSdc:
         return self.sdc.confidence
 
     def to_record(self) -> dict:
-        return {
-            "id": self.sdc.id,
-            "fn_id": self.sdc.fn_id,
-            "d_in": self.sdc.d_in,
-            "d_out": self.sdc.d_out,
-            "m": self.sdc.m,
-            "confidence": self.confidence,
-            "table": list(self.table.as_tuple()),
-            "h": self.h,
-            "p": self.p,
-        }
+        return {**self.sdc.to_record(), "table": list(self.table.as_tuple()),
+                "h": self.h, "p": self.p}
 
     @classmethod
     def from_record(cls, rec: dict) -> "AssessedSdc":
-        sdc = Sdc(
-            id=rec["id"],
-            fn_id=rec["fn_id"],
-            d_in=float(rec["d_in"]),
-            d_out=float(rec["d_out"]),
-            m=float(rec["m"]),
-            confidence=float(rec["confidence"]),
-        )
+        sdc = Sdc.from_record(rec)
         a, b, c, d = rec["table"]
         return cls(
             sdc=sdc,

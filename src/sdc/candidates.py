@@ -44,6 +44,22 @@ class Sdc:
     def with_confidence(self, confidence: float) -> "Sdc":
         return replace(self, confidence=confidence)
 
+    def to_record(self) -> dict:
+        """The JSON form that ``rules.jsonl`` and ``store.json`` share."""
+        return {"id": self.id, "fn_id": self.fn_id, "d_in": self.d_in, "d_out": self.d_out,
+                "m": self.m, "confidence": self.confidence}
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "Sdc":
+        """An assessed constraint from ``to_record``'s form; a missing or
+        malformed field raises ``KeyError``, ``TypeError`` or
+        ``ValueError``."""
+        if not isinstance(rec["id"], str) or not isinstance(rec["fn_id"], str):
+            raise TypeError("id and fn_id must be strings")
+        return cls(id=rec["id"], fn_id=rec["fn_id"], d_in=float(rec["d_in"]),
+                   d_out=float(rec["d_out"]), m=float(rec["m"]),
+                   confidence=float(rec["confidence"]))
+
 
 def candidate_id(fn_id: str, d_in: float, d_out: float, m: float) -> str:
     """Content hash of the four parameters; stable across runs."""
@@ -162,6 +178,8 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GridSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a grid must be a JSON object, not {data!r}")
         kwargs = {}
         for name in (
             "m_values",

@@ -36,7 +36,7 @@ from .domain_fns import (
 )
 from .errors import DataFormatError, SdcError
 from .infer import compile_ruleset, detect_corpus, save_report
-from .select import SelectionConfig, json_flag, read_store, run_selection, write_store
+from .select import SelectionConfig, json_flag, json_int, read_store, run_selection, write_store
 from .synth import build_candidate_stats, build_synthetic_corpus
 
 
@@ -63,7 +63,16 @@ class PipelineConfig:
                 data = json.load(fh)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"cannot read config {path}: {exc}") from exc
-        paths = data.get("paths", {})
+        if not isinstance(data, dict):
+            raise DataFormatError(f"{path}: config must be a JSON object")
+
+        def section(key: str) -> dict:
+            value = data.get(key, {})
+            if not isinstance(value, dict):
+                raise DataFormatError(f"{path}: config {key} must be a JSON object, not {value!r}")
+            return value
+
+        paths = section("paths")
         if "corpus" not in paths:
             raise DataFormatError(f"{path}: config needs paths.corpus")
         base = os.path.dirname(os.path.abspath(path))
@@ -74,7 +83,7 @@ class PipelineConfig:
         try:
             embeddings = [dict(e, path=absolute(e["path"])) for e in paths.get("embeddings", [])]
             score_tables = [dict(s, path=absolute(s["path"])) for s in paths.get("score_tables", [])]
-            functions = data.get("functions", {})
+            functions = section("functions")
             json_flag(functions, "validators", True)  # read by build_registry
             return cls(
                 corpus_path=absolute(paths["corpus"]),
@@ -82,10 +91,10 @@ class PipelineConfig:
                 score_tables=score_tables,
                 functions=functions,
                 grid=GridSpec.from_json(data.get("grid", {})),
-                assess=AssessConfig.from_json(data.get("assess", {})) if data.get("assess") else AssessConfig(),
-                selection=SelectionConfig.from_json(data.get("selection", {})),
+                assess=AssessConfig.from_json(section("assess")),
+                selection=SelectionConfig.from_json(section("selection")),
                 out_dir=absolute(data.get("out_dir", "out")),
-                seed=int(data.get("seed", 0)),
+                seed=json_int(data, "seed", 0),
                 skip_numeric=json_flag(data, "skip_numeric_columns", True),
                 raw=data,
             )

@@ -3,8 +3,11 @@
 Constraints sharing a pre-condition (same function, inner radius and
 matching fraction) are grouped so each pre-condition is evaluated once
 per column; members of a holding group then flag values beyond their
-own outer radii. Flags are unioned across constraints and every
-flagged cell reports the highest confidence among its flaggers. The
+own outer radii. Each flag is one entry: (cell, constraint index,
+distance), one per flagger of a cell. Every flagged cell reports its
+highest-confidence flagger, ties to the larger constraint id; one sort
+of the entries by (cell, flagger rank) finds the winners, and only
+they are turned into ``Detection`` records with explanations. The
 grouped evaluation returns exactly what a naive per-constraint loop
 would; that loop is the reference ``detect_errors_naive`` in the test
 suite's ``tests/oracles.py``.
@@ -83,32 +86,6 @@ def _explanation(sdc: Sdc, fn_desc: str, value: str, dist: float) -> str:
     )
 
 
-def _finalize(
-    column: Column,
-    flaggers: dict[int, list[tuple[float, str, float, str]]],
-    min_confidence: float,
-) -> list[Detection]:
-    out: list[Detection] = []
-    for idx, hits in flaggers.items():
-        # Highest confidence wins; ties break on constraint id so the
-        # report is deterministic.
-        conf, sdc_id, dist, expl = max(hits, key=lambda h: (h[0], h[1]))
-        if conf < min_confidence:
-            continue
-        out.append(
-            Detection(
-                column_id=column.id,
-                value_index=idx,
-                value=column.values[idx],
-                confidence=conf,
-                sdc_id=sdc_id,
-                explanation=expl,
-            )
-        )
-    out.sort(key=lambda d: (-d.confidence, d.value_index))
-    return out
-
-
 def _detect(
     ruleset: CompiledRuleset,
     index: ValueIndex,
@@ -118,32 +95,50 @@ def _detect(
     """Grouped detection over every column of ``index`` at once: each
     function is evaluated once, each pre-condition group once per
     column."""
+    sdcs = ruleset.sdcs
     groups_by_fn: dict[str, list[tuple[float, float, list[int]]]] = {}
     for (fn_id, d_in, m), members in ruleset.precondition_groups.items():
         groups_by_fn.setdefault(fn_id, []).append((d_in, m, members))
-    flaggers: list[dict[int, list[tuple[float, str, float, str]]]] = [{} for _ in index]
+    cells: list[np.ndarray] = []
+    flaggers: list[np.ndarray] = []
+    dists_of_cells: list[np.ndarray] = []
+    descs: dict[str, str] = {}
     for fn_id, groups in groups_by_fn.items():
         fn = registry.get(fn_id)
-        fn_desc = fn.describe()
+        descs[fn_id] = fn.describe()
         dists = index.distances(fn)
         masks, row_of = index.preconditions(dists, ((d_in, m) for d_in, m, _ in groups))
         for (_, _, members), covered in zip(groups, masks[row_of]):
             cells_covered = np.repeat(covered, index.lengths)
             for i in members:
-                sdc = ruleset.sdcs[i]
-                conf = sdc.confidence if sdc.confidence is not None else 0.0
-                cells = np.nonzero(cells_covered & (dists > sdc.d_out))[0]
-                cols = np.searchsorted(index.offsets, cells, side="right") - 1
-                for cell, j in zip(cells.tolist(), cols.tolist()):
-                    idx = cell - int(index.offsets[j])
-                    value = index.columns[j].values[idx]
-                    dist = float(dists[cell])
-                    flaggers[j].setdefault(idx, []).append(
-                        (conf, sdc.id, dist, _explanation(sdc, fn_desc, value, dist))
-                    )
+                hit = np.flatnonzero(cells_covered & (dists > sdcs[i].d_out))
+                cells.append(hit)
+                flaggers.append(np.full(hit.size, i, dtype=np.intp))
+                dists_of_cells.append(dists[hit])
+    if not cells:
+        return []
+    cell, who, dist = np.concatenate(cells), np.concatenate(flaggers), np.concatenate(dists_of_cells)
+    # The highest confidence wins, ties to the larger id, then to the
+    # earlier constraint: a rank over the constraints orders each cell's
+    # flaggers, and the last one is the winner.
+    conf = [s.confidence if s.confidence is not None else 0.0 for s in sdcs]
+    rank = np.empty(len(sdcs), dtype=np.intp)
+    rank[sorted(range(len(sdcs)), key=lambda i: (conf[i], sdcs[i].id, -i))] = np.arange(len(sdcs))
+    order = np.lexsort((rank[who], cell))
+    cell, who, dist = cell[order], who[order], dist[order]
+    win = (np.diff(cell, append=-1) != 0) & (np.asarray(conf, dtype=np.float64)[who] >= min_confidence)
+    col = np.searchsorted(index.offsets, cell[win], side="right") - 1
+    # Winners come in cell order; a stable sort puts each column's in
+    # descending confidence, ties in cell order.
+    winners = sorted(zip(col.tolist(), cell[win].tolist(), who[win].tolist(), dist[win].tolist()),
+                     key=lambda w: (w[0], -conf[w[2]]))
     out: list[Detection] = []
-    for column, flagged in zip(index, flaggers):
-        out.extend(_finalize(column, flagged, min_confidence))
+    for j, c, i, d in winners:
+        column, sdc = index.columns[j], sdcs[i]
+        idx = c - int(index.offsets[j])
+        value = column.values[idx]
+        out.append(Detection(column.id, idx, value, conf[i], sdc.id,
+                             _explanation(sdc, descs[sdc.fn_id], value, d)))
     return out
 
 

@@ -30,6 +30,12 @@ detection, sorted by (column, class). Each class's ``detected`` set
 holds its column positions; one pass over those sets builds the
 arrays, and the LP's constraint matrix, the coverage count and budget
 enforcement all read them.
+
+Rounding and budget enforcement work on class indices: both yield a
+bool mask over the classes, and ids are read off it only for the
+outcome's ``selected_ids``. ``sum_fpr`` is the exactly rounded sum
+(``math.fsum``) of the chosen FPRs, so it does not depend on any
+iteration order.
 """
 
 from __future__ import annotations
@@ -55,6 +61,16 @@ def json_flag(data: dict, key: str, default: bool) -> bool:
     value = data.get(key, default)
     if not isinstance(value, bool):
         raise ValueError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
+def json_int(data: dict, key: str, default: int) -> int:
+    """``data[key]`` when it is a JSON integer, ``default`` when it is
+    absent; any other value (``true``, ``2.7``, ``"3"``) is a
+    ``ValueError``."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
     return value
 
 
@@ -90,11 +106,11 @@ class SelectionConfig:
     @classmethod
     def from_json(cls, data: dict) -> "SelectionConfig":
         return cls(
-            b_size=int(data.get("b_size", 500)),
+            b_size=json_int(data, "b_size", 500),
             b_fpr=float(data.get("b_fpr", 0.1)),
             delta=float(data.get("delta", 1e-3)),
             strategy=str(data.get("strategy", "fine")),
-            seed=int(data.get("seed", 0)),
+            seed=json_int(data, "seed", 0),
             enforce_budgets=json_flag(data, "enforce_budgets", False),
         )
 
@@ -270,25 +286,19 @@ def _solve_highs(problem: IlpProblem) -> LpSolution:
     return LpSolution(x=x, objective=float(-res.fun))
 
 
-def randomized_round(solution: LpSolution, problem: IlpProblem, seed: int) -> set[str]:
-    """One independent Bernoulli draw per candidate with success
-    probability x_i; fully determined by (solution, seed). No repair
-    pass: budget guarantees hold in expectation."""
+def randomized_round(solution: LpSolution, seed: int) -> np.ndarray:
+    """A mask over the candidates: one independent Bernoulli draw per
+    candidate, in index order, with success probability x_i; fully
+    determined by (solution, seed). No repair pass: budget guarantees
+    hold in expectation."""
     rng = random.Random(seed)
-    picked: set[str] = set()
-    for i, cid in enumerate(problem.candidate_ids):
-        if rng.random() < solution.x[i]:
-            picked.add(cid)
-    return picked
+    return np.array([rng.random() for _ in range(len(solution.x))]) < solution.x
 
 
-def coverage_objective(problem: IlpProblem, selected_ids: set[str]) -> int:
-    """Number of synthetic columns covered by the selected candidates."""
-    idx = {cid: i for i, cid in enumerate(problem.candidate_ids)}
-    chosen = np.zeros(len(problem.candidate_ids), dtype=bool)
-    chosen[np.array([idx[c] for c in selected_ids if c in idx], dtype=np.intp)] = True
-    rows, members = problem.cover_rows, problem.cover_members
-    return int(np.count_nonzero(np.bincount(rows[chosen[members]])))
+def coverage_objective(problem: IlpProblem, chosen: np.ndarray) -> int:
+    """Number of synthetic columns covered by the candidates ``chosen``
+    masks."""
+    return int(np.count_nonzero(np.bincount(problem.cover_rows[chosen[problem.cover_members]])))
 
 
 @dataclass
@@ -301,36 +311,31 @@ class SelectionOutcome:
     rounded_objective: int
 
 
-def _enforce_budgets(problem: IlpProblem, selected: set[str]) -> set[str]:
-    """Drop lowest-marginal-gain members until both budgets hold. This
-    is an extension beyond the expectation guarantees of the rounding
-    scheme, off by default."""
-    idx = {cid: i for i, cid in enumerate(problem.candidate_ids)}
-    current = set(selected)
+def _enforce_budgets(problem: IlpProblem, chosen: np.ndarray) -> np.ndarray:
+    """Drop lowest-marginal-gain members of the ``chosen`` mask until
+    both budgets hold; ties drop the larger FPR, then the smaller id.
+    This is an extension beyond the expectation guarantees of the
+    rounding scheme, off by default."""
     n = len(problem.candidate_ids)
-    picked = np.zeros(n, dtype=bool)
-    picked[np.array([idx[c] for c in current], dtype=np.intp)] = True
-    rows, members = problem.cover_rows, problem.cover_members
-    live = picked[members]
-    rows, members = rows[live], members[live]
+    fprs = np.asarray(problem.fprs, dtype=np.float64)
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=problem.candidate_ids.__getitem__)] = np.arange(n)
+    chosen = chosen.copy()
+    live = chosen[problem.cover_members]
+    rows, members = problem.cover_rows[live], problem.cover_members[live]
     # Selected members covering each synthetic column.
     count = np.bincount(rows, minlength=len(problem.synth_ids))
-
-    def over() -> bool:
-        # Summed afresh in set order: a running total drifts in the last
-        # bit and can flip the comparison with the budget.
-        fpr = sum(problem.fprs[idx[c]] for c in current)
-        return len(current) > problem.b_size or fpr > problem.b_fpr + 1e-12
-
-    while current and over():
+    while (picks := np.flatnonzero(chosen)).size and (
+        picks.size > problem.b_size or math.fsum(fprs[picks]) > problem.b_fpr + 1e-12
+    ):
         # Marginal gain: columns only this member covers.
-        gains = np.bincount(members[count[rows] == 1], minlength=n).tolist()
-        drop = min(current, key=lambda cid: (gains[idx[cid]], -problem.fprs[idx[cid]], cid))
-        current.remove(drop)
-        gone = members == idx[drop]
+        gains = np.bincount(members[count[rows] == 1], minlength=n)
+        drop = picks[np.lexsort((id_rank[picks], -fprs[picks], gains[picks]))[0]]
+        chosen[drop] = False
+        gone = members == drop
         count -= np.bincount(rows[gone], minlength=len(count))
         rows, members = rows[~gone], members[~gone]
-    return current
+    return chosen
 
 
 def run_selection(
@@ -341,18 +346,17 @@ def run_selection(
     """Build the configured problem, solve the relaxation, round."""
     problem = build_ilp(stats, cfg, synth_ids)
     solution = solve_lp_relaxation(problem)
-    selected = randomized_round(solution, problem, cfg.seed)
+    chosen = randomized_round(solution, cfg.seed)
     if cfg.enforce_budgets:
-        selected = _enforce_budgets(problem, selected)
-    idx = {cid: i for i, cid in enumerate(problem.candidate_ids)}
-    sum_fpr = sum(problem.fprs[idx[c]] for c in selected)
+        chosen = _enforce_budgets(problem, chosen)
+    picks = np.flatnonzero(chosen).tolist()
     return SelectionOutcome(
-        selected_ids=sorted(selected),
+        selected_ids=sorted(problem.candidate_ids[i] for i in picks),
         lp_objective=solution.objective,
-        sum_fpr=sum_fpr,
+        sum_fpr=math.fsum(problem.fprs[i] for i in picks),
         problem=problem,
         solution=solution,
-        rounded_objective=coverage_objective(problem, selected),
+        rounded_objective=coverage_objective(problem, chosen),
     )
 
 
@@ -380,17 +384,7 @@ def write_store(
         "config_hash": config_hash,
         "selection": selection or {},
         "registry": registry.to_manifest(fn_ids),
-        "sdcs": [
-            {
-                "id": s.id,
-                "fn_id": s.fn_id,
-                "d_in": s.d_in,
-                "d_out": s.d_out,
-                "m": s.m,
-                "confidence": s.confidence,
-            }
-            for s in sorted(sdcs, key=lambda s: s.id)
-        ],
+        "sdcs": [s.to_record() for s in sorted(sdcs, key=lambda s: s.id)],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(store, fh, indent=1, sort_keys=True)
@@ -406,19 +400,8 @@ def read_store(path: str, base_dir: str = "") -> tuple[list[Sdc], Registry]:
     if not isinstance(store, dict) or store.get("kind") != "sdc-store":
         raise DataFormatError(f"{path} is not a constraint store")
     registry = Registry.from_manifest(store.get("registry", {}), base_dir)
-    sdcs = []
-    for rec in store.get("sdcs", []):
-        try:
-            sdcs.append(
-                Sdc(
-                    id=rec["id"],
-                    fn_id=rec["fn_id"],
-                    d_in=float(rec["d_in"]),
-                    d_out=float(rec["d_out"]),
-                    m=float(rec["m"]),
-                    confidence=float(rec["confidence"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}: bad constraint record ({exc})") from exc
+    try:
+        sdcs = [Sdc.from_record(rec) for rec in store.get("sdcs", [])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad constraint record ({exc})") from exc
     return sdcs, registry

@@ -35,6 +35,7 @@ exactly what the reference returns.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from datetime import datetime
@@ -514,7 +515,8 @@ def enforce_budgets(problem: IlpProblem, selected: set[str]) -> set[str]:
     current = set(selected)
 
     def over() -> bool:
-        fpr = sum(problem.fprs[idx[c]] for c in current)
+        # Exactly rounded, so the comparison does not depend on set order.
+        fpr = math.fsum(problem.fprs[idx[c]] for c in current)
         return len(current) > problem.b_size or fpr > problem.b_fpr + 1e-12
 
     while current and over():

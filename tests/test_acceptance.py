@@ -231,12 +231,12 @@ def test_criterion_04_lp_bound_and_rounding_guarantees():
     objs = np.empty(n_seeds)
     sizes = np.empty(n_seeds)
     fprs = np.empty(n_seeds)
-    fpr_of = dict(zip(problem.candidate_ids, problem.fprs))
+    fpr_of = np.asarray(problem.fprs, dtype=np.float64)
     for s in range(n_seeds):
-        picked = randomized_round(lp, problem, seed=s)
+        picked = randomized_round(lp, seed=s)
         objs[s] = coverage_objective(problem, picked)
-        sizes[s] = len(picked)
-        fprs[s] = sum(fpr_of[c] for c in picked)
+        sizes[s] = np.count_nonzero(picked)
+        fprs[s] = math.fsum(fpr_of[picked])
 
     def sem(a):
         return a.std(ddof=1) / math.sqrt(len(a))

@@ -435,6 +435,7 @@ MALFORMED_INPUTS = {
         "truth.json", '{"id": "c0"}\n', INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
     "grid-invalid-json": ("grid.json", "{not json", GEN_GRID),
     "grid-empty-m-values": ("grid.json", '{"m_values": []}', GEN_GRID),
+    "grid-not-an-object": ("grid.json", "[]", GEN_GRID),
     "config-unknown-assess-key": (
         "cfg.json", {"paths": {"corpus": "c.jsonl"}, "assess": {"zz": 1}}, GEN_CONFIG),
     "config-unknown-strategy": (
@@ -458,6 +459,26 @@ MALFORMED_INPUTS = {
     "config-selection-delta-out-of-range": (
         "cfg.json", {"paths": {"corpus": "c.jsonl"}, "selection": {"delta": 5}},
         ["select", "--config", "{file}", "--out-dir", "{tmp}"]),
+    # A config and each of its sections must be JSON objects, and integer
+    # settings JSON integers. The corpus exists, so only the malformed
+    # part can fail the run.
+    "config-top-level-array": ("cfg.json", [{"paths": {"corpus": "{corpus}"}}], GEN_CONFIG_OUT),
+    **{
+        f"config-{key}-not-an-object": (
+            "cfg.json", {"paths": {"corpus": "{corpus}"}, key: ["x"]}, GEN_CONFIG_OUT)
+        for key in ("functions", "selection", "assess")
+    },
+    "config-paths-not-an-object": ("cfg.json", {"paths": ["corpus"]}, GEN_CONFIG_OUT),
+    "config-grid-empty-array": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "grid": []}, GEN_CONFIG_OUT),
+    "config-b-size-boolean": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "selection": {"b_size": True}},
+        GEN_CONFIG_OUT),
+    "config-b-size-fraction": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "selection": {"b_size": 2.7}},
+        GEN_CONFIG_OUT),
+    "config-seed-fraction": ("cfg.json", {"paths": {"corpus": "{corpus}"}, "seed": 2.5},
+                             GEN_CONFIG_OUT),
     "config-embedding-file-missing": (
         "cfg.json",
         {"paths": {"corpus": "{corpus}", "embeddings": [{"space_id": "toy", "path": "nope.txt"}]}},
@@ -471,6 +492,13 @@ MALFORMED_INPUTS = {
         "store.json",
         {"kind": "sdc-store", "registry": {"functions": [EMBEDDING_WITHOUT_SPACE_ID]},
          "sdcs": []},
+        ["infer", "--rules", "{file}", "--corpus", "{corpus}", "--out", "{tmp}/report.jsonl"]),
+    # Constraint ids are compared when detection ranks flaggers.
+    "store-id-not-a-string": (
+        "store.json",
+        {"kind": "sdc-store", "registry": {"functions": []},
+         "sdcs": [{"id": ["x"], "fn_id": "f", "d_in": 0.1, "d_out": 0.5, "m": 1.0,
+                   "confidence": 0.9}]},
         ["infer", "--rules", "{file}", "--corpus", "{corpus}", "--out", "{tmp}/report.jsonl"]),
     "registry-embedding-without-space-id": (
         "registry.json", {"functions": [EMBEDDING_WITHOUT_SPACE_ID]},

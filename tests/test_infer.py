@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdc.candidates import make_sdc
@@ -181,7 +181,50 @@ def random_case(seed):
     return sdcs, col
 
 
+@st.composite
+def corpus_case(draw):
+    """A ruleset drawn from ``sdc_pool`` with repeats (duplicate
+    constraints, possibly at different confidences), confidences that
+    tie or are None, an empty ruleset now and then; several columns,
+    one-value ones among them; and a ``min_confidence`` that
+    can fall between two flaggers of one cell."""
+    pool = sdc_pool()
+    sdcs = [
+        pool[k] if conf is None else pool[k].with_confidence(conf)
+        for k, conf in draw(st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.sampled_from([None, 0.8, 0.9, 0.95])),
+            max_size=8,
+        ))
+    ]
+    columns = [
+        Column(id=f"c{j}", values=tuple(values))
+        for j, values in enumerate(draw(st.lists(
+            st.lists(st.sampled_from(TOKENS), min_size=1, max_size=8), min_size=1, max_size=5,
+        )))
+    ]
+    return sdcs, columns, draw(st.sampled_from([0.0, 0.85, 0.9, 0.92, 1.0]))
+
+
+RED_AT_TWO = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.5)
+RED_AT_THREE = make_sdc("emb:toy2d:red", 1.5, 3.0, 0.5)
+
+
 class TestCompiledMatchesNaive:
+    @given(corpus_case())
+    @example(([], [Column("c0", ("red", "blue"))], 0.0))
+    @example(([RED_AT_TWO.with_confidence(0.8), RED_AT_THREE.with_confidence(0.95)],
+              [Column("c0", ("red", "blue")), Column("c1", ("zzz",)), Column("c2", ("red", "zzz"))],
+              0.9))
+    @example(([RED_AT_TWO, RED_AT_TWO, RED_AT_THREE.with_confidence(0.9)],
+              [Column("c0", ("red", "crimson", "navy")), Column("c1", ("navy",))], 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_corpus_matches_naive_column_by_column(self, case):
+        sdcs, columns, min_conf = case
+        reg = build_registry()
+        got = detect_corpus(compile_ruleset(sdcs), columns, reg, min_conf)
+        want = [d for col in columns for d in detect_errors_naive(sdcs, col, reg, min_conf)]
+        assert got == want
+
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=200, deadline=None)
     def test_reports_identical(self, seed):

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from sdc.domain_fns import Registry, make_pattern_fn, make_score_table_fn
 from sdc.errors import DataFormatError
 from sdc.select import (
     IlpProblem,
+    LpSolution,
     SelectionConfig,
     _enforce_budgets,
     _lp_matrix,
@@ -36,6 +41,15 @@ def stat(sdc_id, detected, fpr=0.0, conf=0.95):
 
 def ids(n):
     return [f"s{j}" for j in range(n)]
+
+
+def no_picks(n):
+    return np.zeros(n, dtype=bool)
+
+
+def ids_off(problem, chosen):
+    """The ids of the candidates a selection mask picks."""
+    return {problem.candidate_ids[i] for i in np.flatnonzero(chosen)}
 
 
 def coarse(**kwargs):
@@ -198,8 +212,8 @@ def selection_inputs(draw):
         delta=delta,
         strategy=draw(st.sampled_from(["fine", "coarse"])),
     )
-    selected = {st_.sdc_id for st_ in stats if draw(st.booleans())}
-    return stats, synth_ids, cfg, selected
+    chosen = np.array([draw(st.booleans()) for _ in stats], dtype=bool)
+    return stats, synth_ids, cfg, chosen
 
 
 def oracle_problem(stats, cfg, synth_ids):
@@ -233,10 +247,10 @@ class TestAgainstOracles:
         assert_same_problem(build_ilp(stats, cfg, synth_ids), oracle_problem(stats, cfg, synth_ids))
 
     @given(selection_inputs())
-    @example(([], ids(2), SelectionConfig(), set()))
-    @example(([], ids(2), coarse(), set()))
-    @example(([stat("a", set()), stat("b", {1}, conf=0.5)], ids(3), SelectionConfig(), set()))
-    @example(([stat("a", set()), stat("b", {1}, conf=-0.5)], ids(3), coarse(), set()))
+    @example(([], ids(2), SelectionConfig(), no_picks(0)))
+    @example(([], ids(2), coarse(), no_picks(0)))
+    @example(([stat("a", set()), stat("b", {1}, conf=0.5)], ids(3), SelectionConfig(), no_picks(2)))
+    @example(([stat("a", set()), stat("b", {1}, conf=-0.5)], ids(3), coarse(), no_picks(2)))
     @settings(max_examples=300, deadline=None)
     def test_cover_sets_match_loop_versions(self, inputs):
         stats, synth_ids, cfg, _ = inputs
@@ -252,12 +266,13 @@ class TestAgainstOracles:
     @given(selection_inputs())
     @settings(max_examples=300, deadline=None)
     def test_selection_helpers_match_loop_versions(self, inputs):
-        stats, synth_ids, cfg, selected = inputs
+        stats, synth_ids, cfg, chosen = inputs
         prob = build_ilp(stats, cfg, synth_ids)
-        assert coverage_objective(prob, selected | {"missing"}) == (
-            oracles.coverage_objective(prob, selected | {"missing"})
-        )
-        assert _enforce_budgets(prob, selected) == oracles.enforce_budgets(prob, selected)
+        selected = ids_off(prob, chosen)
+        assert coverage_objective(prob, chosen) == oracles.coverage_objective(prob, selected)
+        kept = _enforce_budgets(prob, chosen)
+        assert kept.dtype == bool and kept.shape == chosen.shape
+        assert ids_off(prob, kept) == oracles.enforce_budgets(prob, selected)
         assert_same_csr(_lp_matrix(prob), oracles.lp_matrix(prob))
 
     def test_confidence_at_floor_is_kept(self):
@@ -436,7 +451,8 @@ class TestCoverCertificate:
         assert sol.x.tolist() == [0.0, 1.0, 0.0]
         assert sol.objective == 2.0
         # Rounding an integral solution returns the cover itself.
-        assert all(randomized_round(sol, prob, seed) == {"b"} for seed in range(20))
+        assert all(randomized_round(sol, seed).tolist() == [False, True, False]
+                   for seed in range(20))
 
     def test_greedy_takes_the_largest_gain_first(self):
         stats = [stat("a", {0}), stat("b", {0, 1, 2}), stat("c", {3})]
@@ -450,20 +466,27 @@ class TestRounding:
         stats = [stat(f"c{i}", {i}) for i in range(10)]
         prob = build_ilp(stats, coarse(b_size=5), ids(10))
         sol = solve_lp_relaxation(prob)
-        assert randomized_round(sol, prob, seed=1) == randomized_round(sol, prob, seed=1)
+        assert np.array_equal(randomized_round(sol, seed=1), randomized_round(sol, seed=1))
+
+    def test_one_draw_per_candidate_in_index_order(self):
+        sol = LpSolution(x=np.array([0.2, 0.5, 0.0, 0.9, 1.0]), objective=0.0)
+        for seed in range(30):
+            rng = random.Random(seed)
+            want = [rng.random() < x for x in sol.x.tolist()]
+            assert randomized_round(sol, seed).tolist() == want
 
     def test_integral_endpoints(self):
         prob = build_ilp([stat("a", {0}), stat("b", {1})], coarse(), ids(2))
         sol_ones = type(solve_lp_relaxation(prob))(x=np.array([1.0, 0.0]), objective=1.0)
         for seed in range(50):
-            assert randomized_round(sol_ones, prob, seed) == {"a"}
+            assert randomized_round(sol_ones, seed).tolist() == [True, False]
 
     def test_mean_size_tracks_lp_mass(self):
         stats = [stat(f"c{i}", {i}) for i in range(8)]
         prob = build_ilp(stats, coarse(b_size=4), ids(8))
         sol = solve_lp_relaxation(prob)
         mass = float(sol.x.sum())
-        sizes = [len(randomized_round(sol, prob, s)) for s in range(4000)]
+        sizes = [int(randomized_round(sol, s).sum()) for s in range(4000)]
         assert np.mean(sizes) == pytest.approx(mass, abs=0.15)
 
 
@@ -513,10 +536,10 @@ class TestHelpers:
     def test_coverage_objective(self):
         stats = [stat("a", {0, 1}), stat("b", {1, 2})]
         prob = build_ilp(stats, coarse(), ids(3))
-        assert coverage_objective(prob, set()) == 0
-        assert coverage_objective(prob, {"a"}) == 2
-        assert coverage_objective(prob, {"a", "b"}) == 3
-        assert coverage_objective(prob, {"missing"}) == 0
+        assert coverage_objective(prob, np.array([False, False])) == 0
+        assert coverage_objective(prob, np.array([True, False])) == 2
+        assert coverage_objective(prob, np.array([True, True])) == 3
+        assert coverage_objective(prob, np.array([False, True])) == 2
 
     def test_conf_of_column(self):
         stats = [stat("a", {0}, conf=0.91), stat("b", {0}, conf=0.99)]
@@ -533,9 +556,10 @@ class TestRunSelection:
         cfg = SelectionConfig(b_size=6, b_fpr=0.05, seed=3)
         out = run_selection(stats, cfg, synth_ids)
         assert out.selected_ids == sorted(out.selected_ids)
-        assert out.rounded_objective == coverage_objective(out.problem, set(out.selected_ids))
+        chosen = np.isin(out.problem.candidate_ids, out.selected_ids)
+        assert out.rounded_objective == coverage_objective(out.problem, chosen)
         fpr_by_id = {st.sdc_id: st.fpr for st in stats}
-        assert out.sum_fpr == pytest.approx(sum(fpr_by_id[c] for c in out.selected_ids))
+        assert out.sum_fpr == math.fsum(fpr_by_id[c] for c in out.selected_ids)
         again = run_selection(stats, cfg, synth_ids)
         assert again.selected_ids == out.selected_ids
 
@@ -546,6 +570,30 @@ class TestRunSelection:
         rough = run_selection(stats, coarse(seed=2), synth_ids)
         assert fine.problem.cover_sets == rough.problem.cover_sets
         assert fine.selected_ids == rough.selected_ids
+
+    def test_sum_fpr_does_not_depend_on_the_hash_seed(self):
+        # Six classes, each the only detector of its own column: the
+        # cover takes all six, whose FPRs summed in different orders
+        # round differently. Each run is a fresh interpreter, so string
+        # hashing (and with it any set order of ids) differs per seed.
+        fprs = [0.1, 0.2, 0.3, 0.07, 0.013, 0.0011]
+        code = (
+            "from sdc.select import SelectionConfig, run_selection\n"
+            "from sdc.synth import CandidateStats\n"
+            f"fprs = {fprs!r}\n"
+            "stats = [CandidateStats(f'sdc-{i}', frozenset({i}), f, 0.9)"
+            " for i, f in enumerate(fprs)]\n"
+            "out = run_selection(stats, SelectionConfig(b_fpr=10.0), [f's{i}' for i in range(6)])\n"
+            "print(len(out.selected_ids), repr(out.sum_fpr))\n"
+        )
+        path = os.pathsep.join(p for p in sys.path if p)
+        seen = {
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+                           timeout=120).stdout
+            for seed in range(8)
+        }
+        assert seen == {f"6 {math.fsum(fprs)!r}\n"}
 
     def test_enforce_budgets_caps_selection(self):
         stats = [stat(f"c{i}", {i}, fpr=0.04) for i in range(10)]
