@@ -74,7 +74,7 @@ show(scores, ["lax", "XXX", "narnia"])
 
 # ---------------------------------------------------------------------------
 # 5. Random hashes: an adversarial control, not a real family. Each
-# seed hashes a value to a uniform distance in [0, 1]. A sound learner
+# seed hashes a value to a uniform distance in [0, 1). A sound learner
 # must reject every constraint built on one of these; the test suite
 # holds it to that.
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .candidates import Sdc
-from .corpus import Corpus, read_lines
+from .candidates import Candidate, Sdc
+from .corpus import Column, read_lines
 from .domain_fns import DomainEvalFn, Registry, ValueIndex, distinct_rows
 from .errors import DataFormatError
 
@@ -248,7 +249,7 @@ def _later_gates(
 
 def _assess_fn_group(
     fn: DomainEvalFn,
-    group: list[Sdc],
+    group: list[Candidate | Sdc],
     index: ValueIndex,
     cfg: AssessConfig,
 ) -> tuple[list[AssessedSdc], dict[str, int]]:
@@ -282,29 +283,31 @@ def _assess_fn_group(
     kept = []
     for r in np.flatnonzero(levels == 3).tolist():
         h, p, conf = verdicts[table_of[r]][1]
-        sdc = group[passed[r]].with_confidence(conf)
+        c = group[passed[r]]
+        sdc = Sdc(id=c.id, fn_id=c.fn_id, d_in=c.d_in, d_out=c.d_out, m=c.m, confidence=conf)
         kept.append(AssessedSdc(sdc=sdc, table=tables[table_of[r]], h=h, p=p))
     return kept, counts
 
 
 def assess_all(
-    candidates: Iterable[Sdc],
-    corpus: Corpus,
+    candidates: Iterable[Candidate | Sdc],
+    corpus: Iterable[Column],
     registry: Registry,
     cfg: Optional[AssessConfig] = None,
     *,
     gate_counts: Optional[dict] = None,
 ) -> list[AssessedSdc]:
     """Assess every candidate against the corpus and keep the survivors,
-    sorted by candidate id.
+    sorted by candidate id. Only survivors are hashed for their id and
+    made into an ``Sdc``. ``corpus`` may be a prebuilt ``ValueIndex``.
 
     ``gate_counts``, when given, is filled with how many candidates
     passed each successive gate (every candidate is evaluated, so
     ``evaluated`` equals ``total`` and ``pruned_skips`` is 0).
     """
     cfg = cfg or AssessConfig()
-    index = ValueIndex(corpus)
-    by_fn: dict[str, list[Sdc]] = {}
+    index = ValueIndex.of(corpus)
+    by_fn: dict[str, list[Candidate | Sdc]] = {}
     for cand in candidates:
         by_fn.setdefault(cand.fn_id, []).append(cand)
 
@@ -325,14 +328,27 @@ def assess_all(
 # Serialization
 
 
+def _json_number(x: float) -> str:
+    """A number as ``json.dumps`` writes it."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 def save_assessed(assessed: list[AssessedSdc], path: str, meta: Optional[dict] = None) -> None:
     """Write survivors as JSONL, one record per line (optionally with a
-    leading metadata line)."""
+    leading metadata line). Each line is formatted directly, with the
+    bytes ``json.dumps(item.to_record())`` would write."""
+    q, num = encode_basestring_ascii, _json_number
     with open(path, "w", encoding="utf-8") as fh:
         if meta is not None:
             fh.write(json.dumps({"kind": "assessed-meta", **meta}, sort_keys=True) + "\n")
         for item in assessed:
-            fh.write(json.dumps(item.to_record()) + "\n")
+            s = item.sdc
+            a, b, c, d = item.table.as_tuple()
+            fh.write(
+                f'{{"id": {q(s.id)}, "fn_id": {q(s.fn_id)}, "d_in": {num(s.d_in)}, '
+                f'"d_out": {num(s.d_out)}, "m": {num(s.m)}, "confidence": {num(s.confidence)}, '
+                f'"table": [{a}, {b}, {c}, {d}], "h": {num(item.h)}, "p": {num(item.p)}}}\n'
+            )
 
 
 def load_assessed(path: str) -> list[AssessedSdc]:

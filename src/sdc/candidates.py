@@ -7,6 +7,12 @@ pre-condition holds on a column when at least ``m`` of the values lie
 within ``d_in``; its post-condition then flags every value beyond
 ``d_out``. Candidates are enumerated on a fixed grid per function
 family and assessed later against the corpus.
+
+A constraint with ``m = 1`` can never flag a value: with all n values
+within ``d_in``, none lies beyond ``d_out >= d_in``. The default grid
+omits that value, and enumeration skips any ``m >= 1`` a grid lists.
+Enumeration yields light ``Candidate`` tuples whose content-hash id is
+computed only when read, so only the survivors of screening are hashed.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .domain_fns import DomainEvalFn
 from .errors import DataFormatError
@@ -71,8 +77,21 @@ def make_sdc(fn_id: str, d_in: float, d_out: float, m: float) -> Sdc:
     return Sdc(id=candidate_id(fn_id, d_in, d_out, m), fn_id=fn_id, d_in=d_in, d_out=d_out, m=m)
 
 
+class Candidate(NamedTuple):
+    """An enumerated, not yet assessed constraint."""
+
+    fn_id: str
+    d_in: float
+    d_out: float
+    m: float
+
+    @property
+    def id(self) -> str:
+        return candidate_id(self.fn_id, self.d_in, self.d_out, self.m)
+
+
 def _default_m() -> list[float]:
-    return [1.0, 0.95, 0.9, 0.85, 0.8]
+    return [0.95, 0.9, 0.85, 0.8]
 
 
 def _default_emb_d_in() -> list[float]:
@@ -92,11 +111,10 @@ def _default_score_d_out() -> list[float]:
 
 
 def _default_hash_d_in() -> list[float]:
-    # Mirrors the score grid. Hash distances are uniform on [0, 1], so
+    # Mirrors the score grid. Hash distances are uniform on [0, 1), so
     # no column concentrates below 0.5 and coverage stays near zero;
     # pushing d_in toward 1 would instead manufacture coverage for
-    # noise functions (at m = 1, "all values inside d_in" even implies
-    # "none beyond d_out", a real association the gates would accept).
+    # noise functions.
     return [0.1, 0.2, 0.3, 0.4, 0.5]
 
 
@@ -108,7 +126,8 @@ def _default_hash_d_out() -> list[float]:
 class GridSpec:
     """Threshold grids per function family.
 
-    ``m_values`` applies to every family. Embedding radii pair each
+    ``m_values`` applies to every family; values of 1 are accepted and
+    skipped by ``enumerate_candidates``. Embedding radii pair each
     ``d_in`` with ``d_in + offset``; score-table and random-hash grids
     cross absolute ``d_in``/``d_out`` lists keeping only ``d_out >
     d_in``. Binary families (pattern, validator) always emit the single
@@ -203,20 +222,34 @@ class GridSpec:
             raise DataFormatError(f"cannot read grid {path}: {exc!r}") from exc
 
 
+def _live_m(grid: GridSpec) -> list[float]:
+    return [m for m in grid.m_values if m < 1.0]
+
+
 def candidate_count(fns: Sequence[DomainEvalFn], grid: GridSpec) -> int:
-    return sum(len(grid.pairs_for_family(fn.family)) * len(grid.m_values) for fn in fns)
+    """How many candidates ``enumerate_candidates`` yields."""
+    return sum(len(grid.pairs_for_family(fn.family)) for fn in fns) * len(_live_m(grid))
+
+
+def dead_candidate_count(fns: Sequence[DomainEvalFn], grid: GridSpec) -> int:
+    """How many grid points ``enumerate_candidates`` skips because their
+    ``m`` is 1, so that they can never fire."""
+    pairs = sum(len(grid.pairs_for_family(fn.family)) for fn in fns)
+    return pairs * (len(grid.m_values) - len(_live_m(grid)))
 
 
 def enumerate_candidates(
     fns: Iterable[DomainEvalFn], grid: Optional[GridSpec] = None
-) -> Iterator[Sdc]:
+) -> Iterator[Candidate]:
     """Stream the Cartesian product fn x (d_in, d_out) x m, one candidate
-    at a time, in a stable order (function id, then grid order)."""
+    at a time, in a stable order (function id, then grid order), without
+    the ``m >= 1`` candidates."""
     if grid is None:
         grid = GridSpec()
+    m_values = _live_m(grid)
     for fn in sorted(fns, key=lambda f: f.id):
         for d_in, d_out in grid.pairs_for_family(fn.family):
             if not (d_out >= d_in) or math.isnan(d_out):
                 continue
-            for m in grid.m_values:
-                yield make_sdc(fn.id, d_in, d_out, m)
+            for m in m_values:
+                yield Candidate(fn.id, d_in, d_out, m)

@@ -21,7 +21,7 @@ import click
 
 from . import evaluation
 from .assess import AssessConfig, assess_all, load_assessed, save_assessed
-from .candidates import GridSpec, enumerate_candidates
+from .candidates import GridSpec, dead_candidate_count, enumerate_candidates
 from .corpus import Corpus, filter_columns, load_corpus, sample_columns, save_corpus
 from .datagen import generate_corpus, write_dataset
 from .domain_fns import (
@@ -84,7 +84,13 @@ class PipelineConfig:
             embeddings = [dict(e, path=absolute(e["path"])) for e in paths.get("embeddings", [])]
             score_tables = [dict(s, path=absolute(s["path"])) for s in paths.get("score_tables", [])]
             functions = section("functions")
-            json_flag(functions, "validators", True)  # read by build_registry
+            # Settings build_registry reads, checked here so that a
+            # malformed one is a data error.
+            json_flag(functions, "validators", True)
+            for key in ("patterns_top_k", "random_hash_count", "random_hash_seed"):
+                json_int(functions, key, 0)
+            for emb in embeddings:
+                json_int(emb, "centroids", 0)
             return cls(
                 corpus_path=absolute(paths["corpus"]),
                 embeddings=embeddings,
@@ -106,29 +112,30 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def build_registry(cfg: PipelineConfig, corpus: Corpus, seed: int) -> Registry:
+def build_registry(cfg: PipelineConfig, corpus: Corpus | ValueIndex, seed: int) -> Registry:
     """Assemble the domain functions named by the config: built-in
     validators, corpus-inferred patterns, sampled embedding centroids,
-    score tables and (optionally) adversarial random hashes."""
+    score tables and (optionally) adversarial random hashes. A
+    ``ValueIndex`` corpus lends its value shapes to later screening."""
     reg = Registry()
     fns_cfg = cfg.functions
-    if fns_cfg.get("validators", True):
+    if json_flag(fns_cfg, "validators", True):
         reg.add_all(builtin_validators())
-    top_k = int(fns_cfg.get("patterns_top_k", 25))
+    top_k = json_int(fns_cfg, "patterns_top_k", 25)
     if top_k > 0:
         reg.add_all(infer_patterns(corpus, top_k))
     for emb in cfg.embeddings:
         space = load_embedding_space(emb["path"], emb.get("space_id"))
         reg.add_space(space, emb["path"])
-        k = int(emb.get("centroids", 0))
+        k = json_int(emb, "centroids", 0)
         if k > 0:
             for fn in sample_centroids(corpus, space, k, seed):
                 if fn.id not in reg:
                     reg.add(fn)
     for st in cfg.score_tables:
         reg.add(load_score_table(st["path"], st["type_name"], st.get("default_score", 0.0)))
-    n_hash = int(fns_cfg.get("random_hash_count", 0))
-    hash_base = int(fns_cfg.get("random_hash_seed", 0))
+    n_hash = json_int(fns_cfg, "random_hash_count", 0)
+    hash_base = json_int(fns_cfg, "random_hash_seed", 0)
     for i in range(n_hash):
         reg.add(make_random_hash_fn(hash_base + i))
     return reg
@@ -177,7 +184,7 @@ def cmd_gen(config_path: str, seed: Optional[int], grid_path: Optional[str],
         cfg.grid = GridSpec.load(grid_path)
     out = _common_out(cfg, out_dir)
     t0 = time.perf_counter()
-    corpus = _load_training_corpus(cfg)
+    corpus = ValueIndex(_load_training_corpus(cfg))
     registry = build_registry(cfg, corpus, cfg.seed)
     gate_counts: dict = {}
     assessed = assess_all(
@@ -195,6 +202,7 @@ def cmd_gen(config_path: str, seed: Optional[int], grid_path: Optional[str],
         {
             "config_hash": config_hash,
             "columns": len(corpus),
+            "dead_candidates_skipped": dead_candidate_count(registry.functions(), cfg.grid),
             "functions": len(registry),
             "gates": gate_counts,
             "surviving": len(assessed),
@@ -355,11 +363,12 @@ def cmd_bench(config_path: str, heldout: int, rate: float, seed: Optional[int],
         raise DataFormatError(f"heldout {heldout} exceeds corpus size {len(full)}")
     train, held = sample_columns(full, heldout, cfg.seed)
 
-    registry = build_registry(cfg, train, cfg.seed + 1)
+    train_index = ValueIndex(train)
+    registry = build_registry(cfg, train_index, cfg.seed + 1)
     gate_counts: dict = {}
     assessed = assess_all(
         enumerate_candidates(registry.functions(), cfg.grid),
-        train,
+        train_index,
         registry,
         cfg.assess,
         gate_counts=gate_counts,

@@ -8,25 +8,38 @@ families are provided:
 - ``embedding``: Euclidean distance to a centroid in a word-vector space;
 - ``pattern``: 0 iff the value fully matches a token-class pattern, else 1;
 - ``validator``: 0 iff a built-in validator accepts the value, else 1;
-- ``random_hash``: a seeded uniform-[0,1] hash of the value (adversarial
-  control family used in robustness tests).
+- ``random_hash``: a seeded uniform-[0, 1) hash of the value (adversarial
+  control family used in robustness tests). The value's unkeyed 64-bit
+  BLAKE2b digest is XORed with a 64-bit key that SplitMix64 draws from
+  the seed, then mixed by SplitMix64's finalizer (Steele, Lea & Flood,
+  OOPSLA 2014); the distance is the top 53 bits times 2**-53. Earlier
+  versions keyed BLAKE2b with the seed itself, so ``hash:N`` now names a
+  different (equally uniform) function than it did then.
 
 All families are pure: repeated evaluation of the same (function, value)
 pair returns bit-identical results.
 
 ``ValueIndex`` holds each distinct normalized value once and evaluates
-each function once per distinct value:
+each family over its distinct values as arrays, with what a family
+shares computed once and cached on the index:
 
 - ``embedding``: per space, the positions of the distinct values the
   space can embed and one matrix of just their vectors; one row-wise
   norm over it per centroid, and every other value is infinitely far;
-- ``random_hash``: one keyed BLAKE2b state, copied for each value;
-- ``score_table``, ``pattern`` and ``validator``: one ``distance`` call
-  per value. The date validator tries ``strptime`` only on values shaped
-  like three digit fields joined by two separators.
+- ``random_hash``: one digest per value, shared by every seed, and three
+  vectorized mixing steps per seed;
+- ``pattern``: one token-class shape per value (``value_shape``). A
+  value fully matches a canonical pattern, which is every pattern
+  ``infer_patterns`` generates, iff its shape equals the pattern, so each
+  such pattern is one comparison per value; a non-canonical pattern
+  (say ``\\d+\\d+``, or one with a literal letter) keeps its regex;
+- ``score_table`` and ``validator``: one ``distance`` call per value.
+  The date, URL and ISO-timestamp validators first reject, by shape,
+  values their parsers cannot accept.
 
-Every family but ``embedding`` goes through ``DomainEvalFn.distances``,
-which returns exactly what ``distance`` returns value by value.
+Every family but ``embedding`` and canonical patterns goes through
+``DomainEvalFn.distances``, which returns exactly what ``distance``
+returns value by value; the two kernels return the same bits too.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from urllib.parse import urlparse
 
 import numpy as np
 
-from .corpus import Column, Corpus, normalize_raw, read_lines
+from .corpus import Column, normalize_raw, read_lines
 from .errors import DataFormatError
 
 INFINITE_DISTANCE = math.inf
@@ -209,29 +222,57 @@ class EmbeddingFn(DomainEvalFn):
 
 
 _PATTERN_TOKENS = ("\\d+", "[a-zA-Z]+")
+# A value's token-class shape: each maximal ASCII digit run becomes
+# ``\d+``, each maximal ASCII letter run ``[a-zA-Z]+``, and every other
+# character stays literal (``value_shape``).
+_RUNS = re.compile(r"([0-9]+)|[a-zA-Z]+")
+_WHITESPACE_RUNS = re.compile(r"\s+")
+
+
+def _run_token(m: re.Match) -> str:
+    return "\\d+" if m.lastindex else "[a-zA-Z]+"
+
+
+def value_shape(value: str) -> str:
+    """A value's token-class shape, whitespace kept as it is."""
+    return _RUNS.sub(_run_token, value)
+
+
+def _pattern_tokens(pattern: str) -> list[str]:
+    """A token-class pattern split into its tokens: ``\\d+``,
+    ``[a-zA-Z]+`` or one literal character each."""
+    out: list[str] = []
+    i = 0
+    while i < len(pattern):
+        tok = next((t for t in _PATTERN_TOKENS if pattern.startswith(t, i)), pattern[i])
+        out.append(tok)
+        i += len(tok)
+    return out
 
 
 def pattern_to_regex(pattern: str) -> re.Pattern:
     """Compile a token-class pattern (``\\d+``, ``[a-zA-Z]+``, literal
     punctuation/space) into a full-string regex."""
-    out: list[str] = []
-    i = 0
-    while i < len(pattern):
-        for tok in _PATTERN_TOKENS:
-            if pattern.startswith(tok, i):
-                out.append(tok if tok != "\\d+" else r"\d+")
-                i += len(tok)
-                break
-        else:
-            out.append(re.escape(pattern[i]))
-            i += 1
+    parts = [t if t in _PATTERN_TOKENS else re.escape(t) for t in _pattern_tokens(pattern)]
     # ASCII so that \d+ means exactly [0-9]+, matching generalization.
-    return re.compile("".join(out), re.ASCII)
+    return re.compile("".join(parts), re.ASCII)
+
+
+def _is_canonical_pattern(pattern: str) -> bool:
+    """True iff the pattern is some value's shape: it then fully matches
+    exactly the values whose ``value_shape`` equals it. A pattern is
+    canonical iff the value made of one character per token (``0``, ``a``
+    or the literal) has it as its shape; ``\\d+\\d+`` and patterns with
+    a literal ASCII letter or digit are not."""
+    example = {"\\d+": "0", "[a-zA-Z]+": "a"}
+    return value_shape("".join(example.get(t, t) for t in _pattern_tokens(pattern))) == pattern
 
 
 @dataclass(frozen=True, repr=False)
 class PatternFn(DomainEvalFn):
-    """Distance 0 iff the whole value matches the pattern, else 1."""
+    """Distance 0 iff the whole value matches the pattern, else 1.
+    ``canonical`` is true when the pattern is some value's shape, so that
+    ``ValueIndex`` may compare shapes instead of running the regex."""
 
     id: str
     pattern: str
@@ -239,6 +280,7 @@ class PatternFn(DomainEvalFn):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_regex", pattern_to_regex(self.pattern))
+        object.__setattr__(self, "canonical", _is_canonical_pattern(self.pattern))
 
     def distance(self, value: str) -> float:
         return 0.0 if self._regex.fullmatch(value) else 1.0
@@ -273,32 +315,56 @@ class ValidatorFn(DomainEvalFn):
         return {"name": self.name}
 
 
+_MASK64 = (1 << 64) - 1
+# SplitMix64's increment and its finalizer's two multipliers.
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer on one 64-bit integer."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _digest(value: str) -> bytes:
+    return hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
+
+
+def value_digests(values: Sequence[str]) -> np.ndarray:
+    """Each value's unkeyed 64-bit BLAKE2b digest, read big-endian, as
+    uint64."""
+    return np.frombuffer(b"".join(map(_digest, values)), dtype=">u8").astype(np.uint64)
+
+
 @dataclass(frozen=True, repr=False)
 class RandomHashFn(DomainEvalFn):
-    """Seeded uniform-[0,1] hash of the value; used as an adversarial
-    control that carries no semantic signal."""
+    """Seeded uniform-[0, 1) hash of the value; used as an adversarial
+    control that carries no semantic signal. The seed's key is the first
+    output of SplitMix64 seeded with it; a value's distance mixes its
+    digest XOR the key (see the module docstring)."""
 
     id: str
     seed: int
     family: str = field(default="random_hash", init=False)
 
-    def distance(self, value: str) -> float:
-        h = hashlib.blake2b(
-            value.encode("utf-8"), digest_size=8, key=str(self.seed).encode("ascii")
-        ).digest()
-        return int.from_bytes(h, "big") / 2.0**64
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", _mix64((self.seed + _GOLDEN_GAMMA) & _MASK64))
 
-    def distances(self, values: Sequence[str]) -> np.ndarray:
-        # Copying a keyed state skips the key block's compression per
-        # value; the big-endian words convert to float64 exactly as
-        # ``int / 2.0**64`` does (correct rounding, then an exact scale).
-        keyed = hashlib.blake2b(digest_size=8, key=str(self.seed).encode("ascii"))
-        digests = []
-        for v in values:
-            h = keyed.copy()
-            h.update(v.encode("utf-8"))
-            digests.append(h.digest())
-        return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.float64) / 2.0**64
+    def distance(self, value: str) -> float:
+        digest = int.from_bytes(_digest(value), "big")
+        return (_mix64(digest ^ self._key) >> 11) * 2.0**-53
+
+    def distances_of_digests(self, digests: np.ndarray) -> np.ndarray:
+        """``distance`` of the values with these ``value_digests``. uint64
+        arithmetic wraps as ``_mix64``'s masks do, and both scale a 53-bit
+        integer by a power of two, so the bits agree."""
+        z = digests ^ np.uint64(self._key)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def describe(self) -> str:
         return f"random hash (seed {self.seed})"
@@ -340,8 +406,12 @@ def _validate_date(value: str) -> bool:
     return False
 
 
+# fromisoformat reads a four-ASCII-digit year before anything else.
+_YEAR_PREFIX = re.compile(r"[0-9]{4}")
+
+
 def _validate_iso_timestamp(value: str) -> bool:
-    if "t" not in value and " " not in value:
+    if ("t" not in value and " " not in value) or not _YEAR_PREFIX.match(value):
         return False
     candidate = value
     if candidate.endswith("z"):
@@ -354,7 +424,8 @@ def _validate_iso_timestamp(value: str) -> bool:
 
 
 def _validate_url(value: str) -> bool:
-    if " " in value:
+    # Without a ":" urlsplit finds no scheme.
+    if " " in value or ":" not in value:
         return False
     try:
         parsed = urlparse(value)
@@ -460,7 +531,7 @@ def make_embedding_fn(
 
 
 def sample_centroids(
-    corpus: Corpus, space: EmbeddingSpace, k: int, seed: int
+    corpus: Iterable[Column], space: EmbeddingSpace, k: int, seed: int
 ) -> list[EmbeddingFn]:
     """Draw k distinct embeddable corpus values as centroids, uniformly
     without replacement; deterministic for a given seed."""
@@ -469,12 +540,7 @@ def sample_centroids(
     if k < 0:
         raise ValueError("k must be >= 0")
     pool = sorted(
-        {
-            nv
-            for col in corpus
-            for nv in col.normalized()
-            if nv and embed_value(space, nv) is not None
-        }
+        nv for nv in ValueIndex.of(corpus).values if nv and embed_value(space, nv) is not None
     )
     if k > len(pool):
         raise ValueError(f"centroid pool has {len(pool)} values, cannot sample {k}")
@@ -543,47 +609,33 @@ def make_score_table_fn(
 
 
 def generalize_value(value: str, collapse_whitespace: bool = True) -> str:
-    """Map a normalized value to its token-class pattern: maximal digit
-    runs become ``\\d+``, maximal letter runs become ``[a-zA-Z]+``, other
-    characters stay literal. Whitespace runs collapse to one space."""
-    s = re.sub(r"\s+", " ", value) if collapse_whitespace else value
-    out: list[str] = []
-    for m in re.finditer(r"([0-9]+)|([a-zA-Z]+)|(.)", s, flags=re.DOTALL):
-        if m.group(1):
-            out.append("\\d+")
-        elif m.group(2):
-            out.append("[a-zA-Z]+")
-        else:
-            out.append(m.group(3))
-    return "".join(out)
+    """Map a normalized value to its token-class pattern: its
+    ``value_shape``, with whitespace runs collapsed to one space unless
+    ``collapse_whitespace`` is false."""
+    shape = value_shape(value)
+    return _WHITESPACE_RUNS.sub(" ", shape) if collapse_whitespace else shape
 
 
-def infer_patterns(corpus: Corpus, top_k: int) -> list[PatternFn]:
-    """Generalize every corpus value and keep the ``top_k`` patterns by
-    the number of distinct columns in which at least half the values
-    match. Ties break lexicographically by pattern string."""
+def infer_patterns(corpus: Iterable[Column], top_k: int) -> list[PatternFn]:
+    """Generalize every distinct corpus value once and keep the ``top_k``
+    patterns by the number of distinct columns in which at least half the
+    values match. Ties break lexicographically by pattern string."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    column_counts: dict[str, int] = {}
-    for col in corpus:
-        norm = col.normalized()
-        n = len(norm)
-        # Exact-match counting: a value fully matches a generated
-        # (whitespace-collapsed, maximal-run) pattern iff its own
-        # uncollapsed generalization equals that pattern.
-        shapes: dict[str, int] = {}
-        for nv in norm:
-            shape = generalize_value(nv, collapse_whitespace=False)
-            shapes[shape] = shapes.get(shape, 0) + 1
-        for shape, cnt in shapes.items():
-            if cnt * 2 >= n:
-                column_counts[shape] = column_counts.get(shape, 0) + 1
-    generated = {
-        generalize_value(nv) for col in corpus for nv in col.normalized()
-    }
+    index = ValueIndex.of(corpus)
+    code_of, shape_of = index.shapes()
+    # Exact-match counting: a value fully matches a generated
+    # (whitespace-collapsed, maximal-run) pattern iff its own uncollapsed
+    # shape equals that pattern. One key per (column, shape) pair counts
+    # a shape's cells in a column.
+    n = max(1, len(code_of))
+    column = np.repeat(np.arange(len(index), dtype=np.int64), index.lengths)
+    keys, cells = np.unique(column * n + shape_of[index.codes], return_counts=True)
+    held = keys[cells * 2 >= index.lengths[keys // n]] % n
+    column_counts = dict(zip(code_of, np.bincount(held, minlength=n).tolist()))
+    generated = {_WHITESPACE_RUNS.sub(" ", shape) for shape in code_of}
     ranked = sorted(
-        ((p, column_counts.get(p, 0)) for p in generated),
-        key=lambda pc: (-pc[1], pc[0]),
+        ((p, column_counts.get(p, 0)) for p in generated), key=lambda pc: (-pc[1], pc[0])
     )
     return [make_pattern_fn(p) for p, _ in ranked[:top_k]]
 
@@ -719,10 +771,10 @@ class ValueIndex:
     a value that normalization leaves unchanged is the cell's own string.
     ``codes`` (``intp``) gives each cell's position in ``values``, column
     after column, and column ``j`` owns cells ``offsets[j]:offsets[j +
-    1]``. A function is evaluated once per distinct value: embedding
-    functions share, per space, one matrix of the vectors of the values
-    that space embeds, and every other family goes through its
-    ``distances`` batch method (see the module docstring). Nothing is
+    1]``. A function is evaluated once per distinct value, family by
+    family as the module docstring describes; what a family shares (a
+    space's matrix, the value digests, the value shapes) is computed on
+    first use and kept, and depends on ``values`` alone. Nothing is
     keyed on column ids, so an index always describes exactly the
     columns it was built from.
     """
@@ -747,6 +799,8 @@ class ValueIndex:
         self.lengths = np.fromiter(map(len, self.columns), dtype=np.intp, count=len(self.columns))
         self.offsets = np.concatenate(([0], np.cumsum(self.lengths))).astype(np.intp)
         self._spaces: dict[int, tuple[EmbeddingSpace, np.ndarray, np.ndarray]] = {}
+        self._shapes: Optional[tuple[dict[str, int], np.ndarray]] = None
+        self._digests: Optional[np.ndarray] = None
 
     @classmethod
     def of(cls, corpus: Iterable[Column]) -> ValueIndex:
@@ -765,9 +819,24 @@ class ValueIndex:
             rows, mat = self._space_matrix(fn.space)
             distinct = np.full(len(self.values), INFINITE_DISTANCE)
             distinct[rows] = centroid_distances(mat, fn.centroid_vector)
+        elif isinstance(fn, RandomHashFn):
+            if self._digests is None:
+                self._digests = value_digests(self.values)
+            distinct = fn.distances_of_digests(self._digests)
+        elif isinstance(fn, PatternFn) and fn.canonical:
+            code_of, shape_of = self.shapes()
+            distinct = (shape_of != code_of.get(fn.pattern, -1)).astype(np.float64)
         else:
             distinct = fn.distances(self.values)
         return distinct[self.codes]
+
+    def shapes(self) -> tuple[dict[str, int], np.ndarray]:
+        """Each distinct ``value_shape`` of the values, numbered in
+        first-seen order, and each value's shape number (``intp``)."""
+        if self._shapes is None:
+            shapes, shape_of = distinct_rows(map(value_shape, self.values))
+            self._shapes = ({s: k for k, s in enumerate(shapes)}, shape_of)
+        return self._shapes
 
     def _space_matrix(self, space: EmbeddingSpace) -> tuple[np.ndarray, np.ndarray]:
         """The positions in ``values`` of the values ``space`` embeds, and

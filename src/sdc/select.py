@@ -74,6 +74,16 @@ def json_int(data: dict, key: str, default: int) -> int:
     return value
 
 
+def json_number(data: dict, key: str, default: float) -> float:
+    """``data[key]`` as a float when it is a JSON number, ``default``
+    when it is absent; any other value (``true``, ``"0.1"``, ``null``) is
+    a ``ValueError``."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     b_size: int = 500
@@ -107,8 +117,8 @@ class SelectionConfig:
     def from_json(cls, data: dict) -> "SelectionConfig":
         return cls(
             b_size=json_int(data, "b_size", 500),
-            b_fpr=float(data.get("b_fpr", 0.1)),
-            delta=float(data.get("delta", 1e-3)),
+            b_fpr=json_number(data, "b_fpr", 0.1),
+            delta=json_number(data, "delta", 1e-3),
             strategy=str(data.get("strategy", "fine")),
             seed=json_int(data, "seed", 0),
             enforce_budgets=json_flag(data, "enforce_budgets", False),

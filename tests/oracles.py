@@ -3,8 +3,10 @@
 Each function is the plain form of a library computation, kept here
 rather than in ``sdc`` because only tests call it:
 
-- the date validator without its shape filter: all seven ``strptime``
-  formats tried on every value;
+- the date, ISO-timestamp and URL validators without their shape
+  filters: every value goes to the parser;
+- generalization of a value one regex match per token, and pattern
+  inference that generalizes every cell twice;
 - value interning by one list comprehension over every cell's
   normalized value;
 - the pre-condition counts as a dense (cells x radii) mask summed per
@@ -37,10 +39,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import Counter
 from datetime import datetime
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
+from urllib.parse import urlparse
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from sdc.assess import (
     min_coverage_for,
     wilson_lower_confidence,
 )
-from sdc.candidates import Sdc
+from sdc.candidates import Candidate, Sdc
 from sdc.corpus import Column, Corpus
 from sdc.domain_fns import _DATE_FORMATS, DomainEvalFn, Registry
 from sdc.errors import DataFormatError
@@ -77,6 +81,65 @@ def validate_date(value: str) -> bool:
         except ValueError:
             continue
     return False
+
+
+def validate_iso_timestamp(value: str) -> bool:
+    """``fromisoformat`` on every value with a ``t`` or a space, a
+    trailing ``z`` read as UTC. The reference for
+    ``sdc.domain_fns._validate_iso_timestamp``."""
+    if "t" not in value and " " not in value:
+        return False
+    candidate = value[:-1] + "+00:00" if value.endswith("z") else value
+    try:
+        datetime.fromisoformat(candidate)
+        return True
+    except ValueError:
+        return False
+
+
+def validate_url(value: str) -> bool:
+    """``urlparse`` on every value without a space. The reference for
+    ``sdc.domain_fns._validate_url``."""
+    if " " in value:
+        return False
+    try:
+        parsed = urlparse(value)
+    except ValueError:
+        return False
+    return parsed.scheme in ("http", "https", "ftp") and "." in parsed.netloc
+
+
+# ---------------------------------------------------------------------------
+# Patterns
+
+
+def generalize_value(value: str, collapse_whitespace: bool = True) -> str:
+    """Whitespace runs collapsed first, then one regex match per token:
+    digit runs, letter runs or any one other character. The reference
+    for ``sdc.domain_fns.generalize_value``."""
+    s = re.sub(r"\s+", " ", value) if collapse_whitespace else value
+    out: list[str] = []
+    for m in re.finditer(r"([0-9]+)|([a-zA-Z]+)|(.)", s, flags=re.DOTALL):
+        if m.group(1):
+            out.append("\\d+")
+        elif m.group(2):
+            out.append("[a-zA-Z]+")
+        else:
+            out.append(m.group(3))
+    return "".join(out)
+
+
+def infer_patterns(corpus: Iterable[Column], top_k: int) -> list[str]:
+    """Every cell generalized twice, shapes counted per column in a
+    dict. The reference for ``sdc.domain_fns.infer_patterns`` (its
+    patterns, in order)."""
+    column_counts: Counter = Counter()
+    for col in corpus:
+        norm = col.normalized()
+        shapes = Counter(generalize_value(nv, collapse_whitespace=False) for nv in norm)
+        column_counts.update(s for s, cnt in shapes.items() if cnt * 2 >= len(norm))
+    generated = {generalize_value(nv) for col in corpus for nv in col.normalized()}
+    return sorted(generated, key=lambda p: (-column_counts[p], p))[:top_k]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +242,7 @@ def build_contingency(
 
 
 def assess_loop(
-    candidates: Iterable[Sdc],
+    candidates: Iterable[Candidate | Sdc],
     corpus: Corpus,
     registry: Registry,
     cfg: Optional[AssessConfig] = None,
@@ -221,7 +284,9 @@ def assess_loop(
         if conf < cfg.c_thres:
             continue
         counts["passed_confidence"] += 1
-        kept.append(AssessedSdc(sdc=cand.with_confidence(conf), table=table, h=h, p=p))
+        sdc = Sdc(id=cand.id, fn_id=cand.fn_id, d_in=cand.d_in, d_out=cand.d_out, m=cand.m,
+                  confidence=conf)
+        kept.append(AssessedSdc(sdc=sdc, table=table, h=h, p=p))
     kept.sort(key=lambda a: a.sdc.id)
     return kept, counts
 

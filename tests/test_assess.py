@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -419,6 +420,32 @@ class TestAssessedIO:
         loaded = load_assessed(str(path))
         assert len(loaded) == 1
         assert loaded[0].to_record() == item.to_record()
+
+    @given(
+        st.lists(st.tuples(
+            st.text(max_size=12),
+            st.floats(min_value=0.0, allow_nan=False),
+            st.floats(allow_nan=False, allow_infinity=True),
+            st.floats(min_value=1e-6, max_value=1.0),
+            st.floats(),
+            st.tuples(*[st.integers(0, 10**6)] * 4),
+            st.floats(),
+            st.floats(),
+        ), max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([("pattern:\\d+\"é", 0.0, math.inf, 0.95, 1e-300, (1, 2, 3, 4), math.nan, -0.0)])
+    def test_lines_are_json_dumps_bytes(self, tmp_path_factory, records):
+        items = []
+        for fn_id, d_in, extra, m, conf, tab, h, p in records:
+            d_out = d_in + abs(extra)
+            sdc = make_sdc(fn_id, d_in, d_out, m).with_confidence(conf)
+            items.append(AssessedSdc(sdc=sdc, table=table(*tab), h=h, p=p))
+        path = tmp_path_factory.mktemp("rules") / "rules.jsonl"
+        save_assessed(items, str(path), meta={"config_hash": "abc"})
+        want = json.dumps({"kind": "assessed-meta", "config_hash": "abc"}, sort_keys=True) + "\n"
+        want += "".join(json.dumps(item.to_record()) + "\n" for item in items)
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "rules.jsonl"

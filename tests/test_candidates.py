@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdc.candidates import (
+    Candidate,
     GridSpec,
     Sdc,
     candidate_count,
     candidate_id,
+    dead_candidate_count,
     enumerate_candidates,
     make_sdc,
 )
@@ -59,7 +61,8 @@ class TestSdc:
 class TestGridSpec:
     def test_defaults(self):
         grid = GridSpec()
-        assert grid.m_values == [1.0, 0.95, 0.9, 0.85, 0.8]
+        # m = 1 can never fire, so the default grid leaves it out.
+        assert grid.m_values == [0.95, 0.9, 0.85, 0.8]
         assert grid.embedding_d_in[0] == 0.5
         assert grid.embedding_d_in[-1] == 8.0
         assert len(grid.embedding_d_in) == 16
@@ -125,20 +128,40 @@ class TestEnumeration:
 
     def test_binary_families(self):
         fns = [make_pattern_fn("\\d+")] + builtin_validators()
-        cands = list(enumerate_candidates(fns, GridSpec(m_values=[1.0, 0.9])))
+        cands = list(enumerate_candidates(fns, GridSpec(m_values=[0.95, 0.9])))
         assert len(cands) == len(fns) * 2
         assert all(c.d_in == 0.0 and c.d_out == 1.0 for c in cands)
 
     def test_order_is_fn_id_then_grid(self, space2d):
         fns = [make_pattern_fn("zz"), make_pattern_fn("aa")]
-        grid = GridSpec(m_values=[1.0, 0.9])
+        grid = GridSpec(m_values=[0.95, 0.9])
         cands = list(enumerate_candidates(fns, grid))
         assert [(c.fn_id, c.m) for c in cands] == [
-            ("pattern:aa", 1.0),
+            ("pattern:aa", 0.95),
             ("pattern:aa", 0.9),
-            ("pattern:zz", 1.0),
+            ("pattern:zz", 0.95),
             ("pattern:zz", 0.9),
         ]
+
+    def test_m_of_one_is_skipped_and_counted(self, space2d):
+        fns = [make_embedding_fn(space2d, "red"), make_pattern_fn("aa")]
+        grid = GridSpec(m_values=[1.0, 0.9], embedding_d_in=[1.0],
+                        embedding_d_out_offsets=[0.5, 1.0])
+        cands = list(enumerate_candidates(fns, grid))
+        assert [(c.fn_id, c.d_out, c.m) for c in cands] == [
+            ("emb:toy2d:red", 1.5, 0.9), ("emb:toy2d:red", 2.0, 0.9), ("pattern:aa", 1.0, 0.9)]
+        assert candidate_count(fns, grid) == 3
+        assert dead_candidate_count(fns, grid) == 3
+        assert dead_candidate_count(fns, GridSpec()) == 0
+        # A grid of only m = 1 still loads; it yields nothing.
+        only_dead = GridSpec.from_json({"m_values": [1.0]})
+        assert list(enumerate_candidates(fns, only_dead)) == []
+        assert dead_candidate_count(fns, only_dead) == candidate_count(fns, GridSpec()) // 4
+
+    def test_candidate_id_is_the_content_hash(self):
+        c = Candidate("emb:toy:red", 1.5, 2.0, 0.9)
+        assert c.id == candidate_id("emb:toy:red", 1.5, 2.0, 0.9) == "sdc-5ee85d25e3733b4c"
+        assert (c.fn_id, c.d_in, c.d_out, c.m) == ("emb:toy:red", 1.5, 2.0, 0.9)
 
     def test_streaming_matches_count(self, space2d):
         fns = [
@@ -155,7 +178,7 @@ class TestEnumeration:
     def test_default_grid_used_when_none(self, space2d):
         fn = make_embedding_fn(space2d, "red")
         n = len(list(enumerate_candidates([fn])))
-        assert n == 16 * 4 * 5
+        assert n == 16 * 4 * 4
 
     @given(
         st.lists(
@@ -179,5 +202,7 @@ class TestEnumeration:
             family = "embedding"
 
         cands = list(enumerate_candidates([FakeEmb()], grid))
-        assert len(cands) == n_d_in * n_off * len(m_values)
+        live = sum(1 for m in m_values if m < 1.0)
+        assert len(cands) == n_d_in * n_off * live
         assert len(cands) == candidate_count([FakeEmb()], grid)
+        assert dead_candidate_count([FakeEmb()], grid) == n_d_in * n_off * (len(m_values) - live)

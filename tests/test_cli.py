@@ -426,9 +426,9 @@ GEN_CONFIG_OUT = GEN_CONFIG + ["--out-dir", "{tmp}"]
 
 # Each case: the file written, its contents (None: nothing is written),
 # and the command that reads it ({file} is that file, {tmp} a scratch
-# directory). In JSON contents the string "{corpus}" stands for the demo
-# corpus's path. Every case's directory also holds LATIN1, a file that
-# is not UTF-8.
+# directory). In JSON contents the strings "{corpus}" and "{space}"
+# stand for the paths of the demo corpus and embedding space. Every
+# case's directory also holds LATIN1, a file that is not UTF-8.
 LATIN1 = "latin1.txt"
 MALFORMED_INPUTS = {
     "truth-without-error-indices": (
@@ -479,6 +479,28 @@ MALFORMED_INPUTS = {
         GEN_CONFIG_OUT),
     "config-seed-fraction": ("cfg.json", {"paths": {"corpus": "{corpus}"}, "seed": 2.5},
                              GEN_CONFIG_OUT),
+    # The registry's counts and seeds are JSON integers too, and the
+    # selection budgets JSON numbers.
+    "config-patterns-top-k-fraction": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "functions": {"patterns_top_k": 2.7}},
+        GEN_CONFIG_OUT),
+    "config-centroids-boolean": (
+        "cfg.json",
+        {"paths": {"corpus": "{corpus}",
+                   "embeddings": [{"space_id": "toy", "path": "{space}", "centroids": True}]}},
+        GEN_CONFIG_OUT),
+    "config-random-hash-count-string": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "functions": {"random_hash_count": "3"}},
+        GEN_CONFIG_OUT),
+    "config-random-hash-seed-fraction": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "functions": {"random_hash_seed": 1.5}},
+        GEN_CONFIG_OUT),
+    "config-b-fpr-boolean": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "selection": {"b_fpr": True}},
+        GEN_CONFIG_OUT),
+    "config-delta-string": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "selection": {"delta": "0.01"}},
+        GEN_CONFIG_OUT),
     "config-embedding-file-missing": (
         "cfg.json",
         {"paths": {"corpus": "{corpus}", "embeddings": [{"space_id": "toy", "path": "nope.txt"}]}},
@@ -541,13 +563,16 @@ def test_malformed_input_is_data_error(name, tmp_path, demo, pipeline):
     file_name, contents, argv = MALFORMED_INPUTS[name]
     path = tmp_path / file_name
     slots = {"file": path, "tmp": tmp_path, "config": demo["config"],
-             "corpus": demo["data"] / "corpus.jsonl", "rules": pipeline / "rules.jsonl"}
+             "corpus": demo["data"] / "corpus.jsonl", "space": demo["data"] / "toy-space.txt",
+             "rules": pipeline / "rules.jsonl"}
     (tmp_path / LATIN1).write_bytes(b"caf\xe9 1.0 2.0\n")
     if isinstance(contents, bytes):
         path.write_bytes(contents)
     elif isinstance(contents, str):
         path.write_text(contents)
     elif contents is not None:
-        corpus = json.dumps(str(slots["corpus"]))
-        path.write_text(json.dumps(contents).replace('"{corpus}"', corpus))
+        text = json.dumps(contents)
+        for slot in ("corpus", "space"):
+            text = text.replace(f'"{{{slot}}}"', json.dumps(str(slots[slot])))
+        path.write_text(text)
     assert run([arg.format(**slots) for arg in argv]) == 2

@@ -484,7 +484,8 @@ class TestRandomHash:
     def test_batch_equals_per_value(self, values, seed):
         fn = make_random_hash_fn(seed)
         want = np.asarray([fn.distance(v) for v in values], dtype=np.float64)
-        assert fn.distances(values).tobytes() == want.tobytes()
+        got = fn.distances_of_digests(domain_fns.value_digests(values))
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -761,3 +762,120 @@ class TestValueIndex:
         rows, mat = index._space_matrix(space)
         assert rows.shape == (0,) and mat.shape == (0, space.dimension)
         assert index.distances(make_embedding_fn(space, "red")).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Family kernels against the per-value path
+
+# Letters, ASCII and other digits, whitespace runs and the characters
+# that pattern sources and regexes treat specially.
+KERNEL_CHARS = "ab09Zé٣日 \t\n_\\[]+-.:"
+PATTERN_PIECES = ["\\d+", "[a-zA-Z]+", " ", "  ", "\t", "_", "\\", "[", "]", "+", "-", "é",
+                  "٣", "a", "7"]
+
+
+# make_random_hash_fn(1000).distance("abc"). SplitMix64's first output
+# from seed 0 is 0xe220a8397b1dcdaf, which pins the key derivation too.
+HASH_1000_ABC = 0.20284234841537407
+
+
+def kernel_columns(cells_by_column):
+    return [Column(id=f"c{j}", values=tuple(v)) for j, v in enumerate(cells_by_column)]
+
+
+class TestFamilyKernels:
+    @given(
+        st.lists(st.lists(st.text(max_size=600), min_size=1, max_size=5), max_size=4),
+        st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example([["", "é", "東京", "x" * 513, "𝔘" * 600, " X "]], [0, 1000, -1, 2**64 + 5])
+    def test_hash_kernel_equals_distance(self, cells_by_column, seeds):
+        columns = kernel_columns(cells_by_column)
+        index = ValueIndex(columns)
+        raw = [v for col in columns for v in col.values]
+        for seed in seeds:
+            fn = make_random_hash_fn(seed)
+            want = np.asarray([eval_distance(fn, v) for v in raw], dtype=np.float64)
+            assert index.distances(fn).tobytes() == want.tobytes()
+            assert np.all((want >= 0.0) & (want < 1.0))
+
+    def test_hash_definition_pinned(self):
+        # The unkeyed digest of "abc", its key for seed 1000 and the
+        # finalizer give this value; a change renames every hash:N.
+        assert make_random_hash_fn(1000).distance("abc") == HASH_1000_ABC
+        assert make_random_hash_fn(1001).distance("abc") != HASH_1000_ABC
+        assert make_random_hash_fn(0)._key == 0xE220A8397B1DCDAF
+
+    @given(
+        st.lists(st.lists(st.text(alphabet=KERNEL_CHARS, max_size=12), min_size=1, max_size=6),
+                 max_size=4),
+        st.lists(st.lists(st.sampled_from(PATTERN_PIECES), max_size=5).map("".join),
+                 max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example([["a1", "a 1", "a  1", "a\t1", "ab_12", "\\7", "[x]+"]],
+             ["[a-zA-Z]+\\d+", "[a-zA-Z]+ \\d+", "\\d+\\d+", "a\\d+", "7", "\\\\d+", "[[a-zA-Z]+]+"])
+    def test_shape_kernel_equals_regex(self, cells_by_column, written):
+        columns = kernel_columns(cells_by_column)
+        index = ValueIndex(columns)
+        generated = [generalize_value(v) for v in index.values]
+        cells = [nv for col in columns for nv in col.normalized()]
+        for pattern in generated + written:
+            fn = make_pattern_fn(pattern)
+            want = np.asarray([fn.distance(nv) for nv in cells], dtype=np.float64)
+            assert index.distances(fn).tobytes() == want.tobytes(), pattern
+        assert all(make_pattern_fn(p).canonical for p in generated)
+
+    @pytest.mark.parametrize("pattern", ["\\d+\\d+", "[a-zA-Z]+[a-zA-Z]+", "a", "\\d+7", "x-\\d+"])
+    def test_non_canonical_patterns_keep_their_regex(self, pattern):
+        fn = make_pattern_fn(pattern)
+        assert not fn.canonical
+        index = ValueIndex([Column(id="c", values=("12", "ab", "a", "17", "x-1", "a7"))])
+        want = [fn.distance(v) for v in index.values]
+        assert index.distances(fn).tolist() == want
+        assert 0.0 in want
+
+    @given(st.text(max_size=40), st.booleans())
+    @settings(max_examples=500)
+    @example("a  \t b\n\n1", True)
+    @example("٣x_\\[é", False)
+    def test_generalize_equals_reference(self, value, collapse):
+        assert generalize_value(value, collapse) == oracles.generalize_value(value, collapse)
+
+    @given(
+        st.lists(st.lists(st.text(alphabet=KERNEL_CHARS, max_size=8), min_size=1, max_size=6),
+                 max_size=6),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_infer_patterns_equals_reference(self, cells_by_column, top_k):
+        columns = kernel_columns(cells_by_column)
+        want = oracles.infer_patterns(columns, top_k)
+        assert [fn.pattern for fn in infer_patterns(columns, top_k)] == want
+        assert [fn.pattern for fn in infer_patterns(ValueIndex(columns), top_k)] == want
+
+    @given(st.one_of(
+        st.text(alphabet="0123456789٣۴t z:-./+\x00\x01\x1f", max_size=30),
+        st.builds("".join, st.lists(st.sampled_from(
+            ["2021", "٢٠٢١", "-03-04", "t", " ", "05:06:07", ".123", "z", "+01:00", "\x00",
+             "\x1f", "2021-03-04t05:06:07z"]), max_size=5)),
+    ))
+    @settings(max_examples=500)
+    @example("2021-03-04t05:06:07z")
+    @example("٢٠٢١-03-04t05:06:07")
+    def test_iso_timestamp_prefilter_is_exact(self, value):
+        accept = domain_fns._VALIDATORS["iso-timestamp"]
+        assert accept(value) == oracles.validate_iso_timestamp(value)
+
+    @given(st.one_of(
+        st.text(alphabet="htpsf:/.ab٣ \x00\x1f[]@", max_size=30),
+        st.builds("".join, st.lists(st.sampled_from(
+            ["http", "https", "ftp", ":", "//", "a.b", "[", "]", "/x", "\x00", "\x1f", "z",
+             "٣"]), max_size=6)),
+    ))
+    @settings(max_examples=500)
+    @example("http://a.b")
+    @example("//[a.b")
+    def test_url_prefilter_is_exact(self, value):
+        assert domain_fns._VALIDATORS["url"](value) == oracles.validate_url(value)
