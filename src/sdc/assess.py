@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
@@ -29,7 +29,7 @@ import numpy as np
 from .candidates import Candidate, Sdc
 from .corpus import Column, read_lines
 from .domain_fns import DomainEvalFn, Registry, ValueIndex, distinct_rows
-from .errors import DataFormatError
+from .errors import DataFormatError, json_number
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,13 @@ class AssessConfig:
             raise ValueError("c_thres must lie in [0, 1)")
 
     def to_json(self) -> dict:
-        return {"z": self.z, "h_min": self.h_min, "p_max": self.p_max, "c_thres": self.c_thres}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "AssessConfig":
-        return cls(**{k: float(v) for k, v in data.items()})
+        """Settings from a JSON object: each value a JSON number, else
+        ``ValueError``; an unknown key is a ``TypeError``."""
+        return cls(**{k: json_number(data, k, 0.0) for k in data})
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ def _later_gates(
 
 def _assess_fn_group(
     fn: DomainEvalFn,
-    group: list[Candidate | Sdc],
+    group: list[Candidate],
     index: ValueIndex,
     cfg: AssessConfig,
 ) -> tuple[list[AssessedSdc], dict[str, int]]:
@@ -290,7 +292,7 @@ def _assess_fn_group(
 
 
 def assess_all(
-    candidates: Iterable[Candidate | Sdc],
+    candidates: Iterable[Candidate],
     corpus: Iterable[Column],
     registry: Registry,
     cfg: Optional[AssessConfig] = None,
@@ -307,7 +309,7 @@ def assess_all(
     """
     cfg = cfg or AssessConfig()
     index = ValueIndex.of(corpus)
-    by_fn: dict[str, list[Candidate | Sdc]] = {}
+    by_fn: dict[str, list[Candidate]] = {}
     for cand in candidates:
         by_fn.setdefault(cand.fn_id, []).append(cand)
 

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .domain_fns import DomainEvalFn
-from .errors import DataFormatError
+from .errors import DataFormatError, json_number
 
 BINARY_FAMILIES = ("pattern", "validator")
 
@@ -46,9 +45,6 @@ class Sdc:
             raise ValueError(f"d_out {self.d_out} < d_in {self.d_in}")
         if not 0.0 < self.m <= 1.0:
             raise ValueError(f"m {self.m} outside (0, 1]")
-
-    def with_confidence(self, confidence: float) -> "Sdc":
-        return replace(self, confidence=confidence)
 
     def to_record(self) -> dict:
         """The JSON form that ``rules.jsonl`` and ``store.json`` share."""
@@ -73,10 +69,6 @@ def candidate_id(fn_id: str, d_in: float, d_out: float, m: float) -> str:
     return "sdc-" + hashlib.sha1(payload).hexdigest()[:16]
 
 
-def make_sdc(fn_id: str, d_in: float, d_out: float, m: float) -> Sdc:
-    return Sdc(id=candidate_id(fn_id, d_in, d_out, m), fn_id=fn_id, d_in=d_in, d_out=d_out, m=m)
-
-
 class Candidate(NamedTuple):
     """An enumerated, not yet assessed constraint."""
 
@@ -88,38 +80,6 @@ class Candidate(NamedTuple):
     @property
     def id(self) -> str:
         return candidate_id(self.fn_id, self.d_in, self.d_out, self.m)
-
-
-def _default_m() -> list[float]:
-    return [0.95, 0.9, 0.85, 0.8]
-
-
-def _default_emb_d_in() -> list[float]:
-    return [0.5 * i for i in range(1, 17)]  # 0.5 .. 8.0
-
-
-def _default_emb_offsets() -> list[float]:
-    return [0.5, 1.0, 1.5, 2.0]
-
-
-def _default_score_d_in() -> list[float]:
-    return [round(0.1 + 0.05 * i, 2) for i in range(9)]  # 0.1 .. 0.5
-
-
-def _default_score_d_out() -> list[float]:
-    return [0.9, 0.95, 0.99, 1.0]
-
-
-def _default_hash_d_in() -> list[float]:
-    # Mirrors the score grid. Hash distances are uniform on [0, 1), so
-    # no column concentrates below 0.5 and coverage stays near zero;
-    # pushing d_in toward 1 would instead manufacture coverage for
-    # noise functions.
-    return [0.1, 0.2, 0.3, 0.4, 0.5]
-
-
-def _default_hash_d_out() -> list[float]:
-    return [0.9, 0.95, 0.99, 1.0]
 
 
 @dataclass
@@ -134,27 +94,26 @@ class GridSpec:
     pair (0, 1).
     """
 
-    m_values: list[float] = field(default_factory=_default_m)
-    embedding_d_in: list[float] = field(default_factory=_default_emb_d_in)
-    embedding_d_out_offsets: list[float] = field(default_factory=_default_emb_offsets)
-    score_d_in: list[float] = field(default_factory=_default_score_d_in)
-    score_d_out: list[float] = field(default_factory=_default_score_d_out)
-    hash_d_in: list[float] = field(default_factory=_default_hash_d_in)
-    hash_d_out: list[float] = field(default_factory=_default_hash_d_out)
+    m_values: list[float] = field(default_factory=lambda: [0.95, 0.9, 0.85, 0.8])
+    # 0.5 .. 8.0
+    embedding_d_in: list[float] = field(default_factory=lambda: [0.5 * i for i in range(1, 17)])
+    embedding_d_out_offsets: list[float] = field(default_factory=lambda: [0.5, 1.0, 1.5, 2.0])
+    # 0.1 .. 0.5
+    score_d_in: list[float] = field(
+        default_factory=lambda: [round(0.1 + 0.05 * i, 2) for i in range(9)]
+    )
+    score_d_out: list[float] = field(default_factory=lambda: [0.9, 0.95, 0.99, 1.0])
+    # Mirrors the score grid. Hash distances are uniform on [0, 1), so
+    # no column concentrates below 0.5 and coverage stays near zero;
+    # pushing d_in toward 1 would instead manufacture coverage for
+    # noise functions.
+    hash_d_in: list[float] = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5])
+    hash_d_out: list[float] = field(default_factory=lambda: [0.9, 0.95, 0.99, 1.0])
 
     def __post_init__(self) -> None:
-        for name in (
-            "m_values",
-            "embedding_d_in",
-            "embedding_d_out_offsets",
-            "score_d_in",
-            "score_d_out",
-            "hash_d_in",
-            "hash_d_out",
-        ):
-            vals = getattr(self, name)
-            if not vals:
-                raise ValueError(f"grid {name} must be non-empty")
+        for f in fields(self):
+            if not getattr(self, f.name):
+                raise ValueError(f"grid {f.name} must be non-empty")
         if any(not 0.0 < m <= 1.0 for m in self.m_values):
             raise ValueError("m values must lie in (0, 1]")
 
@@ -185,32 +144,22 @@ class GridSpec:
         raise ValueError(f"unknown family {family!r}")
 
     def to_json(self) -> dict:
-        return {
-            "m_values": self.m_values,
-            "embedding_d_in": self.embedding_d_in,
-            "embedding_d_out_offsets": self.embedding_d_out_offsets,
-            "score_d_in": self.score_d_in,
-            "score_d_out": self.score_d_out,
-            "hash_d_in": self.hash_d_in,
-            "hash_d_out": self.hash_d_out,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "GridSpec":
+        """A grid from its JSON form; a missing field keeps its default.
+        Each given field must be a list of JSON numbers, else
+        ``ValueError``."""
         if not isinstance(data, dict):
             raise ValueError(f"a grid must be a JSON object, not {data!r}")
         kwargs = {}
-        for name in (
-            "m_values",
-            "embedding_d_in",
-            "embedding_d_out_offsets",
-            "score_d_in",
-            "score_d_out",
-            "hash_d_in",
-            "hash_d_out",
-        ):
-            if name in data:
-                kwargs[name] = [float(x) for x in data[name]]
+        for f in fields(cls):
+            if f.name in data:
+                entries = data[f.name]
+                if not isinstance(entries, list):
+                    raise ValueError(f"grid {f.name} must be a list, not {entries!r}")
+                kwargs[f.name] = [json_number({f.name: x}, f.name, 0.0) for x in entries]
         return cls(**kwargs)
 
     @classmethod
@@ -249,7 +198,8 @@ def enumerate_candidates(
     m_values = _live_m(grid)
     for fn in sorted(fns, key=lambda f: f.id):
         for d_in, d_out in grid.pairs_for_family(fn.family):
-            if not (d_out >= d_in) or math.isnan(d_out):
+            # Also false when either radius is NaN.
+            if not d_out >= d_in:
                 continue
             for m in m_values:
                 yield Candidate(fn.id, d_in, d_out, m)

@@ -14,14 +14,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import click
 
 from . import evaluation
-from .assess import AssessConfig, assess_all, load_assessed, save_assessed
-from .candidates import GridSpec, dead_candidate_count, enumerate_candidates
+from .assess import AssessConfig, AssessedSdc, assess_all, load_assessed, save_assessed
+from .candidates import GridSpec, Sdc, dead_candidate_count, enumerate_candidates
 from .corpus import Corpus, filter_columns, load_corpus, sample_columns, save_corpus
 from .datagen import generate_corpus, write_dataset
 from .domain_fns import (
@@ -34,10 +34,10 @@ from .domain_fns import (
     make_random_hash_fn,
     sample_centroids,
 )
-from .errors import DataFormatError, SdcError
+from .errors import DataFormatError, SdcError, json_flag, json_int, json_number
 from .infer import compile_ruleset, detect_corpus, save_report
-from .select import SelectionConfig, json_flag, json_int, read_store, run_selection, write_store
-from .synth import build_candidate_stats, build_synthetic_corpus
+from .select import SelectionConfig, SelectionOutcome, read_store, run_selection, write_store
+from .synth import CandidateStats, SynthColumn, build_candidate_stats, build_synthetic_corpus
 
 
 @dataclass
@@ -91,6 +91,8 @@ class PipelineConfig:
                 json_int(functions, key, 0)
             for emb in embeddings:
                 json_int(emb, "centroids", 0)
+            for st in score_tables:
+                json_number(st, "default_score", 0.0)
             return cls(
                 corpus_path=absolute(paths["corpus"]),
                 embeddings=embeddings,
@@ -104,7 +106,8 @@ class PipelineConfig:
                 skip_numeric=json_flag(data, "skip_numeric_columns", True),
                 raw=data,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        # OverflowError: an integer too large for a float.
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"{path}: bad config ({exc!r})") from exc
 
     def config_hash(self) -> str:
@@ -133,12 +136,47 @@ def build_registry(cfg: PipelineConfig, corpus: Corpus | ValueIndex, seed: int) 
                 if fn.id not in reg:
                     reg.add(fn)
     for st in cfg.score_tables:
-        reg.add(load_score_table(st["path"], st["type_name"], st.get("default_score", 0.0)))
+        default = json_number(st, "default_score", 0.0)
+        reg.add(load_score_table(st["path"], st["type_name"], default))
     n_hash = json_int(fns_cfg, "random_hash_count", 0)
     hash_base = json_int(fns_cfg, "random_hash_seed", 0)
     for i in range(n_hash):
         reg.add(make_random_hash_fn(hash_base + i))
     return reg
+
+
+def _learn(
+    cfg: PipelineConfig, corpus: ValueIndex, seed: int
+) -> tuple[Registry, list[AssessedSdc], dict]:
+    """``gen``'s steps: the registry (its centroids drawn with ``seed``)
+    and the candidates that survive screening on ``corpus``, sorted by
+    id, with the screening gate counts."""
+    registry = build_registry(cfg, corpus, seed)
+    gate_counts: dict = {}
+    assessed = assess_all(
+        enumerate_candidates(registry.functions(), cfg.grid),
+        corpus,
+        registry,
+        cfg.assess,
+        gate_counts=gate_counts,
+    )
+    return registry, assessed, gate_counts
+
+
+def _select(
+    assessed: list[AssessedSdc], corpus: Corpus, registry: Registry, sel: SelectionConfig,
+    seed: int,
+) -> tuple[list[Sdc], SelectionOutcome, list[SynthColumn], list[CandidateStats]]:
+    """``select``'s steps: a synthetic corpus from ``corpus`` (drawn with
+    ``seed``), the detection-class stats, the selection under ``sel`` and
+    the chosen constraints in ``assessed`` order. Returns the chosen
+    constraints, the outcome, the synthetic corpus and the stats."""
+    synth = build_synthetic_corpus(corpus, seed=seed)
+    stats = build_candidate_stats(assessed, synth, len(corpus), registry)
+    outcome = run_selection(stats, sel, synth_ids=[sc.id for sc in synth])
+    selected_ids = set(outcome.selected_ids)
+    chosen = [a.sdc for a in assessed if a.sdc.id in selected_ids]
+    return chosen, outcome, synth, stats
 
 
 def _load_training_corpus(cfg: PipelineConfig) -> Corpus:
@@ -185,15 +223,7 @@ def cmd_gen(config_path: str, seed: Optional[int], grid_path: Optional[str],
     out = _common_out(cfg, out_dir)
     t0 = time.perf_counter()
     corpus = ValueIndex(_load_training_corpus(cfg))
-    registry = build_registry(cfg, corpus, cfg.seed)
-    gate_counts: dict = {}
-    assessed = assess_all(
-        enumerate_candidates(registry.functions(), cfg.grid),
-        corpus,
-        registry,
-        cfg.assess,
-        gate_counts=gate_counts,
-    )
+    registry, assessed, gate_counts = _learn(cfg, corpus, cfg.seed)
     config_hash = cfg.config_hash()
     save_assessed(assessed, os.path.join(out, "rules.jsonl"), meta={"config_hash": config_hash})
     _write_json(os.path.join(out, "registry.json"), registry.to_manifest())
@@ -238,25 +268,15 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
     out = _common_out(cfg, out_dir)
     if seed is not None:
         cfg.seed = seed
-    sel = cfg.selection
-    sel_kwargs = sel.to_json()
-    if strategy is not None:
-        sel_kwargs["strategy"] = strategy
-    if b_size is not None:
-        sel_kwargs["b_size"] = b_size
-    if b_fpr is not None:
-        sel_kwargs["b_fpr"] = b_fpr
-    if delta is not None:
-        sel_kwargs["delta"] = delta
+    overrides = {"strategy": strategy, "b_size": b_size, "b_fpr": b_fpr, "delta": delta}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     if enforce_budgets:
-        sel_kwargs["enforce_budgets"] = True
+        overrides["enforce_budgets"] = True
     # The config seed drives the synthetic corpus; rounding gets its own
-    # derived stream.
-    sel_kwargs["seed"] = cfg.seed + 1
-    # The config's own values were checked when it loaded, so a value
-    # rejected here came from an option.
+    # derived stream. The config's own values were checked when it
+    # loaded, so a value rejected here came from an option.
     try:
-        sel = SelectionConfig.from_json(sel_kwargs)
+        sel = replace(cfg.selection, seed=cfg.seed + 1, **overrides)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -269,12 +289,9 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read registry {registry_path}: {exc}") from exc
 
-    corpus = _load_training_corpus(cfg)
-    synth = build_synthetic_corpus(corpus, seed=cfg.seed)
-    stats = build_candidate_stats(assessed, synth, len(corpus), registry)
-    outcome = run_selection(stats, sel, synth_ids=[sc.id for sc in synth])
-    selected_ids = set(outcome.selected_ids)
-    chosen = [a.sdc for a in assessed if a.sdc.id in selected_ids]
+    chosen, outcome, synth, stats = _select(
+        assessed, _load_training_corpus(cfg), registry, sel, cfg.seed
+    )
     write_store(
         os.path.join(out, "store.json"),
         chosen,
@@ -363,22 +380,9 @@ def cmd_bench(config_path: str, heldout: int, rate: float, seed: Optional[int],
         raise DataFormatError(f"heldout {heldout} exceeds corpus size {len(full)}")
     train, held = sample_columns(full, heldout, cfg.seed)
 
-    train_index = ValueIndex(train)
-    registry = build_registry(cfg, train_index, cfg.seed + 1)
-    gate_counts: dict = {}
-    assessed = assess_all(
-        enumerate_candidates(registry.functions(), cfg.grid),
-        train_index,
-        registry,
-        cfg.assess,
-        gate_counts=gate_counts,
-    )
-    synth = build_synthetic_corpus(train, seed=cfg.seed + 2)
-    stats = build_candidate_stats(assessed, synth, len(train), registry)
-    sel = SelectionConfig.from_json({**cfg.selection.to_json(), "seed": cfg.seed + 3})
-    outcome = run_selection(stats, sel, synth_ids=[sc.id for sc in synth])
-    selected_ids = set(outcome.selected_ids)
-    chosen = [a.sdc for a in assessed if a.sdc.id in selected_ids]
+    registry, assessed, _ = _learn(cfg, ValueIndex(train), cfg.seed + 1)
+    sel = replace(cfg.selection, seed=cfg.seed + 3)
+    chosen, outcome, _, _ = _select(assessed, train, registry, sel, cfg.seed + 2)
 
     dirty, truth = evaluation.inject_errors(held, {}, rate, cfg.seed + 4)
     ruleset = compile_ruleset(chosen)
@@ -459,9 +463,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         rv = cli.main(args=argv, standalone_mode=False)
         return rv if isinstance(rv, int) else 0
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

@@ -77,11 +77,6 @@ class Corpus:
     def __getitem__(self, i: int) -> Column:
         return self.columns[i]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return self.columns == other.columns
-
     def ids(self) -> list[str]:
         return [c.id for c in self.columns]
 
@@ -129,7 +124,7 @@ def _load_jsonl(path: str) -> Corpus:
     return Corpus(columns)
 
 
-def _load_csv_dir(path: str, header_row: bool = False) -> Corpus:
+def _load_csv_dir(path: str) -> Corpus:
     columns: list[Column] = []
     for name in sorted(os.listdir(path)):
         full = os.path.join(path, name)
@@ -137,10 +132,6 @@ def _load_csv_dir(path: str, header_row: bool = False) -> Corpus:
             continue
         with open(full, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-        headers: list[str] = []
-        if header_row and rows:
-            headers = rows[0]
-            rows = rows[1:]
         if not rows:
             continue
         width = max(len(r) for r in rows)
@@ -148,25 +139,25 @@ def _load_csv_dir(path: str, header_row: bool = False) -> Corpus:
             vals = tuple(r[i] for r in rows if i < len(r))
             if not vals:
                 continue
-            hdr = headers[i] if i < len(headers) else None
-            columns.append(Column(id=f"{name}:{i}", values=vals, header=hdr))
+            columns.append(Column(id=f"{name}:{i}", values=vals))
     return Corpus(columns)
 
 
-def load_corpus(path: str, header_row: bool = False) -> Corpus:
+def load_corpus(path: str) -> Corpus:
     """Load a corpus from a JSONL file or, when ``path`` is a directory,
     from the CSV files in it.
 
     JSONL: one column per line, ``{"id": str, "header": str?, "values":
     [str, ...]}``. CSV directory: each file is parsed with RFC-4180
     quoting and contributes one column per CSV column, with ids
-    ``filename:column-index``.
+    ``filename:column-index`` and no header; every row, the first
+    included, holds values.
     """
     if not os.path.exists(path):
         raise DataFormatError(f"no such path: {path}")
     try:
         if os.path.isdir(path):
-            return _load_csv_dir(path, header_row=header_row)
+            return _load_csv_dir(path)
         return _load_jsonl(path)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
@@ -215,14 +206,17 @@ def sample_columns(corpus: Corpus, n: int, seed: int) -> tuple[Corpus, Corpus]:
 _DONOR_RETRIES = 16
 
 
-def draw_donor_value(
+def splice_donor_value(
     columns: list[Column], base: Column, rng: random.Random
-) -> Optional[str]:
-    """Draw a raw value from a uniformly chosen other column that is
-    absent from ``base`` after normalization, for transplanting into
-    ``base``. A value already in the column would be undetectable by
-    construction, so it is re-drawn up to ``_DONOR_RETRIES`` times;
-    None when no fresh value turns up."""
+) -> Optional[tuple[str, int, tuple[str, ...]]]:
+    """Transplant a raw value from a uniformly chosen other column into
+    ``base`` at a uniformly chosen position: returns the value, its
+    position and ``base``'s values with it spliced in.
+
+    The value must be absent from ``base`` after normalization: one
+    already in the column would be undetectable by construction, so it
+    is re-drawn up to ``_DONOR_RETRIES`` times; None when no fresh value
+    turns up (and no position is drawn)."""
     present = set(base.normalized())
     for _ in range(_DONOR_RETRIES):
         donor = columns[rng.randrange(len(columns))]
@@ -230,7 +224,8 @@ def draw_donor_value(
             continue
         value = donor.values[rng.randrange(len(donor.values))]
         if normalize_raw(value) not in present:
-            return value
+            pos = rng.randrange(len(base.values) + 1)
+            return value, pos, base.values[:pos] + (value,) + base.values[pos:]
     return None
 
 

@@ -59,7 +59,7 @@ from urllib.parse import urlparse
 import numpy as np
 
 from .corpus import Column, normalize_raw, read_lines
-from .errors import DataFormatError
+from .errors import DataFormatError, json_number
 
 INFINITE_DISTANCE = math.inf
 # Cells per block of ``ValueIndex.inside_counts``: its two per-cell
@@ -387,11 +387,14 @@ _DATE_FORMATS = (
 )
 
 
-# Every format above is three digit fields joined by two of "/-.";
-# strptime's %d also takes a leading space and its \d any Unicode digit,
-# so no value this rejects can parse, and strptime's failures (each a
-# raised ValueError) are paid only by values of the right shape.
-_DATE_SHAPE = re.compile(r"[\d ]+[/.-][\d ]+[/.-][\d ]+")
+# Every format above is three digit fields joined by two of "/-.".
+# strptime's fields have fixed widths: %m and %d take one or two digits
+# (%d also a space and one digit), %Y four and %y two, and its \d is any
+# Unicode digit. The middle field is always %m or %d. So no value this
+# rejects can parse, and strptime's failures (each a raised ValueError)
+# are paid only by values of the right shape, which phone numbers such
+# as 396-522-4299 are not.
+_DATE_SHAPE = re.compile(r"(?:\d{1,2}| \d|\d{4})[/.-](?:\d{1,2}| \d)[/.-](?:\d{1,2}| \d|\d{4})")
 
 
 def _validate_date(value: str) -> bool:
@@ -534,14 +537,16 @@ def sample_centroids(
     corpus: Iterable[Column], space: EmbeddingSpace, k: int, seed: int
 ) -> list[EmbeddingFn]:
     """Draw k distinct embeddable corpus values as centroids, uniformly
-    without replacement; deterministic for a given seed."""
+    without replacement; deterministic for a given seed. The pool is the
+    rows of the index's matrix for ``space``, which screening reuses."""
     import random as _random
 
     if k < 0:
         raise ValueError("k must be >= 0")
-    pool = sorted(
-        nv for nv in ValueIndex.of(corpus).values if nv and embed_value(space, nv) is not None
-    )
+    index = ValueIndex.of(corpus)
+    rows, _ = index._space_matrix(space)
+    values = index.values
+    pool = sorted(values[i] for i in rows.tolist() if values[i])
     if k > len(pool):
         raise ValueError(f"centroid pool has {len(pool)} values, cannot sample {k}")
     rng = _random.Random(seed)
@@ -606,14 +611,6 @@ def make_score_table_fn(
 
 # ---------------------------------------------------------------------------
 # Pattern inference
-
-
-def generalize_value(value: str, collapse_whitespace: bool = True) -> str:
-    """Map a normalized value to its token-class pattern: its
-    ``value_shape``, with whitespace runs collapsed to one space unless
-    ``collapse_whitespace`` is false."""
-    shape = value_shape(value)
-    return _WHITESPACE_RUNS.sub(" ", shape) if collapse_whitespace else shape
 
 
 def infer_patterns(corpus: Iterable[Column], top_k: int) -> list[PatternFn]:
@@ -701,23 +698,25 @@ class Registry:
         return {"spaces": spaces, "functions": entries}
 
     @classmethod
-    def from_manifest(cls, manifest: dict, base_dir: str = "") -> "Registry":
+    def from_manifest(cls, manifest: dict) -> "Registry":
+        """The registry ``to_manifest`` describes, with its embedding
+        spaces and file-backed score tables loaded from their recorded
+        paths; a relative path is read from the current directory."""
         reg = cls()
         for sid, path in manifest.get("spaces", {}).items():
             if not path:
                 raise DataFormatError(f"embedding space {sid!r} has no recorded path")
-            full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-            reg.add_space(load_embedding_space(full, space_id=sid), path=full)
+            reg.add_space(load_embedding_space(path, space_id=sid), path=path)
         for i, entry in enumerate(manifest.get("functions", [])):
             try:
-                fn = _fn_from_manifest(entry, reg, base_dir)
+                fn = _fn_from_manifest(entry, reg)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"function entry {i}: bad record ({exc!r})") from exc
             reg.add(fn)
         return reg
 
 
-def _fn_from_manifest(entry: dict, reg: Registry, base_dir: str = "") -> DomainEvalFn:
+def _fn_from_manifest(entry: dict, reg: Registry) -> DomainEvalFn:
     family = entry.get("family")
     params = entry.get("params", {})
     if family == "pattern":
@@ -727,14 +726,11 @@ def _fn_from_manifest(entry: dict, reg: Registry, base_dir: str = "") -> DomainE
     if family == "random_hash":
         return RandomHashFn(id=entry["id"], seed=int(params["seed"]))
     if family == "score_table":
+        default = json_number(params, "default_score", 0.0)
         if "scores" in params:
-            fn = make_score_table_fn(
-                params["type_name"], params["scores"], params.get("default_score", 0.0)
-            )
+            fn = make_score_table_fn(params["type_name"], params["scores"], default)
         else:
-            path = params["path"]
-            full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-            fn = load_score_table(full, params["type_name"], params.get("default_score", 0.0))
+            fn = load_score_table(params["path"], params["type_name"], default)
         if fn.id != entry["id"]:
             fn = ScoreTableFn(
                 id=entry["id"],

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Column, Corpus, draw_donor_value, read_lines
+from .corpus import Column, Corpus, read_lines, splice_donor_value
 from .domain_fns import DomainEvalFn, ValueIndex
 from .errors import DataFormatError
 from .infer import Detection
@@ -70,7 +70,7 @@ def inject_errors(
 ) -> tuple[Corpus, GroundTruth]:
     """Inject one foreign value into floor(rate * |corpus|) uniformly
     chosen columns, at a uniformly chosen position. A chosen column is
-    left clean when ``draw_donor_value`` finds no value absent from it,
+    left clean when ``splice_donor_value`` finds no value absent from it,
     so every label marks a value the rest of its column lacks. Existing
     truth labels survive with indices remapped past the insertion
     point."""
@@ -90,12 +90,11 @@ def inject_errors(
         if i not in targets:
             new_cols.append(col)
             continue
-        injected = draw_donor_value(cols, col, rng)
-        if injected is None:
+        spliced = splice_donor_value(cols, col, rng)
+        if spliced is None:
             new_cols.append(col)
             continue
-        pos = rng.randrange(len(col.values) + 1)
-        values = col.values[:pos] + (injected,) + col.values[pos:]
+        _, pos, values = spliced
         new_cols.append(Column(id=col.id, values=values, header=col.header))
         remapped = {idx + 1 if idx >= pos else idx for idx in new_truth.get(col.id, set())}
         remapped.add(pos)

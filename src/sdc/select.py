@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -51,37 +51,8 @@ import numpy as np
 
 from .candidates import Sdc
 from .domain_fns import Registry
-from .errors import DataFormatError, SdcError
+from .errors import DataFormatError, SdcError, json_flag, json_int, json_number
 from .synth import CandidateStats
-
-
-def json_flag(data: dict, key: str, default: bool) -> bool:
-    """``data[key]`` when it is a JSON ``true``/``false``, ``default``
-    when it is absent; any other value is a ``ValueError``."""
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, not {value!r}")
-    return value
-
-
-def json_int(data: dict, key: str, default: int) -> int:
-    """``data[key]`` when it is a JSON integer, ``default`` when it is
-    absent; any other value (``true``, ``2.7``, ``"3"``) is a
-    ``ValueError``."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
-def json_number(data: dict, key: str, default: float) -> float:
-    """``data[key]`` as a float when it is a JSON number, ``default``
-    when it is absent; any other value (``true``, ``"0.1"``, ``null``) is
-    a ``ValueError``."""
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, not {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -96,7 +67,7 @@ class SelectionConfig:
     def __post_init__(self) -> None:
         if self.b_size < 0:
             raise ValueError("b_size must be >= 0")
-        if self.b_fpr < 0:
+        if not self.b_fpr >= 0:
             raise ValueError("b_fpr must be >= 0")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
@@ -104,14 +75,7 @@ class SelectionConfig:
             raise ValueError("strategy must be 'fine' or 'coarse'")
 
     def to_json(self) -> dict:
-        return {
-            "b_size": self.b_size,
-            "b_fpr": self.b_fpr,
-            "delta": self.delta,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "enforce_budgets": self.enforce_budgets,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "SelectionConfig":
@@ -401,7 +365,10 @@ def write_store(
         fh.write("\n")
 
 
-def read_store(path: str, base_dir: str = "") -> tuple[list[Sdc], Registry]:
+def read_store(path: str) -> tuple[list[Sdc], Registry]:
+    """The constraints and the registry of a ``write_store`` file. The
+    registry's recorded paths are read as ``Registry.from_manifest``
+    reads them: a relative one from the current directory."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             store = json.load(fh)
@@ -409,7 +376,7 @@ def read_store(path: str, base_dir: str = "") -> tuple[list[Sdc], Registry]:
         raise DataFormatError(f"cannot read store {path}: {exc}") from exc
     if not isinstance(store, dict) or store.get("kind") != "sdc-store":
         raise DataFormatError(f"{path} is not a constraint store")
-    registry = Registry.from_manifest(store.get("registry", {}), base_dir)
+    registry = Registry.from_manifest(store.get("registry", {}))
     try:
         sdcs = [Sdc.from_record(rec) for rec in store.get("sdcs", [])]
     except (KeyError, TypeError, ValueError) as exc:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assess import AssessedSdc
-from .corpus import Column, Corpus, draw_donor_value
+from .corpus import Column, Corpus, splice_donor_value
 from .domain_fns import Registry, ValueIndex, distinct_rows
 from .errors import DataFormatError
 
@@ -64,7 +64,7 @@ def build_synthetic_corpus(
     """Build ``n`` synthetic columns (default: one per corpus column).
 
     Base column, donor column, donor value and insertion position are
-    drawn uniformly; the draw is skipped when ``draw_donor_value`` finds
+    drawn uniformly; the draw is skipped when ``splice_donor_value`` finds
     no value absent from the base column.
     """
     if len(corpus) < 2:
@@ -78,11 +78,10 @@ def build_synthetic_corpus(
     out: list[SynthColumn] = []
     for k in range(n):
         base = cols[rng.randrange(len(cols))]
-        injected = draw_donor_value(cols, base, rng)
-        if injected is None:
+        spliced = splice_donor_value(cols, base, rng)
+        if spliced is None:
             continue
-        pos = rng.randrange(len(base.values) + 1)
-        values = base.values[:pos] + (injected,) + base.values[pos:]
+        injected, pos, values = spliced
         out.append(
             SynthColumn(
                 id=f"syn-{k:06d}",

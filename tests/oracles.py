@@ -27,8 +27,9 @@ rather than in ``sdc`` because only tests call it:
   enforcement that recomputes every marginal gain from the cover sets;
 - the exact ILP optimum by subset enumeration, and small helpers
   (recall of a constraint set, best selected confidence on a column,
-  a corpus from plain lists or of random strings, a column looked up by
-  id, a report read back from its file).
+  a constraint from its four parameters, a corpus from plain lists or
+  of random strings, a column looked up by id, a report read back from
+  its file).
 
 Where the library has a counterpart, tests require it to return
 exactly what the reference returns.
@@ -57,7 +58,7 @@ from sdc.assess import (
     min_coverage_for,
     wilson_lower_confidence,
 )
-from sdc.candidates import Candidate, Sdc
+from sdc.candidates import Candidate, Sdc, candidate_id
 from sdc.corpus import Column, Corpus
 from sdc.domain_fns import _DATE_FORMATS, DomainEvalFn, Registry
 from sdc.errors import DataFormatError
@@ -115,8 +116,9 @@ def validate_url(value: str) -> bool:
 
 def generalize_value(value: str, collapse_whitespace: bool = True) -> str:
     """Whitespace runs collapsed first, then one regex match per token:
-    digit runs, letter runs or any one other character. The reference
-    for ``sdc.domain_fns.generalize_value``."""
+    digit runs, letter runs or any one other character. Without
+    collapsing, the reference for ``sdc.domain_fns.value_shape``; with
+    it, for the patterns ``infer_patterns`` generates."""
     s = re.sub(r"\s+", " ", value) if collapse_whitespace else value
     out: list[str] = []
     for m in re.finditer(r"([0-9]+)|([a-zA-Z]+)|(.)", s, flags=re.DOTALL):
@@ -140,6 +142,19 @@ def infer_patterns(corpus: Iterable[Column], top_k: int) -> list[str]:
         column_counts.update(s for s, cnt in shapes.items() if cnt * 2 >= len(norm))
     generated = {generalize_value(nv) for col in corpus for nv in col.normalized()}
     return sorted(generated, key=lambda p: (-column_counts[p], p))[:top_k]
+
+
+# ---------------------------------------------------------------------------
+# Constraints
+
+
+def constraint(
+    fn_id: str, d_in: float, d_out: float, m: float, confidence: Optional[float] = None
+) -> Sdc:
+    """An ``Sdc`` with its content-hash id, as screening builds a
+    survivor's."""
+    return Sdc(id=candidate_id(fn_id, d_in, d_out, m), fn_id=fn_id, d_in=d_in, d_out=d_out, m=m,
+               confidence=confidence)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ rounding guarantees, robustness to noise functions, inference
 equivalence, and the desk-scale benchmark.
 """
 
-import dataclasses
 import math
 import random
 import time
@@ -27,7 +26,7 @@ from sdc.assess import (
     save_assessed,
     wilson_lower_confidence,
 )
-from sdc.candidates import GridSpec, enumerate_candidates, make_sdc
+from sdc.candidates import GridSpec, enumerate_candidates
 from sdc.corpus import Column, filter_columns, sample_columns
 from sdc.datagen import (
     DOMAINS,
@@ -73,6 +72,7 @@ from oracles import (
     assess_loop,
     brute_force_ilp,
     build_css_ilp,
+    constraint,
     detect_errors_naive,
     generate_random_string_corpus,
 )
@@ -369,13 +369,13 @@ def test_criterion_07_compiled_inference_is_exact_and_cheaper(precondition_count
         sdcs = []
         for _ in range(rng.randint(1, 8)):
             d_in = rng.choice([0.3, 0.5, 1.0, 1.5, 2.0])
-            s = make_sdc(
+            sdcs.append(constraint(
                 rng.choice(fn_ids),
                 d_in,
                 d_in + rng.choice([0.0, 0.5, 1.0, 2.0]),
                 rng.choice([0.5, 0.7, 0.9, 1.0]),
-            )
-            sdcs.append(dataclasses.replace(s, confidence=round(rng.uniform(0.5, 0.99), 6)))
+                round(rng.uniform(0.5, 0.99), 6),
+            ))
         column = Column(
             id=f"acc-{i:04d}",
             values=tuple(rng.choices(ACC_VOCAB + ["zulu", "yankee", "xx-1"],
@@ -496,8 +496,7 @@ def test_criterion_10_store_detection_speed(tmp_path):
     combos = [(0.8, 0.9, 0.6), (0.8, 0.95, 0.8), (0.9, 0.95, 0.5), (0.9, 0.99, 0.7)]
     for j, fn in enumerate(reg.functions()):
         for d_in, d_out, m in combos:
-            s = make_sdc(fn.id, d_in, d_out, m)
-            sdcs.append(dataclasses.replace(s, confidence=0.9 + (j % 10) * 1e-4))
+            sdcs.append(constraint(fn.id, d_in, d_out, m, 0.9 + (j % 10) * 1e-4))
     assert len(sdcs) == 500
     store_path = tmp_path / "store.json"
     write_store(str(store_path), sdcs, reg)

@@ -21,13 +21,19 @@ from sdc.assess import (
     save_assessed,
     wilson_lower_confidence,
 )
-from sdc.candidates import GridSpec, enumerate_candidates, make_sdc
+from sdc.candidates import Candidate, GridSpec, enumerate_candidates
 from sdc.corpus import Column, Corpus
 from sdc.domain_fns import Registry, make_random_hash_fn, make_score_table_fn
 from sdc.errors import DataFormatError
 
 from conftest import table
-from oracles import assess_loop, build_contingency, eval_postcondition, eval_precondition
+from oracles import (
+    assess_loop,
+    build_contingency,
+    constraint,
+    eval_postcondition,
+    eval_precondition,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -223,34 +229,34 @@ def boundary_registry():
 class TestPrePost:
     def test_inner_ball_inclusive(self, boundary_registry):
         col = Column(id="c", values=("a", "b"))  # distances 0.2, 0.5
-        sdc = make_sdc("score:t", 0.5, 1.0, 1.0)
+        sdc = constraint("score:t", 0.5, 1.0, 1.0)
         # b sits exactly on d_in and still counts as inside
         assert eval_precondition(sdc, col, boundary_registry)
-        tighter = make_sdc("score:t", 0.49, 1.0, 1.0)
+        tighter = constraint("score:t", 0.49, 1.0, 1.0)
         assert not eval_precondition(tighter, col, boundary_registry)
 
     def test_matching_fraction_non_strict(self, boundary_registry):
         col = Column(id="c", values=("a", "a", "a", "c"))  # 3 of 4 inside 0.3
-        sdc = make_sdc("score:t", 0.3, 1.0, 0.75)
+        sdc = constraint("score:t", 0.3, 1.0, 0.75)
         assert eval_precondition(sdc, col, boundary_registry)
-        sdc_tight = make_sdc("score:t", 0.3, 1.0, 0.76)
+        sdc_tight = constraint("score:t", 0.3, 1.0, 0.76)
         assert not eval_precondition(sdc_tight, col, boundary_registry)
 
     def test_outer_ball_strict(self, boundary_registry):
         col = Column(id="c", values=("a", "c", "zz"))  # distances 0.2, 0.8, 1.0
-        sdc = make_sdc("score:t", 0.2, 0.8, 0.1)
+        sdc = constraint("score:t", 0.2, 0.8, 0.1)
         # c is exactly at d_out = 0.8: not flagged; zz at 1.0: flagged
         flagged = eval_postcondition(sdc, col, boundary_registry)
         assert flagged == {(2, "zz")}
 
     def test_postcondition_reports_raw_values(self, boundary_registry):
         col = Column(id="c", values=("a", " ZZ "))
-        sdc = make_sdc("score:t", 0.2, 0.9, 0.1)
+        sdc = constraint("score:t", 0.2, 0.9, 0.1)
         assert eval_postcondition(sdc, col, boundary_registry) == {(1, " ZZ ")}
 
     def test_infinite_outer_radius_never_triggers(self, boundary_registry):
         col = Column(id="c", values=("a", "zz"))
-        sdc = make_sdc("score:t", 0.2, math.inf, 0.1)
+        sdc = constraint("score:t", 0.2, math.inf, 0.1)
         assert eval_postcondition(sdc, col, boundary_registry) == set()
 
     def test_build_contingency_matches_manual(self, boundary_registry):
@@ -261,14 +267,14 @@ class TestPrePost:
             Column(id="c4", values=("c", "c")),         # not covered (0.8 > d_in)
         ]
         corpus = Corpus(cols)
-        sdc = make_sdc("score:t", 0.5, 0.9, 0.6)
+        sdc = constraint("score:t", 0.5, 0.9, 0.6)
         t = build_contingency(sdc, corpus, boundary_registry)
         assert t.as_tuple() == (1, 1, 1, 1)
 
     def test_triggering_evaluated_on_uncovered_columns(self, boundary_registry):
         # the uncovered-and-triggered cell must be populated
         corpus = Corpus([Column(id="c", values=("zz", "zz"))])
-        sdc = make_sdc("score:t", 0.2, 0.9, 0.9)
+        sdc = constraint("score:t", 0.2, 0.9, 0.9)
         t = build_contingency(sdc, corpus, boundary_registry)
         assert t.notcovered_triggered == 1
 
@@ -317,7 +323,7 @@ class TestAssessAll:
             cols.append(Column(id=f"noise{i}", values=vals))
         corpus = Corpus(cols)
         reg = small_registry(0)
-        cand = make_sdc("score:t", 0.1, 0.99, 0.9)
+        cand = Candidate("score:t", 0.1, 0.99, 0.9)
         kept = assess_all([cand], corpus, reg)
         assert len(kept) == 1
         a = kept[0]
@@ -373,7 +379,7 @@ class TestAssessAll:
         reg.add(make_score_table_fn("s", {"a": 1.0, "b": 0.9, "c": 0.5, "d": 0.1}))
         reg.add(make_random_hash_fn(3))
         reg.add(make_random_hash_fn(4))
-        cands = [make_sdc(fn_id, d_in, d_in + off, m) for fn_id, d_in, off, m in specs]
+        cands = [Candidate(fn_id, d_in, d_in + off, m) for fn_id, d_in, off, m in specs]
         cfg = AssessConfig(h_min=h_min, p_max=p_max, c_thres=c_thres)
         gate_counts = {}
         kept = assess_all(cands, corpus, reg, cfg, gate_counts=gate_counts)
@@ -407,13 +413,13 @@ class TestAssessAll:
         corpus = Corpus(cols[:40] + [
             Column(id=f"unc{i}", values=("in", "in")) for i in range(40, 80)
         ])
-        cand = make_sdc("score:t", 0.0, 0.99, 0.9)
+        cand = Candidate("score:t", 0.0, 0.99, 0.9)
         assert assess_all([cand], corpus, reg) == []
 
 
 class TestAssessedIO:
     def test_round_trip(self, tmp_path):
-        sdc = make_sdc("score:t", 0.1, 0.9, 0.95).with_confidence(0.91)
+        sdc = constraint("score:t", 0.1, 0.9, 0.95, 0.91)
         item = AssessedSdc(sdc=sdc, table=table(0, 30, 5, 65), h=1.2, p=0.001)
         path = tmp_path / "rules.jsonl"
         save_assessed([item], str(path), meta={"config_hash": "abc"})
@@ -439,7 +445,7 @@ class TestAssessedIO:
         items = []
         for fn_id, d_in, extra, m, conf, tab, h, p in records:
             d_out = d_in + abs(extra)
-            sdc = make_sdc(fn_id, d_in, d_out, m).with_confidence(conf)
+            sdc = constraint(fn_id, d_in, d_out, m, conf)
             items.append(AssessedSdc(sdc=sdc, table=table(*tab), h=h, p=p))
         path = tmp_path_factory.mktemp("rules") / "rules.jsonl"
         save_assessed(items, str(path), meta={"config_hash": "abc"})

@@ -12,7 +12,6 @@ from sdc.candidates import (
     candidate_id,
     dead_candidate_count,
     enumerate_candidates,
-    make_sdc,
 )
 from sdc.domain_fns import (
     builtin_validators,
@@ -21,6 +20,10 @@ from sdc.domain_fns import (
     make_random_hash_fn,
     make_score_table_fn,
 )
+
+
+GRID_FIELDS = ["m_values", "embedding_d_in", "embedding_d_out_offsets", "score_d_in",
+               "score_d_out", "hash_d_in", "hash_d_out"]
 
 
 class TestSdc:
@@ -36,17 +39,10 @@ class TestSdc:
         with pytest.raises(ValueError):
             Sdc(id="x", fn_id="f", d_in=0.0, d_out=1.0, m=m)
 
-    def test_with_confidence(self):
-        s = make_sdc("f", 0.0, 1.0, 0.9)
-        assert s.confidence is None
-        s2 = s.with_confidence(0.93)
-        assert s2.confidence == 0.93
-        assert s2.id == s.id
-
     def test_id_is_stable_content_hash(self):
         # pinned so stored rulesets stay valid across releases
         assert candidate_id("emb:toy:red", 1.5, 2.0, 0.9) == "sdc-5ee85d25e3733b4c"
-        assert candidate_id("emb:toy:red", 1.5, 2.0, 0.9) == make_sdc(
+        assert candidate_id("emb:toy:red", 1.5, 2.0, 0.9) == Candidate(
             "emb:toy:red", 1.5, 2.0, 0.9
         ).id
 
@@ -97,6 +93,24 @@ class TestGridSpec:
         path.write_text(json.dumps(grid.to_json()))
         loaded = GridSpec.load(str(path))
         assert loaded == grid
+
+    @given(st.fixed_dictionaries({
+        key: st.lists(
+            st.floats(0.0, 1.0, exclude_min=True) if key == "m_values"
+            else st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=4,
+        )
+        for key in GRID_FIELDS
+    }))
+    @settings(max_examples=200)
+    def test_json_round_trip_property(self, data):
+        """Every field survives to_json and from_json, as floats, and
+        to_json writes the fields in declaration order."""
+        grid = GridSpec.from_json(data)
+        text = json.dumps(grid.to_json())
+        assert list(json.loads(text)) == GRID_FIELDS
+        assert GridSpec.from_json(json.loads(text)) == grid
+        assert grid.to_json() == {k: [float(x) for x in v] for k, v in data.items()}
 
     def test_partial_json_keeps_defaults(self):
         grid = GridSpec.from_json({"m_values": [0.9]})

@@ -249,7 +249,8 @@ def test_select_zero_budget_selects_nothing(demo, pipeline):
     assert sdcs == []
 
 
-@pytest.mark.parametrize("option", ["--delta=5", "--delta=0", "--b-size=-1", "--b-fpr=-1"])
+@pytest.mark.parametrize(
+    "option", ["--delta=5", "--delta=0", "--b-size=-1", "--b-fpr=-1", "--b-fpr=nan"])
 def test_select_out_of_range_option_is_usage_error(option, tmp_path, demo):
     rc = run(["select", "--config", str(demo["config"]), "--out-dir", str(tmp_path), option])
     assert rc == 1
@@ -501,6 +502,30 @@ MALFORMED_INPUTS = {
     "config-delta-string": (
         "cfg.json", {"paths": {"corpus": "{corpus}"}, "selection": {"delta": "0.01"}},
         GEN_CONFIG_OUT),
+    # Python's json reads NaN and Infinity, which are not JSON numbers.
+    "config-b-fpr-nan": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "selection": {"b_fpr": float("nan")}},
+        GEN_CONFIG_OUT),
+    "config-b-fpr-beyond-float-range": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "selection": {"b_fpr": 10**400}},
+        GEN_CONFIG_OUT),
+    # Assess settings, grid entries and a score table's default score
+    # are JSON numbers too.
+    "config-assess-z-boolean": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "assess": {"z": True}}, GEN_CONFIG_OUT),
+    "config-assess-h-min-string": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "assess": {"h_min": "0.8"}}, GEN_CONFIG_OUT),
+    "config-grid-m-values-string-entry": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "grid": {"m_values": ["0.9"]}},
+        GEN_CONFIG_OUT),
+    **{
+        f"config-default-score-{kind}": (
+            "cfg.json",
+            {"paths": {"corpus": "{corpus}", "score_tables": [
+                {"type_name": "airport", "path": "{scores}", "default_score": value}]}},
+            GEN_CONFIG_OUT)
+        for kind, value in (("boolean", True), ("string", "x"))
+    },
     "config-embedding-file-missing": (
         "cfg.json",
         {"paths": {"corpus": "{corpus}", "embeddings": [{"space_id": "toy", "path": "nope.txt"}]}},
@@ -521,6 +546,13 @@ MALFORMED_INPUTS = {
         {"kind": "sdc-store", "registry": {"functions": []},
          "sdcs": [{"id": ["x"], "fn_id": "f", "d_in": 0.1, "d_out": 0.5, "m": 1.0,
                    "confidence": 0.9}]},
+        ["infer", "--rules", "{file}", "--corpus", "{corpus}", "--out", "{tmp}/report.jsonl"]),
+    # A recorded default score is a JSON number, as in the config.
+    "store-default-score-boolean": (
+        "store.json",
+        {"kind": "sdc-store", "sdcs": [], "registry": {"functions": [
+            {"id": "score:airport", "family": "score_table",
+             "params": {"type_name": "airport", "scores": {"jfk": 1.0}, "default_score": True}}]}},
         ["infer", "--rules", "{file}", "--corpus", "{corpus}", "--out", "{tmp}/report.jsonl"]),
     "registry-embedding-without-space-id": (
         "registry.json", {"functions": [EMBEDDING_WITHOUT_SPACE_ID]},
@@ -564,6 +596,7 @@ def test_malformed_input_is_data_error(name, tmp_path, demo, pipeline):
     path = tmp_path / file_name
     slots = {"file": path, "tmp": tmp_path, "config": demo["config"],
              "corpus": demo["data"] / "corpus.jsonl", "space": demo["data"] / "toy-space.txt",
+             "scores": demo["data"] / "scores-airport.jsonl",
              "rules": pipeline / "rules.jsonl"}
     (tmp_path / LATIN1).write_bytes(b"caf\xe9 1.0 2.0\n")
     if isinstance(contents, bytes):
@@ -572,7 +605,7 @@ def test_malformed_input_is_data_error(name, tmp_path, demo, pipeline):
         path.write_text(contents)
     elif contents is not None:
         text = json.dumps(contents)
-        for slot in ("corpus", "space"):
+        for slot in ("corpus", "space", "scores"):
             text = text.replace(f'"{{{slot}}}"', json.dumps(str(slots[slot])))
         path.write_text(text)
     assert run([arg.format(**slots) for arg in argv]) == 2

@@ -155,12 +155,11 @@ class TestCsvDir:
         assert corpus.ids() == ["a.csv:0", "a.csv:1", "b.csv:0", "b.csv:1"]
         assert column_by_id(corpus, "a.csv:1").values == ("y,z", "v")
 
-    def test_header_row(self, tmp_path):
+    def test_first_row_holds_values(self, tmp_path):
         (tmp_path / "a.csv").write_text("name,age\nbob,3\n")
-        corpus = load_corpus(str(tmp_path), header_row=True)
-        col = column_by_id(corpus, "a.csv:0")
-        assert col.header == "name"
-        assert col.values == ("bob",)
+        col = column_by_id(load_corpus(str(tmp_path)), "a.csv:0")
+        assert col.header is None
+        assert col.values == ("name", "bob")
 
     def test_ragged_rows(self, tmp_path):
         (tmp_path / "a.csv").write_text("a,b\nc\n")

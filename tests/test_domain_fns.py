@@ -1,4 +1,6 @@
 import math
+import random
+import re
 import string
 from unittest import mock
 
@@ -18,7 +20,6 @@ from sdc.domain_fns import (
     builtin_validators,
     embed_value,
     eval_distance,
-    generalize_value,
     infer_patterns,
     load_embedding_space,
     load_score_table,
@@ -28,6 +29,7 @@ from sdc.domain_fns import (
     make_score_table_fn,
     pattern_to_regex,
     sample_centroids,
+    value_shape,
     _validate_date,
 )
 from sdc.errors import DataFormatError
@@ -181,6 +183,25 @@ class TestSampleCentroids:
         with pytest.raises(ValueError):
             sample_centroids(corpus, space2d, 5, seed=0)
 
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    def test_pool_equals_per_value_embedding(self, space2d, prebuilt):
+        """The pool read off the index's space matrix is the sorted
+        distinct non-empty values that ``embed_value`` embeds one at a
+        time, so every draw picks the same centroids."""
+        ds = generate_corpus(200, seed=11)
+        cases = [
+            (ds.corpus, ds.space),
+            (oracles.corpus_from_lists(
+                {"a": ["red", "Red Navy", "red zzz", "  ", "qqq"], "b": ["BLUE ", "zzz"]}), space2d),
+        ]
+        for corpus, space in cases:
+            values = {nv for col in corpus for nv in col.normalized()}
+            pool = sorted(nv for nv in values if nv and embed_value(space, nv) is not None)
+            source = ValueIndex(corpus) if prebuilt else corpus
+            for seed in (0, 3):
+                got = [fn.centroid for fn in sample_centroids(source, space, len(pool), seed)]
+                assert got == random.Random(seed).sample(pool, len(pool))
+
 
 # ---------------------------------------------------------------------------
 # pattern
@@ -220,17 +241,27 @@ class TestPattern:
 
 
 class TestGeneralize:
+    """A value's shape keeps its whitespace; the patterns
+    ``infer_patterns`` generates collapse each whitespace run to one
+    space."""
+
+    @staticmethod
+    def generated(value):
+        return infer_patterns([Column(id="c", values=(value,))], 1)[0].pattern
+
     def test_basic_runs(self):
-        assert generalize_value("ab12-c") == "[a-zA-Z]+\\d+-[a-zA-Z]+"
-        assert generalize_value("555-123-4567") == "\\d+-\\d+-\\d+"
-        assert generalize_value("tt0371746") == "[a-zA-Z]+\\d+"
+        assert value_shape("ab12-c") == "[a-zA-Z]+\\d+-[a-zA-Z]+"
+        assert value_shape("555-123-4567") == "\\d+-\\d+-\\d+"
+        assert value_shape("tt0371746") == "[a-zA-Z]+\\d+"
 
     def test_whitespace_collapsed(self):
-        assert generalize_value("a  \t b") == "[a-zA-Z]+ [a-zA-Z]+"
-        assert generalize_value("a b", collapse_whitespace=False) == "[a-zA-Z]+ [a-zA-Z]+"
+        assert self.generated("a  \t b") == "[a-zA-Z]+ [a-zA-Z]+"
+        assert value_shape("a  \t b") == "[a-zA-Z]+  \t [a-zA-Z]+"
+        assert value_shape("a b") == "[a-zA-Z]+ [a-zA-Z]+"
 
     def test_non_ascii_stays_literal(self):
-        assert generalize_value("café") == "[a-zA-Z]+é"
+        assert value_shape("café") == "[a-zA-Z]+é"
+        assert self.generated("café") == "[a-zA-Z]+é"
 
     @given(
         st.text(
@@ -241,13 +272,10 @@ class TestGeneralize:
     )
     @settings(max_examples=200)
     def test_generated_pattern_matches_its_value(self, value):
-        """generalize then compile: the (whitespace-collapsed) source
-        value must fully match its own generated pattern."""
-        import re
-
-        collapsed = re.sub(r"\s+", " ", value)
-        pattern = generalize_value(value)
-        assert pattern_to_regex(pattern).fullmatch(collapsed)
+        """generalize then compile: the (normalized, whitespace-collapsed)
+        source value must fully match its own generated pattern."""
+        collapsed = re.sub(r"\s+", " ", value.strip().casefold())
+        assert pattern_to_regex(self.generated(value)).fullmatch(collapsed)
 
     @given(
         st.text(alphabet=string.ascii_lowercase + string.digits + "-.", min_size=1, max_size=20),
@@ -256,10 +284,10 @@ class TestGeneralize:
     @settings(max_examples=200)
     def test_match_iff_same_shape(self, a, b):
         """A value matches a maximal-run generated pattern iff its own
-        generalization is that same pattern string."""
-        pattern = generalize_value(a)
+        shape is that same pattern string."""
+        pattern = value_shape(a)
         matches = bool(pattern_to_regex(pattern).fullmatch(b))
-        assert matches == (generalize_value(b) == pattern)
+        assert matches == (value_shape(b) == pattern)
 
 
 class TestInferPatterns:
@@ -319,9 +347,12 @@ def luhn_reference(digits: str) -> bool:
 
 # ASCII digits, an Arabic-Indic digit, the separators, space and letters;
 # the second strategy joins three short digit fields like a date.
-DATE_ALPHABET = "0123456789\u0663/-. ab"
+# ASCII digits and Unicode ones (Arabic-Indic, Devanagari, fullwidth),
+# which strptime's \d takes as well.
+DATE_DIGITS = "0123456789\u0663\u0967\uff11"
+DATE_ALPHABET = DATE_DIGITS + "/-. ab"
 DATE_FIELD = st.tuples(
-    st.sampled_from(["", " "]), st.text(alphabet="0123456789\u0663", min_size=1, max_size=4)
+    st.sampled_from(["", " ", "  "]), st.text(alphabet=DATE_DIGITS, min_size=1, max_size=5)
 ).map("".join)
 DATE_SEP = st.sampled_from("/-.")
 
@@ -363,6 +394,10 @@ class TestValidators:
     @example("1/5/٢٠٢٠")
     @example("12345")
     @example("555-123-4567")
+    @example("396-522-4299")
+    @example("2020-001-05")
+    @example("١/٥/٢٠٢٠")
+    @example("\uff11/\uff15/2020")
     @example("")
     @settings(max_examples=1000)
     def test_date_shape_filter_matches_reference(self, value):
@@ -819,7 +854,7 @@ class TestFamilyKernels:
     def test_shape_kernel_equals_regex(self, cells_by_column, written):
         columns = kernel_columns(cells_by_column)
         index = ValueIndex(columns)
-        generated = [generalize_value(v) for v in index.values]
+        generated = [oracles.generalize_value(v) for v in index.values]
         cells = [nv for col in columns for nv in col.normalized()]
         for pattern in generated + written:
             fn = make_pattern_fn(pattern)
@@ -836,12 +871,18 @@ class TestFamilyKernels:
         assert index.distances(fn).tolist() == want
         assert 0.0 in want
 
-    @given(st.text(max_size=40), st.booleans())
+    @given(st.text(max_size=40), st.text(max_size=40))
     @settings(max_examples=500)
-    @example("a  \t b\n\n1", True)
-    @example("٣x_\\[é", False)
-    def test_generalize_equals_reference(self, value, collapse):
-        assert generalize_value(value, collapse) == oracles.generalize_value(value, collapse)
+    @example("a  \t b\n\n1", "a b 1")
+    @example("٣x_\\[é", "  ")
+    def test_generalize_equals_reference(self, value, other):
+        """``value_shape`` is the reference generalization without
+        collapsing, and ``infer_patterns`` generates and ranks the
+        reference's collapsed patterns."""
+        assert value_shape(value) == oracles.generalize_value(value, collapse_whitespace=False)
+        corpus = [Column(id="a", values=(value,)), Column(id="b", values=(value, other, other))]
+        got = [fn.pattern for fn in infer_patterns(corpus, 3)]
+        assert got == oracles.infer_patterns(corpus, 3)
 
     @given(
         st.lists(st.lists(st.text(alphabet=KERNEL_CHARS, max_size=8), min_size=1, max_size=6),

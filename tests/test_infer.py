@@ -2,13 +2,13 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdc.candidates import make_sdc
 from sdc.corpus import Column, Corpus
 from sdc.domain_fns import (
     EmbeddingSpace,
@@ -25,7 +25,7 @@ from sdc.infer import (
     save_report,
 )
 
-from oracles import detect_errors_naive, load_report
+from oracles import constraint, detect_errors_naive, load_report
 
 TOKENS = ["red", "crimson", "scarlet", "blue", "navy", "azure", "zzz", "tt1"]
 
@@ -54,21 +54,21 @@ def sdc_pool():
         for d_in in (0.5, 1.5, 2.0):
             for off in (0.5, 2.0, 9.0):
                 for m in (0.6, 0.75, 1.0):
-                    pool.append(make_sdc(fn_id, d_in, d_in + off, m))
+                    pool.append(constraint(fn_id, d_in, d_in + off, m))
     for d_in in (0.1, 0.25):
         for d_out in (0.5, 0.95):
             for m in (0.6, 0.75, 1.0):
-                pool.append(make_sdc("score:reds", d_in, d_out, m))
+                pool.append(constraint("score:reds", d_in, d_out, m))
     return pool
 
 
 class TestCompileRuleset:
     def test_groups_partition_by_precondition(self):
         sdcs = [
-            make_sdc("score:reds", 0.2, 0.5, 0.8).with_confidence(0.9),
-            make_sdc("score:reds", 0.2, 0.9, 0.8).with_confidence(0.91),
-            make_sdc("score:reds", 0.3, 0.5, 0.8).with_confidence(0.92),
-            make_sdc("emb:toy2d:red", 0.2, 0.5, 0.8).with_confidence(0.93),
+            constraint("score:reds", 0.2, 0.5, 0.8, 0.9),
+            constraint("score:reds", 0.2, 0.9, 0.8, 0.91),
+            constraint("score:reds", 0.3, 0.5, 0.8, 0.92),
+            constraint("emb:toy2d:red", 0.2, 0.5, 0.8, 0.93),
         ]
         ruleset = compile_ruleset(sdcs)
         assert len(ruleset) == 4
@@ -85,7 +85,7 @@ class TestCompileRuleset:
 class TestDetectErrors:
     def test_flags_far_value(self):
         reg = build_registry()
-        sdc = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.75).with_confidence(0.95)
+        sdc = constraint("emb:toy2d:red", 1.5, 2.0, 0.75, 0.95)
         col = Column(id="c0", values=("red", "crimson", "Blue", "scarlet"))
         dets = detect_corpus(compile_ruleset([sdc]), [col], reg)
         assert len(dets) == 1
@@ -97,7 +97,7 @@ class TestDetectErrors:
 
     def test_precondition_gate(self):
         reg = build_registry()
-        sdc = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.9).with_confidence(0.95)
+        sdc = constraint("emb:toy2d:red", 1.5, 2.0, 0.9, 0.95)
         # only 3/4 inside: 0.75 < 0.9, so nothing is flagged
         col = Column(id="c0", values=("red", "crimson", "blue", "scarlet"))
         assert detect_corpus(compile_ruleset([sdc]), [col], reg) == []
@@ -105,13 +105,13 @@ class TestDetectErrors:
     def test_outer_boundary_not_flagged(self):
         reg = build_registry()
         # scarlet is at distance exactly 1.0 from the red centroid
-        sdc = make_sdc("emb:toy2d:red", 1.0, 1.0, 0.5).with_confidence(0.9)
+        sdc = constraint("emb:toy2d:red", 1.0, 1.0, 0.5, 0.9)
         col = Column(id="c0", values=("red", "scarlet"))
         assert detect_corpus(compile_ruleset([sdc]), [col], reg) == []
 
     def test_min_confidence_filter(self):
         reg = build_registry()
-        sdc = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.5).with_confidence(0.7)
+        sdc = constraint("emb:toy2d:red", 1.5, 2.0, 0.5, 0.7)
         col = Column(id="c0", values=("red", "blue"))
         ruleset = compile_ruleset([sdc])
         assert len(detect_corpus(ruleset, [col], reg)) == 1
@@ -119,8 +119,8 @@ class TestDetectErrors:
 
     def test_highest_confidence_wins(self):
         reg = build_registry()
-        weak = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.5).with_confidence(0.88)
-        strong = make_sdc("emb:toy2d:red", 1.5, 3.0, 0.5).with_confidence(0.93)
+        weak = constraint("emb:toy2d:red", 1.5, 2.0, 0.5, 0.88)
+        strong = constraint("emb:toy2d:red", 1.5, 3.0, 0.5, 0.93)
         col = Column(id="c0", values=("red", "crimson", "blue"))
         dets = detect_corpus(compile_ruleset([weak, strong]), [col], reg)
         assert len(dets) == 1
@@ -129,16 +129,16 @@ class TestDetectErrors:
 
     def test_equal_confidence_breaks_on_id(self):
         reg = build_registry()
-        a = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.5).with_confidence(0.9)
-        b = make_sdc("emb:toy2d:red", 1.5, 3.0, 0.5).with_confidence(0.9)
+        a = constraint("emb:toy2d:red", 1.5, 2.0, 0.5, 0.9)
+        b = constraint("emb:toy2d:red", 1.5, 3.0, 0.5, 0.9)
         col = Column(id="c0", values=("red", "blue"))
         dets = detect_corpus(compile_ruleset([a, b]), [col], reg)
         assert dets[0].sdc_id == max(a.id, b.id)
 
     def test_sorted_by_confidence_then_index(self):
         reg = build_registry()
-        red = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.5).with_confidence(0.92)
-        reds = make_sdc("score:reds", 0.25, 0.5, 0.5).with_confidence(0.85)
+        red = constraint("emb:toy2d:red", 1.5, 2.0, 0.5, 0.92)
+        reds = constraint("score:reds", 0.25, 0.5, 0.5, 0.85)
         # red embedding flags indices 1 and 3; the score table flags 3
         # only (zzz scores 0, blue also 0 -> both beyond 0.5; but blue
         # is flagged by the embedding at higher confidence too)
@@ -151,7 +151,7 @@ class TestDetectErrors:
 
     def test_oov_distance_reported_as_inf(self):
         reg = build_registry()
-        sdc = make_sdc("emb:toy2d:red", 1.5, 5.0, 0.75).with_confidence(0.9)
+        sdc = constraint("emb:toy2d:red", 1.5, 5.0, 0.75, 0.9)
         col = Column(id="c0", values=("red", "crimson", "scarlet", "mystery"))
         dets = detect_corpus(compile_ruleset([sdc]), [col], reg)
         assert len(dets) == 1
@@ -160,7 +160,7 @@ class TestDetectErrors:
 
     def test_single_value_column(self):
         reg = build_registry()
-        sdc = make_sdc("emb:toy2d:red", 1.5, 2.0, 1.0).with_confidence(0.9)
+        sdc = constraint("emb:toy2d:red", 1.5, 2.0, 1.0, 0.9)
         ruleset = compile_ruleset([sdc])
         covered = Column(id="c0", values=("red",))
         uncovered = Column(id="c1", values=("blue",))
@@ -173,7 +173,7 @@ def random_case(seed):
     pool = sdc_pool()
     k = rng.randint(1, 8)
     sdcs = [
-        s.with_confidence(round(rng.uniform(0.8, 0.99), 3))
+        replace(s, confidence=round(rng.uniform(0.8, 0.99), 3))
         for s in rng.sample(pool, k)
     ]
     n = rng.randint(1, 12)
@@ -190,7 +190,7 @@ def corpus_case(draw):
     can fall between two flaggers of one cell."""
     pool = sdc_pool()
     sdcs = [
-        pool[k] if conf is None else pool[k].with_confidence(conf)
+        pool[k] if conf is None else replace(pool[k], confidence=conf)
         for k, conf in draw(st.lists(
             st.tuples(st.integers(0, len(pool) - 1), st.sampled_from([None, 0.8, 0.9, 0.95])),
             max_size=8,
@@ -205,17 +205,17 @@ def corpus_case(draw):
     return sdcs, columns, draw(st.sampled_from([0.0, 0.85, 0.9, 0.92, 1.0]))
 
 
-RED_AT_TWO = make_sdc("emb:toy2d:red", 1.5, 2.0, 0.5)
-RED_AT_THREE = make_sdc("emb:toy2d:red", 1.5, 3.0, 0.5)
+RED_AT_TWO = constraint("emb:toy2d:red", 1.5, 2.0, 0.5)
+RED_AT_THREE = constraint("emb:toy2d:red", 1.5, 3.0, 0.5)
 
 
 class TestCompiledMatchesNaive:
     @given(corpus_case())
     @example(([], [Column("c0", ("red", "blue"))], 0.0))
-    @example(([RED_AT_TWO.with_confidence(0.8), RED_AT_THREE.with_confidence(0.95)],
+    @example(([replace(RED_AT_TWO, confidence=0.8), replace(RED_AT_THREE, confidence=0.95)],
               [Column("c0", ("red", "blue")), Column("c1", ("zzz",)), Column("c2", ("red", "zzz"))],
               0.9))
-    @example(([RED_AT_TWO, RED_AT_TWO, RED_AT_THREE.with_confidence(0.9)],
+    @example(([RED_AT_TWO, RED_AT_TWO, replace(RED_AT_THREE, confidence=0.9)],
               [Column("c0", ("red", "crimson", "navy")), Column("c1", ("navy",))], 0.0))
     @settings(max_examples=300, deadline=None)
     def test_corpus_matches_naive_column_by_column(self, case):
@@ -237,10 +237,10 @@ class TestCompiledMatchesNaive:
     def test_grouped_does_fewer_precondition_evals(self, precondition_counts):
         reg = build_registry()
         sdcs = [
-            make_sdc("score:reds", 0.25, 0.5, 0.6).with_confidence(0.9),
-            make_sdc("score:reds", 0.25, 0.9, 0.6).with_confidence(0.91),
-            make_sdc("score:reds", 0.25, 0.95, 0.6).with_confidence(0.92),
-            make_sdc("emb:toy2d:red", 1.5, 2.0, 0.6).with_confidence(0.93),
+            constraint("score:reds", 0.25, 0.5, 0.6, 0.9),
+            constraint("score:reds", 0.25, 0.9, 0.6, 0.91),
+            constraint("score:reds", 0.25, 0.95, 0.6, 0.92),
+            constraint("emb:toy2d:red", 1.5, 2.0, 0.6, 0.93),
         ]
         col = Column(id="c0", values=("red", "crimson", "blue"))
         c_naive = Counter()
@@ -254,8 +254,8 @@ class TestCompiledMatchesNaive:
     def test_same_evals_when_all_preconditions_differ(self, precondition_counts):
         reg = build_registry()
         sdcs = [
-            make_sdc("score:reds", 0.1, 0.5, 0.6).with_confidence(0.9),
-            make_sdc("score:reds", 0.25, 0.5, 0.6).with_confidence(0.9),
+            constraint("score:reds", 0.1, 0.5, 0.6, 0.9),
+            constraint("score:reds", 0.25, 0.5, 0.6, 0.9),
         ]
         col = Column(id="c0", values=("red", "blue"))
         detect_corpus(compile_ruleset(sdcs), [col], reg)
@@ -274,8 +274,8 @@ class TestDetectCorpus:
     def ruleset(self):
         return compile_ruleset(
             [
-                make_sdc("emb:toy2d:red", 1.5, 2.0, 0.6).with_confidence(0.95),
-                make_sdc("emb:toy2d:blue", 1.5, 2.0, 0.6).with_confidence(0.9),
+                constraint("emb:toy2d:red", 1.5, 2.0, 0.6, 0.95),
+                constraint("emb:toy2d:blue", 1.5, 2.0, 0.6, 0.9),
             ]
         )
 
@@ -289,7 +289,7 @@ class TestDetectCorpus:
         # inject_errors keeps column ids: detection on the dirty copy
         # must see the injected value, whatever ran on the clean corpus.
         reg = build_registry()
-        ruleset = compile_ruleset([make_sdc("emb:toy2d:red", 1.5, 2.0, 0.6).with_confidence(0.9)])
+        ruleset = compile_ruleset([constraint("emb:toy2d:red", 1.5, 2.0, 0.6, 0.9)])
         clean = Corpus([Column(id="c1", values=("red", "crimson", "scarlet"))])
         dirty = Corpus([Column(id="c1", values=("red", "crimson", "zz", "scarlet"))])
         assert detect_corpus(ruleset, ValueIndex(clean), reg) == []
@@ -300,7 +300,7 @@ class TestDetectCorpus:
         # The index holds "apple" once, first as c0's own cell; c1's
         # " Apple" normalizes to it but is reported as written.
         reg = build_registry()
-        ruleset = compile_ruleset([make_sdc("emb:toy2d:red", 1.5, 2.0, 0.6).with_confidence(0.9)])
+        ruleset = compile_ruleset([constraint("emb:toy2d:red", 1.5, 2.0, 0.6, 0.9)])
         corpus = Corpus([
             Column(id="c0", values=("apple",)),
             Column(id="c1", values=("red", "crimson", " Apple", "scarlet")),

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sdc.candidates import make_sdc
 from sdc.domain_fns import Registry, make_pattern_fn, make_score_table_fn
 from sdc.errors import DataFormatError
 from sdc.select import (
@@ -614,8 +613,8 @@ class TestStore:
         reg = self.make_registry()
         fns = reg.functions()
         sdcs = [
-            make_sdc(fns[0].id, 0.2, 0.5, 0.9).with_confidence(0.93),
-            make_sdc(fns[1].id, 0.0, 1.0, 0.8).with_confidence(0.91),
+            oracles.constraint(fns[0].id, 0.2, 0.5, 0.9, 0.93),
+            oracles.constraint(fns[1].id, 0.0, 1.0, 0.8, 0.91),
         ]
         path = str(tmp_path / "store.json")
         write_store(path, sdcs, reg, selection={"strategy": "fine"}, config_hash="abc123")
@@ -626,7 +625,7 @@ class TestStore:
 
     def test_store_bytes_are_stable(self, tmp_path):
         reg = self.make_registry()
-        sdcs = [make_sdc(reg.functions()[0].id, 0.2, 0.5, 0.9).with_confidence(0.93)]
+        sdcs = [oracles.constraint(reg.functions()[0].id, 0.2, 0.5, 0.9, 0.93)]
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         write_store(p1, sdcs, reg, selection={"seed": 5})
         write_store(p2, sdcs, reg, selection={"seed": 5})

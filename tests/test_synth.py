@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdc.assess import AssessedSdc
-from sdc.candidates import make_sdc as new_sdc
 from sdc.corpus import Column, Corpus, normalize_raw
 from sdc.domain_fns import EmbeddingSpace, Registry, make_embedding_fn, make_score_table_fn
 from sdc.errors import DataFormatError
@@ -21,6 +20,7 @@ from sdc.synth import (
 from conftest import table
 from oracles import (
     build_contingency,
+    constraint,
     candidate_stats_loop,
     detection_classes,
     detection_set,
@@ -28,8 +28,8 @@ from oracles import (
 )
 
 
-def make_sdc(fn_id, d_in, d_out, m, conf=0.95):
-    return new_sdc(fn_id, d_in, d_out, m).with_confidence(conf)
+def rule(fn_id, d_in, d_out, m, conf=0.95):
+    return constraint(fn_id, d_in, d_out, m, conf)
 
 
 def assessed(sdc, tab=None):
@@ -134,27 +134,27 @@ def reds_registry(reds_fn):
 class TestDetectionSet:
     def test_detects_foreign_injection(self, reds_registry):
         sc = SynthColumn("syn-000000", "c0", "blue", 2, ("red", "crimson", "blue", "red"))
-        got = detection_set(make_sdc("score:reds", 0.3, 0.5, 0.75), [sc], reds_registry)
+        got = detection_set(rule("score:reds", 0.3, 0.5, 0.75), [sc], reds_registry)
         assert got == {"syn-000000"}
 
     def test_injection_breaks_full_coverage(self, reds_registry):
         # At m = 1.0 the injected value itself sits outside d_in, so the
         # pre-condition can never hold on the spliced column.
         sc = SynthColumn("syn-000000", "c0", "blue", 0, ("blue", "red", "red", "red"))
-        got = detection_set(make_sdc("score:reds", 0.3, 0.5, 1.0), [sc], reds_registry)
+        got = detection_set(rule("score:reds", 0.3, 0.5, 1.0), [sc], reds_registry)
         assert got == set()
 
     def test_flag_must_hit_injected_value(self, reds_registry):
         # The base column has its own far value; the injected one is
         # in-domain. Triggering elsewhere does not count as detection.
         sc = SynthColumn("syn-000001", "c0", "red", 0, ("red", "crimson", "zzz"))
-        got = detection_set(make_sdc("score:reds", 0.3, 0.5, 0.6), [sc], reds_registry)
+        got = detection_set(rule("score:reds", 0.3, 0.5, 0.6), [sc], reds_registry)
         assert got == set()
 
     def test_inner_ball_boundary_is_inclusive(self, reds_registry):
         # scarlet sits exactly at d_in = 0.2 and must count as inside.
         sc = SynthColumn("syn-000002", "c0", "blue", 3, ("red", "scarlet", "scarlet", "blue"))
-        got = detection_set(make_sdc("score:reds", 0.2, 0.5, 0.75), [sc], reds_registry)
+        got = detection_set(rule("score:reds", 0.2, 0.5, 0.75), [sc], reds_registry)
         assert got == {"syn-000002"}
 
     def test_outer_ball_boundary_is_strict(self, reds_fn):
@@ -162,7 +162,7 @@ class TestDetectionSet:
         reg.add(reds_fn)
         # injected value at distance exactly d_out is not flagged
         sc = SynthColumn("syn-000003", "c0", "scarlet", 2, ("red", "red", "scarlet"))
-        got = detection_set(make_sdc("score:reds", 0.1, 0.2, 0.6), [sc], reg)
+        got = detection_set(rule("score:reds", 0.1, 0.2, 0.6), [sc], reg)
         assert got == set()
 
 
@@ -182,10 +182,10 @@ class TestBuildCandidateStats:
     def test_matches_per_candidate_routines(self, word_corpus, registry2d):
         synth = build_synthetic_corpus(word_corpus, n=40, seed=5)
         cands = [
-            assessed(make_sdc("emb:toy2d:red", 1.5, 2.0, 0.8, 0.93), table(2, 30, 20, 20)),
-            assessed(make_sdc("emb:toy2d:red", 1.5, 9.0, 0.8, 0.94), table(0, 32, 20, 20)),
-            assessed(make_sdc("emb:toy2d:blue", 1.5, 2.0, 0.9, 0.95), table(1, 25, 20, 20)),
-            assessed(make_sdc("score:reds", 0.3, 0.5, 0.8, 0.96), table(4, 28, 20, 20)),
+            assessed(rule("emb:toy2d:red", 1.5, 2.0, 0.8, 0.93), table(2, 30, 20, 20)),
+            assessed(rule("emb:toy2d:red", 1.5, 9.0, 0.8, 0.94), table(0, 32, 20, 20)),
+            assessed(rule("emb:toy2d:blue", 1.5, 2.0, 0.9, 0.95), table(1, 25, 20, 20)),
+            assessed(rule("score:reds", 0.3, 0.5, 0.8, 0.96), table(4, 28, 20, 20)),
         ]
         stats = build_candidate_stats(cands, synth, len(word_corpus), registry2d)
         assert [s.sdc_id for s in stats] == [c.sdc.id for c in cands]
@@ -210,7 +210,7 @@ class TestBuildCandidateStats:
         reg.add(make_score_table_fn("t", {"in": 1.0, "mid": 0.5}))
         values = ("in",) * 7 + ("mid",) * 92 + ("far",)
         sc = SynthColumn("syn-000000", "c0", "far", 99, values)
-        sdc = make_sdc("score:t", 0.1, 0.9, 0.07)
+        sdc = rule("score:t", 0.1, 0.9, 0.07)
         stats = build_candidate_stats([assessed(sdc)], [sc], 1, reg)
         # A candidate that detects nothing yields no class.
         assert stats == detection_classes(candidate_stats_loop([assessed(sdc)], [sc], 1, reg))
@@ -234,14 +234,14 @@ class TestDetectionClasses:
     def test_interchangeable_candidates_share_a_class(self, word_corpus, registry2d):
         synth = build_synthetic_corpus(word_corpus, n=40, seed=5)
         cands = [
-            assessed(make_sdc("emb:toy2d:red", 1.5, 2.0, 0.8, 0.93)),
+            assessed(rule("emb:toy2d:red", 1.5, 2.0, 0.8, 0.93)),
             # Same hits, FPR and confidence: a wider outer ball still
             # flags every injected blue word.
-            assessed(make_sdc("emb:toy2d:red", 1.5, 3.0, 0.8, 0.93)),
+            assessed(rule("emb:toy2d:red", 1.5, 3.0, 0.8, 0.93)),
             # Same hits at another confidence: a class of its own.
-            assessed(make_sdc("emb:toy2d:red", 1.5, 4.0, 0.8, 0.94)),
+            assessed(rule("emb:toy2d:red", 1.5, 4.0, 0.8, 0.94)),
             # Flags nothing: no injected value is that far.
-            assessed(make_sdc("emb:toy2d:red", 1.5, 99.0, 0.8, 0.93)),
+            assessed(rule("emb:toy2d:red", 1.5, 99.0, 0.8, 0.93)),
         ]
         stats = build_candidate_stats(cands, synth, len(word_corpus), registry2d)
         assert [(s.sdc_id, s.members) for s in stats] == [
@@ -269,7 +269,7 @@ class TestDetectionClasses:
         reg.add(make_score_table_fn("reds", {"red": 1.0, "crimson": 0.9, "scarlet": 0.8}))
         synth = build_synthetic_corpus(word_corpus, n=n, seed=seed)
         cands = [
-            assessed(make_sdc(fn_id, d_in, d_in + extra, m, conf), table(ct, 30, 20, 20))
+            assessed(rule(fn_id, d_in, d_in + extra, m, conf), table(ct, 30, 20, 20))
             for fn_id, d_in, extra, m, conf, ct in grid
         ]
         got = build_candidate_stats(cands, synth, len(word_corpus), reg)
