@@ -14,6 +14,10 @@ candidate is kept only when all of the following hold:
 - the standard chi-squared independence test is significant at
   ``p_max``;
 - the Wilson lower-bound confidence reaches ``c_thres``.
+
+Each function, and each candidate's pre-condition on every column, is
+evaluated by ``ValueIndex.evaluate``; screening adds only the trigger,
+a column's largest distance beyond ``d_out``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .candidates import Candidate, Sdc
 from .corpus import Column, read_lines
-from .domain_fns import DomainEvalFn, Registry, ValueIndex, distinct_rows
+from .domain_fns import Registry, ValueIndex
 from .errors import DataFormatError, json_number
 
 
@@ -217,78 +221,18 @@ def min_coverage_for(c_thres: float, z: float = 1.65) -> int:
 # Full assessment
 
 
-_GATE_KEYS = (
-    "total",
-    "evaluated",
-    "pruned_skips",
-    "failed_coverage",
-    "passed_coverage",
-    "passed_effect",
-    "passed_significance",
-    "passed_confidence",
-)
-
-
-def _later_gates(
-    table: ContingencyTable, cfg: AssessConfig
-) -> tuple[int, Optional[tuple[float, float, float]]]:
-    """How many of the effect, significance and confidence gates a table
-    that passed coverage passes in turn, and its (h, p, confidence) when
-    it passes all three."""
-    if table.not_coverage == 0 or not table.rho < table.rho_bar:
-        return 0, None
-    h = cohens_h(table)
-    if h < cfg.h_min:
-        return 0, None
-    p = chi_squared_p(table)
-    if p > cfg.p_max:
-        return 1, None
-    conf = wilson_lower_confidence(table, cfg.z)
-    if conf < cfg.c_thres:
-        return 2, None
-    return 3, (h, p, conf)
-
-
-def _assess_fn_group(
-    fn: DomainEvalFn,
-    group: list[Candidate],
-    index: ValueIndex,
-    cfg: AssessConfig,
-) -> tuple[list[AssessedSdc], dict[str, int]]:
-    """Screen one function's candidates from one mask per distinct
-    pre-condition (d_in, m) and one trigger mask per distinct d_out; the
-    later gates run once per distinct contingency table."""
-    dists = index.distances(fn)
-    pre, pre_of = index.preconditions(dists, ((c.d_in, c.m) for c in group))
-    d_outs, post_of = distinct_rows(c.d_out for c in group)
-    post = index.column_max(dists) > np.asarray(d_outs)[:, None]
-    coverage = np.count_nonzero(pre, axis=1)[pre_of]
-    passed = np.flatnonzero(coverage >= max(1, min_coverage_for(cfg.c_thres, cfg.z)))
-    pre_of, post_of, coverage = pre_of[passed], post_of[passed], coverage[passed]
-    ct = np.count_nonzero(pre[pre_of] & post[post_of], axis=1)
-    nt = np.count_nonzero(post, axis=1)[post_of] - ct
-    rows = np.stack([ct, coverage - ct, nt, len(index) - coverage - nt], axis=1)
-    distinct, table_of = distinct_rows(map(tuple, rows.tolist()))
-    tables = [ContingencyTable(*row) for row in distinct]
-    verdicts = [_later_gates(t, cfg) for t in tables]
-    levels = np.asarray([v[0] for v in verdicts], dtype=np.intp)[table_of]
-    counts = {
-        "total": len(group),
-        "evaluated": len(group),
-        "pruned_skips": 0,
-        "failed_coverage": len(group) - len(passed),
-        "passed_coverage": len(passed),
-        "passed_effect": int(np.count_nonzero(levels >= 1)),
-        "passed_significance": int(np.count_nonzero(levels >= 2)),
-        "passed_confidence": int(np.count_nonzero(levels == 3)),
-    }
-    kept = []
-    for r in np.flatnonzero(levels == 3).tolist():
-        h, p, conf = verdicts[table_of[r]][1]
-        c = group[passed[r]]
-        sdc = Sdc(id=c.id, fn_id=c.fn_id, d_in=c.d_in, d_out=c.d_out, m=c.m, confidence=conf)
-        kept.append(AssessedSdc(sdc=sdc, table=tables[table_of[r]], h=h, p=p))
-    return kept, counts
+def _gate_level(table: ContingencyTable, cfg: AssessConfig, min_coverage: int) -> int:
+    """How many of the coverage, effect, significance and confidence
+    gates ``table`` passes in turn, 0 to 4."""
+    if table.coverage < min_coverage:
+        return 0
+    if table.not_coverage == 0 or not table.rho < table.rho_bar or cohens_h(table) < cfg.h_min:
+        return 1
+    if chi_squared_p(table) > cfg.p_max:
+        return 2
+    if wilson_lower_confidence(table, cfg.z) < cfg.c_thres:
+        return 3
+    return 4
 
 
 def assess_all(
@@ -303,25 +247,45 @@ def assess_all(
     sorted by candidate id. Only survivors are hashed for their id and
     made into an ``Sdc``. ``corpus`` may be a prebuilt ``ValueIndex``.
 
+    The gates run once per distinct contingency table.
+
     ``gate_counts``, when given, is filled with how many candidates
     passed each successive gate (every candidate is evaluated, so
     ``evaluated`` equals ``total`` and ``pruned_skips`` is 0).
     """
     cfg = cfg or AssessConfig()
     index = ValueIndex.of(corpus)
-    by_fn: dict[str, list[Candidate]] = {}
-    for cand in candidates:
-        by_fn.setdefault(cand.fn_id, []).append(cand)
-
-    results: list[AssessedSdc] = []
-    merged = {k: 0 for k in _GATE_KEYS}
-    for fn_id in sorted(by_fn):
-        kept, counts = _assess_fn_group(registry.get(fn_id), by_fn[fn_id], index, cfg)
-        results.extend(kept)
-        for k in _GATE_KEYS:
-            merged[k] += counts[k]
+    cands = list(candidates)
+    rows = np.empty((len(cands), 4), dtype=np.intp)
+    for _, pos, dists, holds, d_out in index.evaluate(registry, cands):
+        fires = index.column_max(dists) > d_out
+        coverage = np.count_nonzero(holds, axis=1)
+        ct = np.count_nonzero(holds & fires, axis=1)
+        nt = np.count_nonzero(fires, axis=1) - ct
+        rows[pos] = np.stack([ct, coverage - ct, nt, len(index) - coverage - nt], axis=1)
+    # Distinct tables: number each run of equal rows in sorted order.
+    order = np.lexsort(rows.T)
+    starts = np.diff(rows[order], axis=0, prepend=-1).any(axis=1)
+    table_of = np.empty_like(order)
+    table_of[order] = np.cumsum(starts) - 1
+    tables = [ContingencyTable(*row) for row in rows[order[starts]].tolist()]
+    min_coverage = max(1, min_coverage_for(cfg.c_thres, cfg.z))
+    levels = np.asarray([_gate_level(t, cfg, min_coverage) for t in tables], dtype=np.intp)
     if gate_counts is not None:
-        gate_counts.update(merged)
+        # passed[k]: the candidates at level k or above.
+        passed = np.bincount(levels[table_of], minlength=5)[::-1].cumsum()[::-1].tolist()
+        gate_counts.update(
+            total=passed[0], evaluated=passed[0], pruned_skips=0,
+            failed_coverage=passed[0] - passed[1], passed_coverage=passed[1],
+            passed_effect=passed[2], passed_significance=passed[3], passed_confidence=passed[4])
+    verdicts = {k: (cohens_h(t), chi_squared_p(t), wilson_lower_confidence(t, cfg.z))
+                for k, t in enumerate(tables) if levels[k] == 4}
+    results: list[AssessedSdc] = []
+    for i in np.flatnonzero(levels[table_of] == 4).tolist():
+        c, k = cands[i], int(table_of[i])
+        h, p, conf = verdicts[k]
+        sdc = Sdc(id=c.id, fn_id=c.fn_id, d_in=c.d_in, d_out=c.d_out, m=c.m, confidence=conf)
+        results.append(AssessedSdc(sdc=sdc, table=tables[k], h=h, p=p))
     results.sort(key=lambda a: a.sdc.id)
     return results
 

@@ -39,6 +39,9 @@ from .infer import compile_ruleset, detect_corpus, save_report
 from .select import SelectionConfig, SelectionOutcome, read_store, run_selection, write_store
 from .synth import CandidateStats, SynthColumn, build_candidate_stats, build_synthetic_corpus
 
+# Bound on functions.random_hash_count; each hash is screened like any function.
+MAX_RANDOM_HASHES = 10_000
+
 
 @dataclass
 class PipelineConfig:
@@ -89,6 +92,8 @@ class PipelineConfig:
             json_flag(functions, "validators", True)
             for key in ("patterns_top_k", "random_hash_count", "random_hash_seed"):
                 json_int(functions, key, 0)
+            if json_int(functions, "random_hash_count", 0) > MAX_RANDOM_HASHES:
+                raise ValueError(f"random_hash_count exceeds {MAX_RANDOM_HASHES}")
             for emb in embeddings:
                 json_int(emb, "centroids", 0)
             for st in score_tables:
@@ -288,6 +293,7 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
             registry = Registry.from_manifest(json.load(fh))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read registry {registry_path}: {exc}") from exc
+    registry.require((a.sdc.fn_id for a in assessed), rules_path)
 
     chosen, outcome, synth, stats = _select(
         assessed, _load_training_corpus(cfg), registry, sel, cfg.seed

@@ -246,9 +246,8 @@ def is_numeric_dominant(column: Column, threshold: float = 0.9) -> bool:
 
 
 def filter_columns(corpus: Corpus, skip_numeric: bool = True) -> Corpus:
-    """Drop numeric-dominant columns (on by default for training and
-    inference; purely numeric columns are out of scope for semantic
-    domains)."""
+    """Drop numeric-dominant columns (on by default for training;
+    purely numeric columns are out of scope for semantic domains)."""
     if not skip_numeric:
         return corpus
     return Corpus([c for c in corpus if not is_numeric_dominant(c)])

@@ -670,6 +670,12 @@ class Registry:
         except KeyError:
             raise KeyError(f"unknown function id {fn_id!r}") from None
 
+    def require(self, fn_ids: Iterable[str], source: str) -> None:
+        """``DataFormatError`` if ``source`` names a function id not here."""
+        unknown = sorted(set(fn_ids) - self._fns.keys())
+        if unknown:
+            raise DataFormatError(f"{source} names unknown function ids {unknown}")
+
     def __contains__(self, fn_id: str) -> bool:
         return fn_id in self._fns
 
@@ -890,6 +896,27 @@ class ValueIndex:
         for r, (d_in, m) in enumerate(distinct):
             np.greater_equal(counts[:, column_of[d_in]], m * self.lengths, out=masks[r])
         return masks, row_of
+
+    def evaluate(
+        self, registry: Registry, constraints: Sequence
+    ) -> Iterator[tuple[DomainEvalFn, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Each function the ``constraints`` name (anything with ``fn_id``,
+        ``d_in``, ``d_out`` and ``m``), in id order, evaluated once. Yields
+        the function, its constraints' positions in ``constraints``
+        (ascending), its per-cell distances, a (its constraints x columns)
+        mask of where each pre-condition holds (from ``preconditions``, so
+        each distinct (d_in, m) is counted once) and its constraints'
+        ``d_out`` as a column. Each caller applies its own post-condition."""
+        by_fn: dict[str, list[int]] = {}
+        for i, c in enumerate(constraints):
+            by_fn.setdefault(c.fn_id, []).append(i)
+        for fn_id in sorted(by_fn):
+            fn = registry.get(fn_id)
+            group = [constraints[i] for i in by_fn[fn_id]]
+            dists = self.distances(fn)
+            masks, row_of = self.preconditions(dists, ((c.d_in, c.m) for c in group))
+            d_out = np.asarray([c.d_out for c in group], dtype=np.float64)[:, None]
+            yield fn, np.asarray(by_fn[fn_id], dtype=np.intp), dists, masks[row_of], d_out
 
     def column_max(self, dists: np.ndarray) -> np.ndarray:
         """Each column's largest distance (which alone decides whether

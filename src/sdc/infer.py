@@ -1,16 +1,17 @@
 """Online detection: apply a selected ruleset to unseen columns.
 
-Constraints sharing a pre-condition (same function, inner radius and
-matching fraction) are grouped so each pre-condition is evaluated once
-per column; members of a holding group then flag values beyond their
-own outer radii. Each flag is one entry: (cell, constraint index,
+``ValueIndex.evaluate`` evaluates each function the ruleset names once
+over the columns, and each distinct pre-condition (function, inner
+radius, matching fraction) once per column; a constraint whose
+pre-condition holds on a column then flags that column's values beyond
+its own outer radius. Each flag is one entry: (cell, constraint index,
 distance), one per flagger of a cell. Every flagged cell reports its
 highest-confidence flagger, ties to the larger constraint id; one sort
 of the entries by (cell, flagger rank) finds the winners, and only
-they are turned into ``Detection`` records with explanations. The
-grouped evaluation returns exactly what a naive per-constraint loop
-would; that loop is the reference ``detect_errors_naive`` in the test
-suite's ``tests/oracles.py``.
+they are turned into ``Detection`` records with explanations. This
+returns exactly what a naive per-constraint loop would; that loop is
+the reference ``detect_errors_naive`` in the test suite's
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class CompiledRuleset:
 
 def compile_ruleset(sdcs: Iterable[Sdc]) -> CompiledRuleset:
     """Group constraints by exact (fn_id, d_in, m); the groups partition
-    the ruleset."""
+    the ruleset, and detection evaluates each group's pre-condition once
+    per column."""
     ruleset = CompiledRuleset(sdcs=list(sdcs))
     for i, s in enumerate(ruleset.sdcs):
         key = (s.fn_id, s.d_in, s.m)
@@ -86,35 +88,26 @@ def _explanation(sdc: Sdc, fn_desc: str, value: str, dist: float) -> str:
     )
 
 
-def _detect(
+def detect_corpus(
     ruleset: CompiledRuleset,
-    index: ValueIndex,
+    corpus: Iterable[Column],
     registry: Registry,
-    min_confidence: float,
+    min_confidence: float = 0.0,
 ) -> list[Detection]:
-    """Grouped detection over every column of ``index`` at once: each
-    function is evaluated once, each pre-condition group once per
-    column."""
+    """Detections of every column, concatenated in corpus order.
+    ``corpus`` may be a prebuilt ``ValueIndex``, shared with other work
+    on the same columns."""
+    index = ValueIndex.of(corpus)
     sdcs = ruleset.sdcs
-    groups_by_fn: dict[str, list[tuple[float, float, list[int]]]] = {}
-    for (fn_id, d_in, m), members in ruleset.precondition_groups.items():
-        groups_by_fn.setdefault(fn_id, []).append((d_in, m, members))
-    cells: list[np.ndarray] = []
-    flaggers: list[np.ndarray] = []
-    dists_of_cells: list[np.ndarray] = []
+    cells, flaggers, dists_of_cells = [], [], []
     descs: dict[str, str] = {}
-    for fn_id, groups in groups_by_fn.items():
-        fn = registry.get(fn_id)
-        descs[fn_id] = fn.describe()
-        dists = index.distances(fn)
-        masks, row_of = index.preconditions(dists, ((d_in, m) for d_in, m, _ in groups))
-        for (_, _, members), covered in zip(groups, masks[row_of]):
-            cells_covered = np.repeat(covered, index.lengths)
-            for i in members:
-                hit = np.flatnonzero(cells_covered & (dists > sdcs[i].d_out))
-                cells.append(hit)
-                flaggers.append(np.full(hit.size, i, dtype=np.intp))
-                dists_of_cells.append(dists[hit])
+    for fn, pos, dists, holds, d_out in index.evaluate(registry, sdcs):
+        descs[fn.id] = fn.describe()
+        for i, covered, d in zip(pos.tolist(), holds, d_out[:, 0].tolist()):
+            hit = np.flatnonzero(np.repeat(covered, index.lengths) & (dists > d))
+            cells.append(hit)
+            flaggers.append(np.full(hit.size, i, dtype=np.intp))
+            dists_of_cells.append(dists[hit])
     if not cells:
         return []
     cell, who, dist = np.concatenate(cells), np.concatenate(flaggers), np.concatenate(dists_of_cells)
@@ -140,18 +133,6 @@ def _detect(
         out.append(Detection(column.id, idx, value, conf[i], sdc.id,
                              _explanation(sdc, descs[sdc.fn_id], value, d)))
     return out
-
-
-def detect_corpus(
-    ruleset: CompiledRuleset,
-    corpus: Iterable[Column],
-    registry: Registry,
-    min_confidence: float = 0.0,
-) -> list[Detection]:
-    """Detections of every column, concatenated in corpus order.
-    ``corpus`` may be a prebuilt ``ValueIndex``, shared with other work
-    on the same columns."""
-    return _detect(ruleset, ValueIndex.of(corpus), registry, min_confidence)
 
 
 def save_report(report: Sequence[Detection], path: str, meta: Optional[dict] = None) -> None:

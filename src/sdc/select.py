@@ -381,4 +381,5 @@ def read_store(path: str) -> tuple[list[Sdc], Registry]:
         sdcs = [Sdc.from_record(rec) for rec in store.get("sdcs", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad constraint record ({exc})") from exc
+    registry.require((s.fn_id for s in sdcs), path)
     return sdcs, registry

@@ -14,6 +14,8 @@ columns they detect, their FPR and their confidence. Constraints equal
 in all three form one detection class and are interchangeable in the
 selection problem and in its LP relaxation, so selection sees one
 member per class. Constraints that detect nothing are in no class.
+Functions and pre-conditions on the synthetic columns are evaluated by
+``ValueIndex.evaluate``, as in screening and detection.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .assess import AssessedSdc
 from .corpus import Column, Corpus, splice_donor_value
-from .domain_fns import Registry, ValueIndex, distinct_rows
+from .domain_fns import Registry, ValueIndex
 from .errors import DataFormatError
 
 
@@ -113,32 +115,22 @@ def build_candidate_stats(
     input index (the greedy cover breaks ties toward larger indices),
     and classes come in the input order of their representatives.
 
-    Each function is evaluated once over an index of the synthetic
-    columns. Its candidates' hits form one (candidates x synthetic
-    columns) mask; a row packed to bytes, with the candidate's FPR and
-    confidence, is the class key."""
+    ``ValueIndex.evaluate`` evaluates each function once over an index
+    of the synthetic columns, with its candidates' pre-conditions. A
+    candidate hits a column where its pre-condition holds and the
+    transplanted value lies beyond ``d_out``; its row of hits packed to
+    bytes, with its FPR and confidence, is the class key."""
     index = ValueIndex(sc.column() for sc in synth)
     injected_cells = index.offsets[:-1] + np.asarray(
         [sc.injected_index for sc in synth], dtype=np.intp
     )
-    by_fn: dict[str, list[int]] = {}
-    for i, item in enumerate(assessed):
-        by_fn.setdefault(item.sdc.fn_id, []).append(i)
-
     # Class key -> [representative index, members, detected positions].
     classes: dict[tuple[bytes, float, float], list] = {}
-    for fn_id, idxs in sorted(by_fn.items()):
-        sdcs = [assessed[i].sdc for i in idxs]
-        dists = index.distances(registry.get(fn_id))
-        # One mask per distinct pre-condition (d_in, m) and one per
-        # distinct d_out; each candidate's hits are a row of each, and-ed.
-        pre_masks, pre_of = index.preconditions(dists, ((s.d_in, s.m) for s in sdcs))
-        d_outs, post_of = distinct_rows(s.d_out for s in sdcs)
-        post_masks = dists[injected_cells] > np.asarray(d_outs)[:, None]
-        hit = pre_masks[pre_of] & post_masks[post_of]
+    for _, pos, dists, holds, d_out in index.evaluate(registry, [a.sdc for a in assessed]):
+        hit = holds & (dists[injected_cells] > d_out)
         packed = np.packbits(hit, axis=1)
         for r in np.flatnonzero(hit.any(axis=1)).tolist():
-            i = idxs[r]
+            i = int(pos[r])
             item = assessed[i]
             key = (packed[r].tobytes(), estimate_fpr(item.table, corpus_size), item.confidence)
             cls = classes.get(key)

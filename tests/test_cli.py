@@ -13,8 +13,9 @@ import sys
 
 import pytest
 
-from sdc.cli import main
+from sdc.cli import MAX_RANDOM_HASHES, PipelineConfig, main
 from sdc.corpus import filter_columns, load_corpus, save_corpus
+from sdc.errors import DataFormatError
 from sdc.evaluation import load_truth, total_errors
 from sdc.select import read_store
 
@@ -418,6 +419,48 @@ def test_missing_store_is_data_error(tmp_path, demo):
     assert rc == 2
 
 
+def without_function(registry: dict, fn_id: str) -> dict:
+    return dict(registry, functions=[f for f in registry["functions"] if f["id"] != fn_id])
+
+
+def test_store_naming_an_unknown_function_is_data_error(demo, pipeline, tmp_path, capsys):
+    store = json.loads((pipeline / "store.json").read_text())
+    fn_id = store["sdcs"][0]["fn_id"]
+    store["registry"] = without_function(store["registry"], fn_id)
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(store))
+    rc = run(["infer", "--rules", str(path), "--corpus", str(demo["data"] / "corpus.jsonl"),
+              "--out", str(tmp_path / "report.jsonl")])
+    assert rc == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_rules_naming_an_unknown_function_is_data_error(demo, pipeline, tmp_path, capsys):
+    rules = [json.loads(line) for line in (pipeline / "rules.jsonl").read_text().splitlines()]
+    fn_id = next(r["fn_id"] for r in rules if r.get("kind") != "assessed-meta")
+    registry = json.loads((pipeline / "registry.json").read_text())
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(without_function(registry, fn_id)))
+    rc = run(["select", "--config", str(demo["config"]), "--rules", str(pipeline / "rules.jsonl"),
+              "--registry", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "store.json").exists()
+
+
+def test_random_hash_count_bound(tmp_path):
+    def load(count):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"paths": {"corpus": "c.jsonl"},
+                                    "functions": {"random_hash_count": count}}))
+        return PipelineConfig.load(str(path))
+
+    assert load(MAX_RANDOM_HASHES).functions["random_hash_count"] == MAX_RANDOM_HASHES
+    with pytest.raises(DataFormatError, match="random_hash_count"):
+        load(MAX_RANDOM_HASHES + 1)
+
+
 EMBEDDING_WITHOUT_SPACE_ID = {"id": "emb:toy:red", "family": "embedding",
                               "params": {"centroid": "red"}}
 INJECT = ["inject", "--out", "{tmp}/dirty.jsonl", "--truth-out", "{tmp}/truth-out.json"]
@@ -492,6 +535,10 @@ MALFORMED_INPUTS = {
         GEN_CONFIG_OUT),
     "config-random-hash-count-string": (
         "cfg.json", {"paths": {"corpus": "{corpus}"}, "functions": {"random_hash_count": "3"}},
+        GEN_CONFIG_OUT),
+    # A count far beyond the bound is refused before any function is built.
+    "config-random-hash-count-huge": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "functions": {"random_hash_count": 10**400}},
         GEN_CONFIG_OUT),
     "config-random-hash-seed-fraction": (
         "cfg.json", {"paths": {"corpus": "{corpus}"}, "functions": {"random_hash_seed": 1.5}},

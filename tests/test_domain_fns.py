@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdc import domain_fns
+from sdc.candidates import Candidate
 from sdc.corpus import Column
 from sdc.datagen import generate_corpus
 from sdc.domain_fns import (
@@ -634,6 +635,9 @@ def index_space() -> EmbeddingSpace:
     )
 
 
+EVALUATE_FN_IDS = ["emb:idx3:red", "emb:idx3:café", "score:t", "hash:3"]
+
+
 class TestValueIndex:
     @given(st.lists(st.lists(INDEX_CELL, min_size=1, max_size=6), max_size=5))
     @settings(max_examples=150, deadline=None)
@@ -797,6 +801,50 @@ class TestValueIndex:
         rows, mat = index._space_matrix(space)
         assert rows.shape == (0,) and mat.shape == (0, space.dimension)
         assert index.distances(make_embedding_fn(space, "red")).shape == (0,)
+
+    @given(
+        st.lists(st.lists(INDEX_CELL, min_size=1, max_size=6), min_size=1, max_size=5),
+        st.lists(st.builds(
+            Candidate,
+            st.sampled_from(EVALUATE_FN_IDS),
+            st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, math.inf]),
+            st.sampled_from([0.0, 0.5, 3.0, math.inf]),
+            st.sampled_from([0.25, 0.5, 0.8, 0.95, 1.0]),
+        ), max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    # A function named at non-adjacent positions, a duplicate, and no
+    # constraint at all.
+    @example([["red", "zzz", "café"], ["crimson"]],
+             [Candidate("hash:3", 0.5, 0.5, 0.5), Candidate("emb:idx3:red", 1.0, 3.0, 0.5),
+              Candidate("hash:3", 0.5, 0.5, 0.5), Candidate("emb:idx3:red", math.inf, 3.0, 1.0)])
+    @example([["red"]], [])
+    def test_evaluate_matches_the_oracle(self, cells_by_column, constraints):
+        reg = Registry()
+        space = index_space()
+        reg.add_space(space)
+        reg.add_all([make_embedding_fn(space, "red"), make_embedding_fn(space, "café"),
+                     make_score_table_fn("t", {"red": 0.9, "zzz": 0.25}), make_random_hash_fn(3)])
+        assert set(EVALUATE_FN_IDS) == set(reg.ids())
+        columns = [Column(id=f"c{j}", values=tuple(v)) for j, v in enumerate(cells_by_column)]
+        index = ValueIndex(columns)
+        seen: list[int] = []
+        fn_ids = []
+        for fn, pos, dists, holds, d_out in index.evaluate(reg, constraints):
+            fn_ids.append(fn.id)
+            assert pos.dtype == np.intp and pos.tolist() == sorted(pos.tolist())
+            seen += pos.tolist()
+            group = [constraints[i] for i in pos.tolist()]
+            assert all(c.fn_id == fn.id for c in group)
+            want = np.concatenate([oracles.column_distances(fn, col) for col in columns])
+            assert dists.tobytes() == want.tobytes()
+            assert holds.shape == (len(group), len(columns))
+            assert holds.tolist() == [[oracles.eval_precondition(c, col, reg) for col in columns]
+                                      for c in group]
+            assert d_out.shape == (len(group), 1)
+            assert d_out[:, 0].tolist() == [c.d_out for c in group]
+        assert fn_ids == sorted({c.fn_id for c in constraints})
+        assert sorted(seen) == list(range(len(constraints)))
 
 
 # ---------------------------------------------------------------------------
