@@ -82,12 +82,11 @@ print(f"surviving constraints: {len(kept)}")
 # almost none of them, while triggering freely outside its domain.
 
 print("\nthree survivors, highest confidence first:")
-for a in sorted(kept, key=lambda a: -(a.sdc.confidence or 0))[:3]:
-    s = a.sdc
-    fn = registry.get(s.fn_id)
+for a in sorted(kept, key=lambda a: -a.confidence)[:3]:
+    fn = registry.get(a.fn_id)
     t = a.table
-    print(f"  {s.id}  conf={s.confidence:.3f}")
-    print(f"    {fn.describe()}, d_in={s.d_in:g}, d_out={s.d_out:g}, m={s.m:g}")
+    print(f"  {a.id}  conf={a.confidence:.3f}")
+    print(f"    {fn.describe()}, d_in={a.d_in:g}, d_out={a.d_out:g}, m={a.m:g}")
     print(f"    covered: {t.covered_triggered + t.covered_not_triggered} columns "
           f"({t.covered_triggered} triggered), "
           f"not covered: {t.notcovered_triggered + t.notcovered_not_triggered} "
@@ -98,6 +97,6 @@ for a in sorted(kept, key=lambda a: -(a.sdc.confidence or 0))[:3]:
 # funnel: its distances carry no signal about any column, so not one of
 # its candidates should appear in `kept`. The acceptance tests add one
 # hundred of them and check exactly that.
-hash_survivors = [a for a in kept if a.sdc.fn_id.startswith("hash:")]
+hash_survivors = [a for a in kept if a.fn_id.startswith("hash:")]
 print(f"\nhash-function survivors: {len(hash_survivors)} (registry had none; "
       f"see the robustness test for the adversarial version)")

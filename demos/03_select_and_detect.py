@@ -76,7 +76,7 @@ print(f"LP objective {outcome.lp_objective:.1f} (upper bound on coverage); "
 print(f"selected {len(outcome.selected_ids)} constraints, "
       f"summed FPR {outcome.sum_fpr:.4f} (budget {config.b_fpr})")
 
-chosen = [a.sdc for a in kept if a.sdc.id in set(outcome.selected_ids)]
+chosen = [a for a in kept if a.id in set(outcome.selected_ids)]
 for s in chosen[:5]:
     fn = registry.get(s.fn_id)
     print(f"  {s.id} conf={s.confidence:.3f}  {fn.describe()} "

@@ -55,7 +55,7 @@ synth = build_synthetic_corpus(train, seed=SEED + 2)
 stats = build_candidate_stats(kept, synth, len(train), registry)
 outcome = run_selection(stats, SelectionConfig(seed=SEED + 3),
                         synth_ids=[sc.id for sc in synth])
-chosen = [a.sdc for a in kept if a.sdc.id in set(outcome.selected_ids)]
+chosen = [a for a in kept if a.id in set(outcome.selected_ids)]
 print(f"selected {len(chosen)} constraints, LP objective "
       f"{outcome.lp_objective:.0f}, summed FPR {outcome.sum_fpr:.4f} "
       f"({time.perf_counter() - t0:.0f}s)")

@@ -26,18 +26,17 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .candidates import Candidate, Sdc
+from .candidates import Candidate, constraint_fields
 from .corpus import Column, read_lines
 from .domain_fns import Registry, ValueIndex
 from .errors import DataFormatError, json_number
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(NamedTuple):
     """Counts of corpus columns by (covered, triggered)."""
 
     covered_triggered: int
@@ -47,12 +46,7 @@ class ContingencyTable:
 
     @property
     def total(self) -> int:
-        return (
-            self.covered_triggered
-            + self.covered_not_triggered
-            + self.notcovered_triggered
-            + self.notcovered_not_triggered
-        )
+        return sum(self)
 
     @property
     def coverage(self) -> int:
@@ -75,14 +69,6 @@ class ContingencyTable:
         if self.not_coverage == 0:
             raise ValueError("rho-bar undefined: no uncovered columns")
         return self.notcovered_triggered / self.not_coverage
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (
-            self.covered_triggered,
-            self.covered_not_triggered,
-            self.notcovered_triggered,
-            self.notcovered_not_triggered,
-        )
 
 
 @dataclass(frozen=True)
@@ -112,35 +98,25 @@ class AssessConfig:
         return cls(**{k: json_number(data, k, 0.0) for k in data})
 
 
-@dataclass(frozen=True)
-class AssessedSdc:
-    """A surviving candidate with its table, effect size, p-value and
-    Wilson lower-bound confidence (mirrored into sdc.confidence)."""
+class AssessedSdc(NamedTuple):
+    """A surviving candidate: its constraint, its Wilson lower-bound
+    confidence, its table, effect size and p-value. The fields are the
+    keys of a ``rules.jsonl`` line, in order; the first six are an
+    ``Sdc``'s."""
 
-    sdc: Sdc
+    id: str
+    fn_id: str
+    d_in: float
+    d_out: float
+    m: float
+    confidence: float
     table: ContingencyTable
     h: float
     p: float
 
-    @property
-    def confidence(self) -> float:
-        assert self.sdc.confidence is not None
-        return self.sdc.confidence
-
     def to_record(self) -> dict:
-        return {**self.sdc.to_record(), "table": list(self.table.as_tuple()),
-                "h": self.h, "p": self.p}
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "AssessedSdc":
-        sdc = Sdc.from_record(rec)
-        a, b, c, d = rec["table"]
-        return cls(
-            sdc=sdc,
-            table=ContingencyTable(int(a), int(b), int(c), int(d)),
-            h=float(rec["h"]),
-            p=float(rec["p"]),
-        )
+        """The row as ``json.loads`` reads its ``rules.jsonl`` line."""
+        return {**self._asdict(), "table": list(self.table)}
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +136,7 @@ def cohens_h(table: ContingencyTable) -> float:
 def chi_squared_p(table: ContingencyTable) -> float:
     """Pearson chi-squared p-value on the 2x2 table (df = 1, no
     continuity correction). Degenerate margins give p = 1."""
-    a, b, c, d = table.as_tuple()
+    a, b, c, d = table
     n = a + b + c + d
     row1, row2 = a + b, c + d
     col1, col2 = a + c, b + d
@@ -244,8 +220,8 @@ def assess_all(
     gate_counts: Optional[dict] = None,
 ) -> list[AssessedSdc]:
     """Assess every candidate against the corpus and keep the survivors,
-    sorted by candidate id. Only survivors are hashed for their id and
-    made into an ``Sdc``. ``corpus`` may be a prebuilt ``ValueIndex``.
+    sorted by candidate id. Only survivors are hashed for their id.
+    ``corpus`` may be a prebuilt ``ValueIndex``.
 
     The gates run once per distinct contingency table.
 
@@ -284,9 +260,8 @@ def assess_all(
     for i in np.flatnonzero(levels[table_of] == 4).tolist():
         c, k = cands[i], int(table_of[i])
         h, p, conf = verdicts[k]
-        sdc = Sdc(id=c.id, fn_id=c.fn_id, d_in=c.d_in, d_out=c.d_out, m=c.m, confidence=conf)
-        results.append(AssessedSdc(sdc=sdc, table=tables[k], h=h, p=p))
-    results.sort(key=lambda a: a.sdc.id)
+        results.append(AssessedSdc(c.id, *c, conf, tables[k], h, p))
+    results.sort(key=lambda a: a.id)
     return results
 
 
@@ -302,22 +277,23 @@ def _json_number(x: float) -> str:
 def save_assessed(assessed: list[AssessedSdc], path: str, meta: Optional[dict] = None) -> None:
     """Write survivors as JSONL, one record per line (optionally with a
     leading metadata line). Each line is formatted directly, with the
-    bytes ``json.dumps(item.to_record())`` would write."""
+    bytes ``json.dumps(row._asdict())`` would write."""
     q, num = encode_basestring_ascii, _json_number
     with open(path, "w", encoding="utf-8") as fh:
         if meta is not None:
             fh.write(json.dumps({"kind": "assessed-meta", **meta}, sort_keys=True) + "\n")
-        for item in assessed:
-            s = item.sdc
-            a, b, c, d = item.table.as_tuple()
+        for sid, fn_id, d_in, d_out, m, conf, (a, b, c, d), h, p in assessed:
             fh.write(
-                f'{{"id": {q(s.id)}, "fn_id": {q(s.fn_id)}, "d_in": {num(s.d_in)}, '
-                f'"d_out": {num(s.d_out)}, "m": {num(s.m)}, "confidence": {num(s.confidence)}, '
-                f'"table": [{a}, {b}, {c}, {d}], "h": {num(item.h)}, "p": {num(item.p)}}}\n'
+                f'{{"id": {q(sid)}, "fn_id": {q(fn_id)}, "d_in": {num(d_in)}, '
+                f'"d_out": {num(d_out)}, "m": {num(m)}, "confidence": {num(conf)}, '
+                f'"table": [{a}, {b}, {c}, {d}], "h": {num(h)}, "p": {num(p)}}}\n'
             )
 
 
 def load_assessed(path: str) -> list[AssessedSdc]:
+    """The rows of a ``save_assessed`` file, read line by line. A
+    malformed line (see ``constraint_fields``; a table of other than four
+    counts) is a ``DataFormatError`` that names it."""
     out: list[AssessedSdc] = []
     for lineno, line in read_lines(path):
         if not line.strip():
@@ -329,7 +305,11 @@ def load_assessed(path: str) -> list[AssessedSdc]:
         if isinstance(rec, dict) and rec.get("kind") == "assessed-meta":
             continue
         try:
-            out.append(AssessedSdc.from_record(rec))
+            a, b, c, d = rec["table"]
+            row = AssessedSdc(*constraint_fields(rec),
+                              ContingencyTable(int(a), int(b), int(c), int(d)),
+                              float(rec["h"]), float(rec["p"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path} line {lineno}: bad record ({exc})") from exc
+        out.append(row)
     return out

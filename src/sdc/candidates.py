@@ -28,6 +28,26 @@ from .errors import DataFormatError, json_number
 BINARY_FAMILIES = ("pattern", "validator")
 
 
+def check_thresholds(d_in: float, d_out: float, m: float) -> None:
+    """``ValueError`` unless ``d_out >= d_in`` and ``0 < m <= 1``."""
+    if d_out < d_in:
+        raise ValueError(f"d_out {d_out} < d_in {d_in}")
+    if not 0.0 < m <= 1.0:
+        raise ValueError(f"m {m} outside (0, 1]")
+
+
+def constraint_fields(rec: dict) -> tuple[str, str, float, float, float, float]:
+    """A record's id, fn_id, d_in, d_out, m and confidence, the fields
+    ``rules.jsonl`` and ``store.json`` share; a missing or malformed one
+    raises ``KeyError``, ``TypeError`` or ``ValueError``."""
+    sid, fn_id = rec["id"], rec["fn_id"]
+    if not isinstance(sid, str) or not isinstance(fn_id, str):
+        raise TypeError("id and fn_id must be strings")
+    d_in, d_out, m = float(rec["d_in"]), float(rec["d_out"]), float(rec["m"])
+    check_thresholds(d_in, d_out, m)
+    return sid, fn_id, d_in, d_out, m, float(rec["confidence"])
+
+
 @dataclass(frozen=True)
 class Sdc:
     """One constraint: (function, d_in, d_out, m) plus the confidence
@@ -41,10 +61,7 @@ class Sdc:
     confidence: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.d_out < self.d_in:
-            raise ValueError(f"d_out {self.d_out} < d_in {self.d_in}")
-        if not 0.0 < self.m <= 1.0:
-            raise ValueError(f"m {self.m} outside (0, 1]")
+        check_thresholds(self.d_in, self.d_out, self.m)
 
     def to_record(self) -> dict:
         """The JSON form that ``rules.jsonl`` and ``store.json`` share."""
@@ -53,14 +70,8 @@ class Sdc:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Sdc":
-        """An assessed constraint from ``to_record``'s form; a missing or
-        malformed field raises ``KeyError``, ``TypeError`` or
-        ``ValueError``."""
-        if not isinstance(rec["id"], str) or not isinstance(rec["fn_id"], str):
-            raise TypeError("id and fn_id must be strings")
-        return cls(id=rec["id"], fn_id=rec["fn_id"], d_in=float(rec["d_in"]),
-                   d_out=float(rec["d_out"]), m=float(rec["m"]),
-                   confidence=float(rec["confidence"]))
+        """An assessed constraint from ``to_record``'s form."""
+        return cls(*constraint_fields(rec))
 
 
 def candidate_id(fn_id: str, d_in: float, d_out: float, m: float) -> str:

@@ -180,7 +180,8 @@ def _select(
     stats = build_candidate_stats(assessed, synth, len(corpus), registry)
     outcome = run_selection(stats, sel, synth_ids=[sc.id for sc in synth])
     selected_ids = set(outcome.selected_ids)
-    chosen = [a.sdc for a in assessed if a.sdc.id in selected_ids]
+    # A row's first six fields are an Sdc's.
+    chosen = [Sdc(*a[:6]) for a in assessed if a.id in selected_ids]
     return chosen, outcome, synth, stats
 
 
@@ -293,7 +294,7 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
             registry = Registry.from_manifest(json.load(fh))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read registry {registry_path}: {exc}") from exc
-    registry.require((a.sdc.fn_id for a in assessed), rules_path)
+    registry.require((a.fn_id for a in assessed), rules_path)
 
     chosen, outcome, synth, stats = _select(
         assessed, _load_training_corpus(cfg), registry, sel, cfg.seed

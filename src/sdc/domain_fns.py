@@ -449,7 +449,7 @@ def _validate_ipv4(value: str) -> bool:
     if len(parts) != 4:
         return False
     for p in parts:
-        if not p.isdigit() or len(p) > 3:
+        if not p.isdecimal() or len(p) > 3:
             return False
         if int(p) > 255:
             return False
@@ -466,7 +466,7 @@ def _validate_uuid(value: str) -> bool:
 def _luhn_ok(digits: str) -> bool:
     total = 0
     for i, ch in enumerate(reversed(digits)):
-        d = ord(ch) - 48
+        d = int(ch)
         if i % 2 == 1:
             d *= 2
             if d > 9:
@@ -477,15 +477,15 @@ def _luhn_ok(digits: str) -> bool:
 
 def _validate_credit_card(value: str) -> bool:
     digits = value.replace(" ", "").replace("-", "")
-    if not digits.isdigit() or not 13 <= len(digits) <= 19:
+    if not digits.isdecimal() or not 13 <= len(digits) <= 19:
         return False
     return _luhn_ok(digits)
 
 
 def _validate_upc_a(value: str) -> bool:
-    if not value.isdigit() or len(value) != 12:
+    if not value.isdecimal() or len(value) != 12:
         return False
-    d = [ord(c) - 48 for c in value]
+    d = [int(c) for c in value]
     total = 3 * sum(d[0:11:2]) + sum(d[1:10:2]) + d[11]
     return total % 10 == 0
 
@@ -562,6 +562,18 @@ def make_random_hash_fn(seed: int) -> RandomHashFn:
     return RandomHashFn(id=f"hash:{seed}", seed=seed)
 
 
+def _score(data: dict, key: str, where: str) -> float:
+    """``data[key]`` when it is a JSON number in [0, 1], else a
+    ``DataFormatError`` that names ``where``."""
+    try:
+        score = json_number(data, key, 0.0)
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: {exc}") from exc
+    if not 0.0 <= score <= 1.0:
+        raise DataFormatError(f"{where}: {key} = {score!r} is outside [0, 1]")
+    return score
+
+
 def load_score_table(path: str, type_name: str, default_score: float = 0.0) -> ScoreTableFn:
     """Load a JSONL score table: ``{"value": str, "score": float}`` per
     line; scores must lie in [0, 1]. Lookup keys are normalized."""
@@ -577,12 +589,9 @@ def load_score_table(path: str, type_name: str, default_score: float = 0.0) -> S
             raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
         if not isinstance(rec, dict) or "value" not in rec or "score" not in rec:
             raise DataFormatError(f"{path} line {lineno}: expected value/score object")
-        score = rec["score"]
-        if not isinstance(score, (int, float)) or not 0.0 <= float(score) <= 1.0:
-            raise DataFormatError(
-                f"{path} line {lineno}: score {score!r} outside [0, 1]"
-            )
-        scores[normalize_raw(str(rec["value"]))] = float(score)
+        if not isinstance(rec["value"], str):
+            raise DataFormatError(f"{path} line {lineno}: value {rec['value']!r} is not a string")
+        scores[normalize_raw(rec["value"])] = _score(rec, "score", f"{path} line {lineno}")
     return ScoreTableFn(
         id=f"score:{type_name}",
         type_name=type_name,
@@ -596,15 +605,13 @@ def make_score_table_fn(
     type_name: str, scores: dict[str, float], default_score: float = 0.0
 ) -> ScoreTableFn:
     """In-memory score-table constructor (keys are normalized here)."""
-    for v, s in scores.items():
-        if not 0.0 <= s <= 1.0:
-            raise DataFormatError(f"score {s} for {v!r} outside [0, 1]")
     if not 0.0 <= default_score <= 1.0:
         raise DataFormatError(f"default_score {default_score} outside [0, 1]")
+    where = f"score table {type_name!r}"
     return ScoreTableFn(
         id=f"score:{type_name}",
         type_name=type_name,
-        scores={normalize_raw(k): float(s) for k, s in scores.items()},
+        scores={normalize_raw(k): _score(scores, k, where) for k in scores},
         default_score=float(default_score),
     )
 

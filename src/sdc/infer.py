@@ -70,9 +70,9 @@ class CompiledRuleset:
 
 
 def compile_ruleset(sdcs: Iterable[Sdc]) -> CompiledRuleset:
-    """Group constraints by exact (fn_id, d_in, m); the groups partition
-    the ruleset, and detection evaluates each group's pre-condition once
-    per column."""
+    """Group constraints (``Sdc`` objects or screening's rows) by exact
+    (fn_id, d_in, m); the groups partition the ruleset, and detection
+    evaluates each group's pre-condition once per column."""
     ruleset = CompiledRuleset(sdcs=list(sdcs))
     for i, s in enumerate(ruleset.sdcs):
         key = (s.fn_id, s.d_in, s.m)

@@ -126,7 +126,7 @@ def build_candidate_stats(
     )
     # Class key -> [representative index, members, detected positions].
     classes: dict[tuple[bytes, float, float], list] = {}
-    for _, pos, dists, holds, d_out in index.evaluate(registry, [a.sdc for a in assessed]):
+    for _, pos, dists, holds, d_out in index.evaluate(registry, assessed):
         hit = holds & (dists[injected_cells] > d_out)
         packed = np.packbits(hit, axis=1)
         for r in np.flatnonzero(hit.any(axis=1)).tolist():
@@ -140,7 +140,7 @@ def build_candidate_stats(
                 cls[0] = max(cls[0], i)
                 cls[1] += 1
     return [
-        CandidateStats(sdc_id=assessed[rep].sdc.id, detected=detected, fpr=fpr,
+        CandidateStats(sdc_id=assessed[rep].id, detected=detected, fpr=fpr,
                        confidence=conf, members=members)
         for (_, fpr, conf), (rep, members, detected)
         in sorted(classes.items(), key=lambda kv: kv[1][0])

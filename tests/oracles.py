@@ -157,6 +157,16 @@ def constraint(
                confidence=confidence)
 
 
+def survivor(
+    fn_id: str, d_in: float, d_out: float, m: float, confidence: float,
+    table: ContingencyTable, h: float = 1.0, p: float = 1e-6,
+) -> AssessedSdc:
+    """A screening row with its content-hash id, as ``assess_all``
+    builds a survivor's."""
+    return AssessedSdc(candidate_id(fn_id, d_in, d_out, m), fn_id, d_in, d_out, m, confidence,
+                       table, h, p)
+
+
 # ---------------------------------------------------------------------------
 # Corpora
 
@@ -299,10 +309,9 @@ def assess_loop(
         if conf < cfg.c_thres:
             continue
         counts["passed_confidence"] += 1
-        sdc = Sdc(id=cand.id, fn_id=cand.fn_id, d_in=cand.d_in, d_out=cand.d_out, m=cand.m,
-                  confidence=conf)
-        kept.append(AssessedSdc(sdc=sdc, table=table, h=h, p=p))
-    kept.sort(key=lambda a: a.sdc.id)
+        kept.append(AssessedSdc(cand.id, cand.fn_id, cand.d_in, cand.d_out, cand.m, conf,
+                                table, h, p))
+    kept.sort(key=lambda a: a.id)
     return kept, counts
 
 
@@ -333,8 +342,8 @@ def candidate_stats_loop(
     position = {sc.id: j for j, sc in enumerate(synth)}
     return [
         CandidateStats(
-            sdc_id=a.sdc.id,
-            detected=frozenset(position[sid] for sid in detection_set(a.sdc, synth, registry)),
+            sdc_id=a.id,
+            detected=frozenset(position[sid] for sid in detection_set(a, synth, registry)),
             fpr=a.table.covered_triggered / corpus_size,
             confidence=a.confidence,
         )

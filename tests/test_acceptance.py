@@ -311,8 +311,8 @@ def test_criterion_06_random_hash_functions_are_inert(tmp_path):
                        corpus, reg0)
     kept1 = assess_all(list(enumerate_candidates(reg1.functions(), GridSpec())),
                        corpus, reg1)
-    assert not any(a.sdc.fn_id.startswith("hash:") for a in kept1)
-    assert [a.sdc for a in kept0] == [a.sdc for a in kept1]
+    assert not any(a.fn_id.startswith("hash:") for a in kept1)
+    assert kept0 == kept1
 
     synth = build_synthetic_corpus(corpus, seed=seed + 2)
     synth_ids = [sc.id for sc in synth]
@@ -323,7 +323,7 @@ def test_criterion_06_random_hash_functions_are_inert(tmp_path):
         stats = build_candidate_stats(kept, synth, len(corpus), reg)
         outcome = run_selection(stats, sel, synth_ids=synth_ids)
         chosen = set(outcome.selected_ids)
-        ruleset = compile_ruleset([a.sdc for a in kept if a.sdc.id in chosen])
+        ruleset = compile_ruleset([a for a in kept if a.id in chosen])
         dets = detect_corpus(ruleset, noisy, reg)
         path = tmp_path / f"report-{len(reports)}.jsonl"
         save_report(dets, str(path), meta={"experiment": "hash-robustness"})
@@ -425,7 +425,7 @@ def test_criterion_08_benchmark_beats_zscore_baseline():
     outcome = run_selection(stats, SelectionConfig(seed=seed + 3),
                             synth_ids=[sc.id for sc in synth])
     chosen = set(outcome.selected_ids)
-    ruleset = compile_ruleset([a.sdc for a in kept if a.sdc.id in chosen])
+    ruleset = compile_ruleset([a for a in kept if a.id in chosen])
 
     noisy, truth = inject_errors(held, {}, rate=0.10, seed=seed + 4)
     dets = detect_corpus(ruleset, noisy, reg)

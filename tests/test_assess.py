@@ -33,6 +33,7 @@ from oracles import (
     constraint,
     eval_postcondition,
     eval_precondition,
+    survivor,
 )
 
 
@@ -63,7 +64,7 @@ class TestContingencyTable:
         assert t.not_coverage == 7
         assert t.rho == pytest.approx(1 / 3)
         assert t.rho_bar == pytest.approx(3 / 7)
-        assert t.as_tuple() == (1, 2, 3, 4)
+        assert t == (1, 2, 3, 4)
 
     def test_zero_denominators(self):
         with pytest.raises(ValueError):
@@ -269,7 +270,7 @@ class TestPrePost:
         corpus = Corpus(cols)
         sdc = constraint("score:t", 0.5, 0.9, 0.6)
         t = build_contingency(sdc, corpus, boundary_registry)
-        assert t.as_tuple() == (1, 1, 1, 1)
+        assert t == (1, 1, 1, 1)
 
     def test_triggering_evaluated_on_uncovered_columns(self, boundary_registry):
         # the uncovered-and-triggered cell must be populated
@@ -330,7 +331,7 @@ class TestAssessAll:
         assert a.table.covered_triggered == 0
         assert a.table.coverage == 60
         assert a.confidence > 0.9
-        assert a.sdc.confidence == a.confidence
+        assert a.id == cand.id
 
     def test_gates_reject_uninformative_candidates(self):
         corpus = hash_corpus(80, seed=1)
@@ -352,7 +353,7 @@ class TestAssessAll:
         gate_counts = {}
         kept = assess_all(cands, corpus, reg, gate_counts=gate_counts)
         want, want_counts = assess_loop(cands, corpus, reg)
-        assert [a.to_record() for a in kept] == [a.to_record() for a in want]
+        assert kept == want
         assert gate_counts == want_counts
         assert gate_counts["pruned_skips"] == 0
         assert gate_counts["evaluated"] == gate_counts["total"] == len(cands)
@@ -384,7 +385,7 @@ class TestAssessAll:
         gate_counts = {}
         kept = assess_all(cands, corpus, reg, cfg, gate_counts=gate_counts)
         want, want_counts = assess_loop(cands, corpus, reg, cfg)
-        assert [a.to_record() for a in kept] == [a.to_record() for a in want]
+        assert kept == want
         assert gate_counts == want_counts
         assert gate_counts["evaluated"] == gate_counts["total"] == len(cands)
         assert gate_counts["pruned_skips"] == 0
@@ -394,7 +395,7 @@ class TestAssessAll:
         reg = small_registry(4)
         cands = list(enumerate_candidates(reg.functions(), GridSpec()))
         kept = assess_all(cands, corpus, reg, cfg=AssessConfig(h_min=0.01, c_thres=0.0, p_max=1.0))
-        ids = [a.sdc.id for a in kept]
+        ids = [a.id for a in kept]
         assert ids == sorted(ids)
 
     def test_directional_gate(self):
@@ -417,41 +418,56 @@ class TestAssessAll:
         assert assess_all([cand], corpus, reg) == []
 
 
+# Survivors as tuples (fn_id, d_in, d_out - d_in, m, confidence, table,
+# h, p), with values that stress the number formatting.
+RULE_ROWS = st.lists(st.tuples(
+    st.text(max_size=12),
+    st.floats(min_value=0.0, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=True),
+    st.floats(min_value=1e-6, max_value=1.0),
+    st.floats(),
+    st.tuples(*[st.integers(0, 10**6)] * 4),
+    st.floats(),
+    st.floats(),
+), max_size=5)
+RULE_ROWS_EXAMPLE = [("pattern:\\d+\"é", 0.0, math.inf, 0.95, 1e-300, (1, 2, 3, 4), math.nan, -0.0)]
+
+
+def rule_rows(records) -> list[AssessedSdc]:
+    return [survivor(fn_id, d_in, d_in + abs(extra), m, conf, table(*tab), h, p)
+            for fn_id, d_in, extra, m, conf, tab, h, p in records]
+
+
 class TestAssessedIO:
     def test_round_trip(self, tmp_path):
-        sdc = constraint("score:t", 0.1, 0.9, 0.95, 0.91)
-        item = AssessedSdc(sdc=sdc, table=table(0, 30, 5, 65), h=1.2, p=0.001)
+        item = survivor("score:t", 0.1, 0.9, 0.95, 0.91, table(0, 30, 5, 65), 1.2, 0.001)
         path = tmp_path / "rules.jsonl"
         save_assessed([item], str(path), meta={"config_hash": "abc"})
-        loaded = load_assessed(str(path))
-        assert len(loaded) == 1
-        assert loaded[0].to_record() == item.to_record()
+        assert load_assessed(str(path)) == [item]
 
-    @given(
-        st.lists(st.tuples(
-            st.text(max_size=12),
-            st.floats(min_value=0.0, allow_nan=False),
-            st.floats(allow_nan=False, allow_infinity=True),
-            st.floats(min_value=1e-6, max_value=1.0),
-            st.floats(),
-            st.tuples(*[st.integers(0, 10**6)] * 4),
-            st.floats(),
-            st.floats(),
-        ), max_size=5),
-    )
+    @given(RULE_ROWS)
     @settings(max_examples=200, deadline=None)
-    @example([("pattern:\\d+\"é", 0.0, math.inf, 0.95, 1e-300, (1, 2, 3, 4), math.nan, -0.0)])
+    @example(RULE_ROWS_EXAMPLE)
     def test_lines_are_json_dumps_bytes(self, tmp_path_factory, records):
-        items = []
-        for fn_id, d_in, extra, m, conf, tab, h, p in records:
-            d_out = d_in + abs(extra)
-            sdc = constraint(fn_id, d_in, d_out, m, conf)
-            items.append(AssessedSdc(sdc=sdc, table=table(*tab), h=h, p=p))
+        items = rule_rows(records)
         path = tmp_path_factory.mktemp("rules") / "rules.jsonl"
         save_assessed(items, str(path), meta={"config_hash": "abc"})
         want = json.dumps({"kind": "assessed-meta", "config_hash": "abc"}, sort_keys=True) + "\n"
-        want += "".join(json.dumps(item.to_record()) + "\n" for item in items)
+        want += "".join(json.dumps(item._asdict()) + "\n" for item in items)
         assert path.read_bytes() == want.encode("utf-8")
+
+    @given(RULE_ROWS)
+    @settings(max_examples=200, deadline=None)
+    @example(RULE_ROWS_EXAMPLE)
+    def test_load_then_save_reproduces_the_file(self, tmp_path_factory, records):
+        # The file is written by json.dumps, not by save_assessed.
+        lines = [json.dumps({"kind": "assessed-meta", "config_hash": "abc"}, sort_keys=True)]
+        lines += [json.dumps(item._asdict()) for item in rule_rows(records)]
+        folder = tmp_path_factory.mktemp("rules")
+        (folder / "in.jsonl").write_text("".join(line + "\n" for line in lines))
+        save_assessed(load_assessed(str(folder / "in.jsonl")), str(folder / "out.jsonl"),
+                      meta={"config_hash": "abc"})
+        assert (folder / "out.jsonl").read_bytes() == (folder / "in.jsonl").read_bytes()
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "rules.jsonl"

@@ -472,8 +472,22 @@ GEN_CONFIG_OUT = GEN_CONFIG + ["--out-dir", "{tmp}"]
 # and the command that reads it ({file} is that file, {tmp} a scratch
 # directory). In JSON contents the strings "{corpus}" and "{space}"
 # stand for the paths of the demo corpus and embedding space. Every
-# case's directory also holds LATIN1, a file that is not UTF-8.
+# case's directory also holds the SIDE_FILES: LATIN1, a file that is
+# not UTF-8, and score tables with one malformed line each.
 LATIN1 = "latin1.txt"
+SIDE_FILES = {
+    LATIN1: b"caf\xe9 1.0 2.0\n",
+    "scores-null-value.jsonl": b'{"value": null, "score": 1}\n',
+    "scores-number-value.jsonl": b'{"value": 12, "score": 1}\n',
+    "scores-boolean-score.jsonl": b'{"value": "jfk", "score": true}\n',
+}
+SELECT_RULES = ["select", "--config", "{config}", "--rules", "{file}", "--registry", "{registry}",
+                "--out-dir", "{tmp}"]
+# A rules.jsonl line that select accepts (test_good_rule_line_selects);
+# each rules- case below breaks one of its fields.
+GOOD_RULE = {"id": "sdc-0000000000000000", "fn_id": "validator:email", "d_in": 0.0,
+             "d_out": 1.0, "m": 0.9, "confidence": 0.95, "table": [0, 30, 5, 65], "h": 1.2,
+             "p": 0.001}
 MALFORMED_INPUTS = {
     "truth-without-error-indices": (
         "truth.json", '{"id": "c0"}\n', INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
@@ -634,6 +648,33 @@ MALFORMED_INPUTS = {
     "truth-not-utf8": (
         "truth.json", b'{"id": "caf\xe9", "error_indices": []}\n',
         INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
+    # A score-table value is a JSON string and a score a JSON number,
+    # in a score-table file and in a store's inline table alike.
+    **{
+        f"config-{name[:-len('.jsonl')]}": (
+            "cfg.json",
+            {"paths": {"corpus": "{corpus}",
+                       "score_tables": [{"type_name": "airport", "path": name}]}},
+            GEN_CONFIG_OUT)
+        for name in SIDE_FILES if name.startswith("scores-")
+    },
+    "store-inline-score-boolean": (
+        "store.json",
+        {"kind": "sdc-store", "sdcs": [], "registry": {"functions": [
+            {"id": "score:airport", "family": "score_table",
+             "params": {"type_name": "airport", "scores": {"jfk": True}}}]}},
+        ["infer", "--rules", "{file}", "--corpus", "{corpus}", "--out", "{tmp}/report.jsonl"]),
+    # Every check of a rules.jsonl line.
+    **{
+        f"rules-{name}": ("rules.jsonl", json.dumps({**GOOD_RULE, **change}) + "\n", SELECT_RULES)
+        for name, change in (
+            ("d-out-below-d-in", {"d_in": 0.5, "d_out": 0.4}),
+            ("m-zero", {"m": 0}),
+            ("three-count-table", {"table": [0, 30, 5]}),
+            ("fn-id-not-a-string", {"fn_id": 7}),
+            ("h-not-a-number", {"h": "x"}),
+        )
+    },
 }
 
 
@@ -644,8 +685,9 @@ def test_malformed_input_is_data_error(name, tmp_path, demo, pipeline):
     slots = {"file": path, "tmp": tmp_path, "config": demo["config"],
              "corpus": demo["data"] / "corpus.jsonl", "space": demo["data"] / "toy-space.txt",
              "scores": demo["data"] / "scores-airport.jsonl",
-             "rules": pipeline / "rules.jsonl"}
-    (tmp_path / LATIN1).write_bytes(b"caf\xe9 1.0 2.0\n")
+             "rules": pipeline / "rules.jsonl", "registry": pipeline / "registry.json"}
+    for side, data in SIDE_FILES.items():
+        (tmp_path / side).write_bytes(data)
     if isinstance(contents, bytes):
         path.write_bytes(contents)
     elif isinstance(contents, str):
@@ -656,3 +698,13 @@ def test_malformed_input_is_data_error(name, tmp_path, demo, pipeline):
             text = text.replace(f'"{{{slot}}}"', json.dumps(str(slots[slot])))
         path.write_text(text)
     assert run([arg.format(**slots) for arg in argv]) == 2
+
+
+def test_good_rule_line_selects(tmp_path, demo, pipeline):
+    # So each rules- case of MALFORMED_INPUTS fails on its broken field.
+    path = tmp_path / "rules.jsonl"
+    path.write_text(json.dumps(GOOD_RULE) + "\n")
+    slots = {"config": demo["config"], "file": path, "registry": pipeline / "registry.json",
+             "tmp": tmp_path}
+    assert run([arg.format(**slots) for arg in SELECT_RULES]) == 0
+    assert json.loads((tmp_path / "store.json").read_text())["kind"] == "sdc-store"

@@ -357,6 +357,28 @@ DATE_FIELD = st.tuples(
 ).map("".join)
 DATE_SEP = st.sampled_from("/-.")
 
+# The zeros of the decimal digits of several scripts: ASCII,
+# Arabic-Indic, Devanagari, fullwidth and mathematical bold. str.isdecimal
+# and int() take each of them.
+DIGIT_ZEROS = "0\u0660\u0966\uff10\U0001d7ce"
+# Digits to str.isdigit, but not decimal digits; int() rejects them.
+SUPERSCRIPTS = "\u2070\u00b9\u00b2\u00b3\u2074\u2075\u2076\u2077\u2078\u2079"
+
+
+def in_scripts(text: str):
+    """Pairs (text, text with each ASCII digit written in a script drawn
+    from DIGIT_ZEROS)."""
+    return st.lists(st.sampled_from(DIGIT_ZEROS), min_size=len(text), max_size=len(text)).map(
+        lambda zeros: (text, "".join(chr(ord(z) + int(c)) if c in string.digits else c
+                                     for c, z in zip(text, zeros))))
+
+
+CARD_NUMBERS = st.text(alphabet=string.digits, min_size=13, max_size=19).flatmap(in_scripts)
+UPC_NUMBERS = st.text(alphabet=string.digits, min_size=12, max_size=12).flatmap(in_scripts)
+IPV4_ADDRESSES = st.lists(
+    st.text(alphabet=string.digits, min_size=1, max_size=4), min_size=3, max_size=5
+).map(".".join).flatmap(in_scripts)
+
 
 class TestValidators:
     @pytest.fixture(autouse=True)
@@ -445,7 +467,8 @@ class TestValidators:
         assert self.accepts("ipv4", value)
 
     @pytest.mark.parametrize(
-        "value", ["256.1.1.1", "1.2.3", "1.2.3.4.5", "a.b.c.d", "01.2.3.4567", "1.2.3.-4"]
+        "value",
+        ["256.1.1.1", "1.2.3", "1.2.3.4.5", "a.b.c.d", "01.2.3.4567", "1.2.3.-4", "1.2.3.\u00b2"],
     )
     def test_ipv4_invalid(self, value):
         assert not self.accepts("ipv4", value)
@@ -464,24 +487,44 @@ class TestValidators:
         assert not self.accepts("credit-card", "411111111111")  # too short
         assert not self.accepts("credit-card", "41111111111111111111")  # too long
 
-    @given(st.text(alphabet=string.digits, min_size=13, max_size=19))
+    @given(CARD_NUMBERS)
     @settings(max_examples=300)
-    def test_credit_card_agrees_with_reference_luhn(self, digits):
-        assert self.accepts("credit-card", digits) == luhn_reference(digits)
+    def test_credit_card_agrees_with_reference_luhn(self, pair):
+        ascii_digits, digits = pair
+        assert self.accepts("credit-card", digits) == luhn_reference(ascii_digits)
 
     def test_upc_a_known(self):
         assert self.accepts("upc-a", "036000291452")
         assert not self.accepts("upc-a", "036000291453")
         assert not self.accepts("upc-a", "03600029145")  # 11 digits
 
-    @given(st.text(alphabet=string.digits, min_size=12, max_size=12))
+    @given(UPC_NUMBERS)
     @settings(max_examples=300)
-    def test_upc_a_agrees_with_reference(self, digits):
-        d = [int(c) for c in digits]
+    def test_upc_a_agrees_with_reference(self, pair):
+        ascii_digits, digits = pair
+        d = [int(c) for c in ascii_digits]
         odd = sum(d[i] for i in range(0, 11, 2))
         even = sum(d[i] for i in range(1, 11, 2))
         expected = (3 * odd + even + d[11]) % 10 == 0
         assert self.accepts("upc-a", digits) == expected
+
+    @given(IPV4_ADDRESSES)
+    @settings(max_examples=300)
+    def test_ipv4_agrees_with_reference(self, pair):
+        ascii_address, address = pair
+        parts = ascii_address.split(".")
+        expected = len(parts) == 4 and all(len(p) <= 3 and int(p) <= 255 for p in parts)
+        assert self.accepts("ipv4", address) == expected
+
+    @pytest.mark.parametrize("name, numbers", [
+        ("credit-card", CARD_NUMBERS), ("upc-a", UPC_NUMBERS), ("ipv4", IPV4_ADDRESSES)])
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_superscript_digit_is_rejected(self, name, numbers, data):
+        _, value = data.draw(numbers)
+        k = data.draw(st.sampled_from([i for i, ch in enumerate(value) if ch != "."]))
+        value = value[:k] + data.draw(st.sampled_from(SUPERSCRIPTS)) + value[k + 1:]
+        assert not self.accepts(name, value)
 
     def test_unknown_validator_rejected(self):
         from sdc.domain_fns import ValidatorFn

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdc.assess import AssessedSdc
 from sdc.corpus import Column, Corpus, normalize_raw
 from sdc.domain_fns import EmbeddingSpace, Registry, make_embedding_fn, make_score_table_fn
 from sdc.errors import DataFormatError
@@ -25,6 +24,7 @@ from oracles import (
     detection_classes,
     detection_set,
     recall_of,
+    survivor,
 )
 
 
@@ -33,7 +33,9 @@ def rule(fn_id, d_in, d_out, m, conf=0.95):
 
 
 def assessed(sdc, tab=None):
-    return AssessedSdc(sdc=sdc, table=tab or table(1, 40, 30, 30), h=1.0, p=1e-6)
+    """The screening row of ``sdc``."""
+    return survivor(sdc.fn_id, sdc.d_in, sdc.d_out, sdc.m, sdc.confidence,
+                    tab or table(1, 40, 30, 30))
 
 
 def base_values(sc):
@@ -188,16 +190,16 @@ class TestBuildCandidateStats:
             assessed(rule("score:reds", 0.3, 0.5, 0.8, 0.96), table(4, 28, 20, 20)),
         ]
         stats = build_candidate_stats(cands, synth, len(word_corpus), registry2d)
-        assert [s.sdc_id for s in stats] == [c.sdc.id for c in cands]
+        assert [s.sdc_id for s in stats] == [c.id for c in cands]
         position = {sc.id: j for j, sc in enumerate(synth)}
         for st, cand in zip(stats, cands):
             assert st.detected == frozenset(
-                position[sid] for sid in detection_set(cand.sdc, synth, registry2d)
-            ), cand.sdc.id
+                position[sid] for sid in detection_set(cand, synth, registry2d)
+            ), cand.id
             assert st.fpr == pytest.approx(
                 estimate_fpr(cand.table, len(word_corpus))
             )
-            assert st.confidence == cand.sdc.confidence
+            assert st.confidence == cand.confidence
 
     def test_empty_inputs(self, word_corpus, registry2d):
         assert build_candidate_stats([], [], len(word_corpus), registry2d) == []
@@ -245,7 +247,7 @@ class TestDetectionClasses:
         ]
         stats = build_candidate_stats(cands, synth, len(word_corpus), registry2d)
         assert [(s.sdc_id, s.members) for s in stats] == [
-            (cands[1].sdc.id, 2), (cands[2].sdc.id, 1)
+            (cands[1].id, 2), (cands[2].id, 1)
         ]
         assert stats[0].detected == stats[1].detected != frozenset()
         assert stats == detection_classes(
