@@ -31,9 +31,9 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .candidates import Candidate, constraint_fields
-from .corpus import Column, read_lines
+from .corpus import Column, read_records
 from .domain_fns import Registry, ValueIndex
-from .errors import DataFormatError, json_number
+from .errors import json_ints, json_number
 
 
 class ContingencyTable(NamedTuple):
@@ -115,7 +115,7 @@ class AssessedSdc(NamedTuple):
     p: float
 
     def to_record(self) -> dict:
-        """The row as ``json.loads`` reads its ``rules.jsonl`` line."""
+        """The row as its ``rules.jsonl`` line decodes to."""
         return {**self._asdict(), "table": list(self.table)}
 
 
@@ -290,26 +290,15 @@ def save_assessed(assessed: list[AssessedSdc], path: str, meta: Optional[dict] =
             )
 
 
+def _assessed_row(rec: dict) -> AssessedSdc:
+    """One ``rules.jsonl`` record as a row: ``constraint_fields``, a
+    table of four JSON integers, and ``h`` and ``p`` as JSON numbers."""
+    a, b, c, d = json_ints(rec, "table")
+    return AssessedSdc(*constraint_fields(rec), ContingencyTable(a, b, c, d),
+                       json_number(rec, "h", finite=False), json_number(rec, "p", finite=False))
+
+
 def load_assessed(path: str) -> list[AssessedSdc]:
-    """The rows of a ``save_assessed`` file, read line by line. A
-    malformed line (see ``constraint_fields``; a table of other than four
-    counts) is a ``DataFormatError`` that names it."""
-    out: list[AssessedSdc] = []
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
-        if isinstance(rec, dict) and rec.get("kind") == "assessed-meta":
-            continue
-        try:
-            a, b, c, d = rec["table"]
-            row = AssessedSdc(*constraint_fields(rec),
-                              ContingencyTable(int(a), int(b), int(c), int(d)),
-                              float(rec["h"]), float(rec["p"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path} line {lineno}: bad record ({exc})") from exc
-        out.append(row)
-    return out
+    """The rows of a ``save_assessed`` file. A malformed line is a
+    ``DataFormatError`` that names it."""
+    return read_records(path, _assessed_row, lambda rec: rec.get("kind") == "assessed-meta")

@@ -18,12 +18,12 @@ computed only when read, so only the survivors of screening are hashed.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .corpus import read_json
 from .domain_fns import DomainEvalFn
-from .errors import DataFormatError, json_number
+from .errors import DataFormatError, json_number, json_str
 
 BINARY_FAMILIES = ("pattern", "validator")
 
@@ -38,14 +38,14 @@ def check_thresholds(d_in: float, d_out: float, m: float) -> None:
 
 def constraint_fields(rec: dict) -> tuple[str, str, float, float, float, float]:
     """A record's id, fn_id, d_in, d_out, m and confidence, the fields
-    ``rules.jsonl`` and ``store.json`` share; a missing or malformed one
+    ``rules.jsonl`` and ``store.json`` share: two strings and four JSON
+    numbers (NaN and infinities included). A missing or malformed one
     raises ``KeyError``, ``TypeError`` or ``ValueError``."""
-    sid, fn_id = rec["id"], rec["fn_id"]
-    if not isinstance(sid, str) or not isinstance(fn_id, str):
-        raise TypeError("id and fn_id must be strings")
-    d_in, d_out, m = float(rec["d_in"]), float(rec["d_out"]), float(rec["m"])
+    sid, fn_id = json_str(rec, "id"), json_str(rec, "fn_id")
+    d_in, d_out, m, conf = [json_number(rec, key, finite=False)
+                            for key in ("d_in", "d_out", "m", "confidence")]
     check_thresholds(d_in, d_out, m)
-    return sid, fn_id, d_in, d_out, m, float(rec["confidence"])
+    return sid, fn_id, d_in, d_out, m, conf
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,6 @@ class Sdc:
 
     def __post_init__(self) -> None:
         check_thresholds(self.d_in, self.d_out, self.m)
-
-    def to_record(self) -> dict:
-        """The JSON form that ``rules.jsonl`` and ``store.json`` share."""
-        return {"id": self.id, "fn_id": self.fn_id, "d_in": self.d_in, "d_out": self.d_out,
-                "m": self.m, "confidence": self.confidence}
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "Sdc":
-        """An assessed constraint from ``to_record``'s form."""
-        return cls(*constraint_fields(rec))
 
 
 def candidate_id(fn_id: str, d_in: float, d_out: float, m: float) -> str:
@@ -175,11 +165,11 @@ class GridSpec:
 
     @classmethod
     def load(cls, path: str) -> "GridSpec":
+        data = read_json(path, "grid")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_json(json.load(fh))
-        except (OSError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"cannot read grid {path}: {exc!r}") from exc
+            return cls.from_json(data)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: bad grid ({exc!r})") from exc
 
 
 def _live_m(grid: GridSpec) -> list[float]:

@@ -22,7 +22,15 @@ import click
 from . import evaluation
 from .assess import AssessConfig, AssessedSdc, assess_all, load_assessed, save_assessed
 from .candidates import GridSpec, Sdc, dead_candidate_count, enumerate_candidates
-from .corpus import Corpus, filter_columns, load_corpus, sample_columns, save_corpus
+from .corpus import (
+    Corpus,
+    filter_columns,
+    load_corpus,
+    read_json,
+    sample_columns,
+    save_corpus,
+    write_json,
+)
 from .datagen import generate_corpus, write_dataset
 from .domain_fns import (
     Registry,
@@ -34,7 +42,7 @@ from .domain_fns import (
     make_random_hash_fn,
     sample_centroids,
 )
-from .errors import DataFormatError, SdcError, json_flag, json_int, json_number
+from .errors import DataFormatError, SdcError, json_flag, json_int, json_number, json_str
 from .infer import compile_ruleset, detect_corpus, save_report
 from .select import SelectionConfig, SelectionOutcome, read_store, run_selection, write_store
 from .synth import CandidateStats, SynthColumn, build_candidate_stats, build_synthetic_corpus
@@ -45,12 +53,13 @@ MAX_RANDOM_HASHES = 10_000
 
 @dataclass
 class PipelineConfig:
-    """Everything one pipeline run needs, loaded from a JSON file."""
+    """Everything one pipeline run needs, loaded from a JSON file; each
+    setting is read and checked once, with its default filled in."""
 
     corpus_path: str
+    functions: dict
     embeddings: list[dict] = field(default_factory=list)
     score_tables: list[dict] = field(default_factory=list)
-    functions: dict = field(default_factory=dict)
     grid: GridSpec = field(default_factory=GridSpec)
     assess: AssessConfig = field(default_factory=AssessConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
@@ -61,13 +70,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str) -> "PipelineConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataFormatError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise DataFormatError(f"{path}: config must be a JSON object")
+        data = read_json(path, "config")
 
         def section(key: str) -> dict:
             value = data.get(key, {})
@@ -83,26 +86,28 @@ class PipelineConfig:
         def absolute(p: str) -> str:
             return p if os.path.isabs(p) else os.path.join(base, p)
 
+        fns = section("functions")
         try:
-            embeddings = [dict(e, path=absolute(e["path"])) for e in paths.get("embeddings", [])]
-            score_tables = [dict(s, path=absolute(s["path"])) for s in paths.get("score_tables", [])]
-            functions = section("functions")
-            # Settings build_registry reads, checked here so that a
-            # malformed one is a data error.
-            json_flag(functions, "validators", True)
-            for key in ("patterns_top_k", "random_hash_count", "random_hash_seed"):
-                json_int(functions, key, 0)
-            if json_int(functions, "random_hash_count", 0) > MAX_RANDOM_HASHES:
+            functions = {
+                "validators": json_flag(fns, "validators", True),
+                "patterns_top_k": json_int(fns, "patterns_top_k", 25),
+                "random_hash_count": json_int(fns, "random_hash_count", 0),
+                "random_hash_seed": json_int(fns, "random_hash_seed", 0),
+            }
+            if functions["random_hash_count"] > MAX_RANDOM_HASHES:
                 raise ValueError(f"random_hash_count exceeds {MAX_RANDOM_HASHES}")
-            for emb in embeddings:
-                json_int(emb, "centroids", 0)
-            for st in score_tables:
-                json_number(st, "default_score", 0.0)
+            # An entry that is not an object fails on its path with a TypeError.
+            embeddings = [{"path": absolute(e["path"]), "centroids": json_int(e, "centroids", 0),
+                           "space_id": json_str(e, "space_id") if "space_id" in e else None}
+                          for e in paths.get("embeddings", [])]
+            score_tables = [{"path": absolute(s["path"]), "type_name": json_str(s, "type_name"),
+                             "default_score": json_number(s, "default_score", 0.0)}
+                            for s in paths.get("score_tables", [])]
             return cls(
                 corpus_path=absolute(paths["corpus"]),
+                functions=functions,
                 embeddings=embeddings,
                 score_tables=score_tables,
-                functions=functions,
                 grid=GridSpec.from_json(data.get("grid", {})),
                 assess=AssessConfig.from_json(section("assess")),
                 selection=SelectionConfig.from_json(section("selection")),
@@ -111,8 +116,7 @@ class PipelineConfig:
                 skip_numeric=json_flag(data, "skip_numeric_columns", True),
                 raw=data,
             )
-        # OverflowError: an integer too large for a float.
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: bad config ({exc!r})") from exc
 
     def config_hash(self) -> str:
@@ -126,27 +130,22 @@ def build_registry(cfg: PipelineConfig, corpus: Corpus | ValueIndex, seed: int) 
     score tables and (optionally) adversarial random hashes. A
     ``ValueIndex`` corpus lends its value shapes to later screening."""
     reg = Registry()
-    fns_cfg = cfg.functions
-    if json_flag(fns_cfg, "validators", True):
+    fns = cfg.functions
+    if fns["validators"]:
         reg.add_all(builtin_validators())
-    top_k = json_int(fns_cfg, "patterns_top_k", 25)
-    if top_k > 0:
-        reg.add_all(infer_patterns(corpus, top_k))
+    if fns["patterns_top_k"] > 0:
+        reg.add_all(infer_patterns(corpus, fns["patterns_top_k"]))
     for emb in cfg.embeddings:
-        space = load_embedding_space(emb["path"], emb.get("space_id"))
+        space = load_embedding_space(emb["path"], emb["space_id"])
         reg.add_space(space, emb["path"])
-        k = json_int(emb, "centroids", 0)
-        if k > 0:
-            for fn in sample_centroids(corpus, space, k, seed):
+        if emb["centroids"] > 0:
+            for fn in sample_centroids(corpus, space, emb["centroids"], seed):
                 if fn.id not in reg:
                     reg.add(fn)
     for st in cfg.score_tables:
-        default = json_number(st, "default_score", 0.0)
-        reg.add(load_score_table(st["path"], st["type_name"], default))
-    n_hash = json_int(fns_cfg, "random_hash_count", 0)
-    hash_base = json_int(fns_cfg, "random_hash_seed", 0)
-    for i in range(n_hash):
-        reg.add(make_random_hash_fn(hash_base + i))
+        reg.add(load_score_table(st["path"], st["type_name"], st["default_score"]))
+    for i in range(fns["random_hash_count"]):
+        reg.add(make_random_hash_fn(fns["random_hash_seed"] + i))
     return reg
 
 
@@ -190,12 +189,6 @@ def _load_training_corpus(cfg: PipelineConfig) -> Corpus:
     return filter_columns(corpus, skip_numeric=cfg.skip_numeric)
 
 
-def _write_json(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -232,8 +225,8 @@ def cmd_gen(config_path: str, seed: Optional[int], grid_path: Optional[str],
     registry, assessed, gate_counts = _learn(cfg, corpus, cfg.seed)
     config_hash = cfg.config_hash()
     save_assessed(assessed, os.path.join(out, "rules.jsonl"), meta={"config_hash": config_hash})
-    _write_json(os.path.join(out, "registry.json"), registry.to_manifest())
-    _write_json(
+    write_json(os.path.join(out, "registry.json"), registry.to_manifest())
+    write_json(
         os.path.join(out, "gen-stats.json"),
         {
             "config_hash": config_hash,
@@ -289,11 +282,7 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
     rules_path = rules_path or os.path.join(out, "rules.jsonl")
     registry_path = registry_path or os.path.join(out, "registry.json")
     assessed = load_assessed(rules_path)
-    try:
-        with open(registry_path, "r", encoding="utf-8") as fh:
-            registry = Registry.from_manifest(json.load(fh))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read registry {registry_path}: {exc}") from exc
+    registry = Registry.from_manifest(read_json(registry_path, "registry"), registry_path)
     registry.require((a.fn_id for a in assessed), rules_path)
 
     chosen, outcome, synth, stats = _select(
@@ -416,7 +405,7 @@ def cmd_bench(config_path: str, heldout: int, rate: float, seed: Optional[int],
             "pr_auc_by_fn": all_aucs,
         },
     }
-    _write_json(os.path.join(out, "bench-metrics.json"), metrics)
+    write_json(os.path.join(out, "bench-metrics.json"), metrics)
     with open(os.path.join(out, "pr-points.csv"), "w", encoding="utf-8") as fh:
         fh.write("threshold,precision,recall\n")
         for p in points:
@@ -462,7 +451,7 @@ def cmd_make_demo_data(columns: int, seed: int, out_dir: str) -> None:
         "seed": seed,
     }
     cfg_path = os.path.join(out_dir, "config.json")
-    _write_json(cfg_path, config)
+    write_json(cfg_path, config)
     click.echo(f"wrote {len(dataset.corpus)} columns and {cfg_path}", err=True)
 
 

@@ -14,7 +14,7 @@ import os
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .errors import DataFormatError
 
@@ -84,10 +84,7 @@ class Corpus:
 def _column_from_record(rec: dict, shared: dict[str, str]) -> Column:
     """The column a JSONL record describes. Each value is replaced by
     the first equal string in ``shared``, so a corpus holds one object
-    per distinct raw value. Errors name the problem without its place,
-    which the caller prefixes."""
-    if not isinstance(rec, dict):
-        raise DataFormatError(f"expected an object, got {type(rec).__name__}")
+    per distinct raw value."""
     if "id" not in rec or not isinstance(rec["id"], str):
         raise DataFormatError("missing or non-string 'id'")
     values = rec.get("values")
@@ -103,25 +100,11 @@ def _column_from_record(rec: dict, shared: dict[str, str]) -> Column:
 
 
 def _load_jsonl(path: str) -> Corpus:
-    columns: list[Column] = []
     shared: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
-            # Writers may put a metadata object first; skip anything that
-            # declares a kind and carries no values.
-            if isinstance(rec, dict) and "kind" in rec and "values" not in rec:
-                continue
-            try:
-                columns.append(_column_from_record(rec, shared))
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path} line {lineno}: {exc}") from None
-    return Corpus(columns)
+    # Writers may put a metadata object first; skip anything that
+    # declares a kind and carries no values.
+    return Corpus(read_records(path, lambda rec: _column_from_record(rec, shared),
+                               lambda rec: "kind" in rec and "values" not in rec))
 
 
 def _load_csv_dir(path: str) -> Corpus:
@@ -171,6 +154,53 @@ def read_lines(path: str) -> Iterator[tuple[int, str]]:
             yield from enumerate(fh, start=1)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str, what: str) -> dict:
+    """The JSON object in a UTF-8 file. A file that cannot be read, is
+    not JSON or holds anything but an object is a ``DataFormatError``
+    that names ``what`` the file should be."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{path}: a {what} must be a JSON object")
+    return data
+
+
+def read_records(path: str, parse: Callable[[dict], Any],
+                 skip: Optional[Callable[[dict], bool]] = None) -> list:
+    """``parse(rec)`` for each JSON object on a non-blank line of a UTF-8
+    file, in file order, but for the objects ``skip`` passes over. A line
+    that is not a JSON object, or whose ``parse`` raises ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``DataFormatError``, is a
+    ``DataFormatError`` that names the file and the line."""
+    out = []
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise DataFormatError(f"expected an object, got {type(rec).__name__}")
+            if skip is None or not skip(rec):
+                out.append(parse(rec))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path} line {lineno}: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path} line {lineno}: bad record ({exc!r})") from exc
+    return out
+
+
+def write_json(path: str, data: dict) -> None:
+    """Write ``data`` as an indented JSON document with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def save_corpus(corpus: Corpus, path: str, meta: Optional[dict] = None) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Column, Corpus
+from .corpus import Column, Corpus, save_corpus
 from .domain_fns import EmbeddingSpace, ScoreTableFn, make_score_table_fn
 
 MONTHS = [
@@ -238,13 +238,7 @@ def write_dataset(dataset: DeskDataset, out_dir: str) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     paths: dict[str, str] = {}
     corpus_path = os.path.join(out_dir, "corpus.jsonl")
-    with open(corpus_path, "w", encoding="utf-8") as fh:
-        for col in dataset.corpus:
-            rec = {"id": col.id}
-            if col.header is not None:
-                rec["header"] = col.header
-            rec["values"] = list(col.values)
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    save_corpus(dataset.corpus, corpus_path)
     paths["corpus"] = corpus_path
     space_path = os.path.join(out_dir, "toy-space.txt")
     save_space(dataset.space, space_path)

@@ -45,21 +45,20 @@ returns value by value; the two kernels return the same bits too.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import re
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 from urllib.parse import urlparse
 
 import numpy as np
 
-from .corpus import Column, normalize_raw, read_lines
-from .errors import DataFormatError, json_number
+from .corpus import Column, normalize_raw, read_lines, read_records
+from .errors import DataFormatError, json_int, json_number, json_str
 
 INFINITE_DISTANCE = math.inf
 # Cells per block of ``ValueIndex.inside_counts``: its two per-cell
@@ -562,15 +561,14 @@ def make_random_hash_fn(seed: int) -> RandomHashFn:
     return RandomHashFn(id=f"hash:{seed}", seed=seed)
 
 
-def _score(data: dict, key: str, where: str) -> float:
-    """``data[key]`` when it is a JSON number in [0, 1], else a
-    ``DataFormatError`` that names ``where``."""
+def _score(data: dict, key: str) -> float:
+    """``data[key]`` when it is a JSON number in [0, 1], else a ``DataFormatError``."""
     try:
-        score = json_number(data, key, 0.0)
+        score = json_number(data, key)
     except ValueError as exc:
-        raise DataFormatError(f"{where}: {exc}") from exc
+        raise DataFormatError(str(exc)) from None
     if not 0.0 <= score <= 1.0:
-        raise DataFormatError(f"{where}: {key} = {score!r} is outside [0, 1]")
+        raise DataFormatError(f"{key} = {score!r} is outside [0, 1]")
     return score
 
 
@@ -579,23 +577,11 @@ def load_score_table(path: str, type_name: str, default_score: float = 0.0) -> S
     line; scores must lie in [0, 1]. Lookup keys are normalized."""
     if not 0.0 <= default_score <= 1.0:
         raise DataFormatError(f"default_score {default_score} outside [0, 1]")
-    scores: dict[str, float] = {}
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
-        if not isinstance(rec, dict) or "value" not in rec or "score" not in rec:
-            raise DataFormatError(f"{path} line {lineno}: expected value/score object")
-        if not isinstance(rec["value"], str):
-            raise DataFormatError(f"{path} line {lineno}: value {rec['value']!r} is not a string")
-        scores[normalize_raw(rec["value"])] = _score(rec, "score", f"{path} line {lineno}")
     return ScoreTableFn(
         id=f"score:{type_name}",
         type_name=type_name,
-        scores=scores,
+        scores=dict(read_records(
+            path, lambda rec: (normalize_raw(json_str(rec, "value")), _score(rec, "score")))),
         default_score=float(default_score),
         path=path,
     )
@@ -607,11 +593,10 @@ def make_score_table_fn(
     """In-memory score-table constructor (keys are normalized here)."""
     if not 0.0 <= default_score <= 1.0:
         raise DataFormatError(f"default_score {default_score} outside [0, 1]")
-    where = f"score table {type_name!r}"
     return ScoreTableFn(
         id=f"score:{type_name}",
         type_name=type_name,
-        scores={normalize_raw(k): _score(scores, k, where) for k in scores},
+        scores={normalize_raw(k): _score(scores, k) for k in scores},
         default_score=float(default_score),
     )
 
@@ -711,53 +696,60 @@ class Registry:
         return {"spaces": spaces, "functions": entries}
 
     @classmethod
-    def from_manifest(cls, manifest: dict) -> "Registry":
+    def from_manifest(cls, manifest: dict, source: str = "manifest") -> "Registry":
         """The registry ``to_manifest`` describes, with its embedding
         spaces and file-backed score tables loaded from their recorded
-        paths; a relative path is read from the current directory."""
+        paths; a relative path is read from the current directory. A
+        malformed manifest is a ``DataFormatError`` naming ``source``."""
+        if not isinstance(manifest, dict):
+            raise DataFormatError(f"{source}: a registry must be a JSON object, not {manifest!r}")
+        spaces, functions = manifest.get("spaces", {}), manifest.get("functions", [])
+        if not isinstance(spaces, dict) or not all(isinstance(p, str) for p in spaces.values()):
+            raise DataFormatError(f"{source}: spaces must be an object of paths, not {spaces!r}")
+        if not isinstance(functions, list):
+            raise DataFormatError(f"{source}: functions must be a list, not {functions!r}")
         reg = cls()
-        for sid, path in manifest.get("spaces", {}).items():
+        for sid, path in spaces.items():
             if not path:
-                raise DataFormatError(f"embedding space {sid!r} has no recorded path")
+                raise DataFormatError(f"{source}: embedding space {sid!r} has no recorded path")
             reg.add_space(load_embedding_space(path, space_id=sid), path=path)
-        for i, entry in enumerate(manifest.get("functions", [])):
+        for i, entry in enumerate(functions):
             try:
-                fn = _fn_from_manifest(entry, reg)
+                reg.add(_fn_from_manifest(entry, reg))
+            except DataFormatError as exc:
+                raise DataFormatError(f"{source}: function entry {i}: {exc}") from None
             except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"function entry {i}: bad record ({exc!r})") from exc
-            reg.add(fn)
+                raise DataFormatError(
+                    f"{source}: function entry {i}: bad record ({exc!r})") from exc
         return reg
 
 
 def _fn_from_manifest(entry: dict, reg: Registry) -> DomainEvalFn:
-    family = entry.get("family")
-    params = entry.get("params", {})
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+        raise DataFormatError(f"expected an object with a string id, not {entry!r}")
+    family, params = entry.get("family"), entry.get("params", {})
+    if not isinstance(params, dict):
+        raise DataFormatError(f"params must be an object, not {params!r}")
     if family == "pattern":
-        return PatternFn(id=entry["id"], pattern=params["pattern"])
+        return PatternFn(id=entry["id"], pattern=json_str(params, "pattern"))
     if family == "validator":
-        return ValidatorFn(id=entry["id"], name=params["name"])
+        return ValidatorFn(id=entry["id"], name=json_str(params, "name"))
     if family == "random_hash":
-        return RandomHashFn(id=entry["id"], seed=int(params["seed"]))
+        return RandomHashFn(id=entry["id"], seed=json_int(params, "seed"))
     if family == "score_table":
         default = json_number(params, "default_score", 0.0)
         if "scores" in params:
-            fn = make_score_table_fn(params["type_name"], params["scores"], default)
+            if not isinstance(params["scores"], dict):
+                raise DataFormatError(f"scores must be an object, not {params['scores']!r}")
+            fn = make_score_table_fn(json_str(params, "type_name"), params["scores"], default)
         else:
-            fn = load_score_table(params["path"], params["type_name"], default)
-        if fn.id != entry["id"]:
-            fn = ScoreTableFn(
-                id=entry["id"],
-                type_name=fn.type_name,
-                scores=fn.scores,
-                default_score=fn.default_score,
-                path=fn.path,
-            )
-        return fn
+            fn = load_score_table(json_str(params, "path"), json_str(params, "type_name"), default)
+        return replace(fn, id=entry["id"])
     if family == "embedding":
-        sid = params["space_id"]
+        sid = json_str(params, "space_id")
         if sid not in reg.spaces:
             raise DataFormatError(f"function {entry['id']!r} references unknown space {sid!r}")
-        return make_embedding_fn(reg.spaces[sid], params["centroid"], space_id=sid)
+        return make_embedding_fn(reg.spaces[sid], json_str(params, "centroid"), space_id=sid)
     raise DataFormatError(f"unknown function family {family!r}")
 
 

@@ -22,9 +22,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import Column, Corpus, read_lines, splice_donor_value
+from .corpus import Column, Corpus, read_records, splice_donor_value
 from .domain_fns import DomainEvalFn, ValueIndex
-from .errors import DataFormatError
+from .errors import DataFormatError, json_ints, json_str
 from .infer import Detection
 
 # Ground truth: column id -> set of erroneous value indices. Columns
@@ -48,21 +48,11 @@ def save_truth(truth: GroundTruth, path: str) -> None:
 
 
 def load_truth(path: str) -> GroundTruth:
-    truth: GroundTruth = {}
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path} line {lineno}: invalid JSON") from exc
-        if isinstance(rec, dict) and "kind" in rec and "id" not in rec:
-            continue
-        try:
-            truth[rec["id"]] = {int(i) for i in rec["error_indices"]}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path} line {lineno}: bad record ({exc!r})") from exc
-    return truth
+    """A ``save_truth`` file: a string ``id`` and a list of integer
+    ``error_indices`` per line; a line with a ``kind`` and no ``id`` is skipped."""
+    return dict(read_records(
+        path, lambda rec: (json_str(rec, "id"), set(json_ints(rec, "error_indices"))),
+        lambda rec: "kind" in rec and "id" not in rec))
 
 
 def inject_errors(

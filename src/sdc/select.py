@@ -40,7 +40,6 @@ iteration order.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -49,7 +48,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .candidates import Sdc
+from .candidates import Sdc, constraint_fields
+from .corpus import read_json, write_json
 from .domain_fns import Registry
 from .errors import DataFormatError, SdcError, json_flag, json_int, json_number
 from .synth import CandidateStats
@@ -352,33 +352,29 @@ def write_store(
     the constraints, the definitions of the functions they reference,
     and provenance (selection settings, config hash)."""
     fn_ids = sorted({s.fn_id for s in sdcs})
-    store = {
+    write_json(path, {
         "kind": "sdc-store",
         "version": STORE_VERSION,
         "config_hash": config_hash,
         "selection": selection or {},
         "registry": registry.to_manifest(fn_ids),
-        "sdcs": [s.to_record() for s in sorted(sdcs, key=lambda s: s.id)],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(store, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        "sdcs": [asdict(s) for s in sorted(sdcs, key=lambda s: s.id)],
+    })
 
 
 def read_store(path: str) -> tuple[list[Sdc], Registry]:
     """The constraints and the registry of a ``write_store`` file. The
     registry's recorded paths are read as ``Registry.from_manifest``
     reads them: a relative one from the current directory."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            store = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read store {path}: {exc}") from exc
-    if not isinstance(store, dict) or store.get("kind") != "sdc-store":
+    store = read_json(path, "store")
+    if store.get("kind") != "sdc-store":
         raise DataFormatError(f"{path} is not a constraint store")
-    registry = Registry.from_manifest(store.get("registry", {}))
+    registry = Registry.from_manifest(store.get("registry", {}), path)
+    records = store.get("sdcs", [])
+    if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+        raise DataFormatError(f"{path}: sdcs must be a list of objects")
     try:
-        sdcs = [Sdc.from_record(rec) for rec in store.get("sdcs", [])]
+        sdcs = [Sdc(*constraint_fields(rec)) for rec in records]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad constraint record ({exc})") from exc
     registry.require((s.fn_id for s in sdcs), path)

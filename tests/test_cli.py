@@ -483,6 +483,17 @@ SIDE_FILES = {
 }
 SELECT_RULES = ["select", "--config", "{config}", "--rules", "{file}", "--registry", "{registry}",
                 "--out-dir", "{tmp}"]
+SELECT_REGISTRY = ["select", "--config", "{config}", "--rules", "{rules}", "--registry", "{file}",
+                   "--out-dir", "{tmp}"]
+INFER_STORE = ["infer", "--rules", "{file}", "--corpus", "{corpus}", "--out", "{tmp}/report.jsonl"]
+EMAIL = {"id": "validator:email", "family": "validator", "params": {"name": "email"}}
+
+
+def store(registry, sdcs=()):
+    """A store with this registry manifest and these constraint records."""
+    return {"kind": "sdc-store", "registry": registry, "sdcs": list(sdcs)}
+
+
 # A rules.jsonl line that select accepts (test_good_rule_line_selects);
 # each rules- case below breaks one of its fields.
 GOOD_RULE = {"id": "sdc-0000000000000000", "fn_id": "validator:email", "d_in": 0.0,
@@ -494,6 +505,7 @@ MALFORMED_INPUTS = {
     "grid-invalid-json": ("grid.json", "{not json", GEN_GRID),
     "grid-empty-m-values": ("grid.json", '{"m_values": []}', GEN_GRID),
     "grid-not-an-object": ("grid.json", "[]", GEN_GRID),
+    "grid-entry-beyond-float-range": ("grid.json", '{"m_values": [1%s]}' % ("0" * 400), GEN_GRID),
     "config-unknown-assess-key": (
         "cfg.json", {"paths": {"corpus": "c.jsonl"}, "assess": {"zz": 1}}, GEN_CONFIG),
     "config-unknown-strategy": (
@@ -673,8 +685,71 @@ MALFORMED_INPUTS = {
             ("three-count-table", {"table": [0, 30, 5]}),
             ("fn-id-not-a-string", {"fn_id": 7}),
             ("h-not-a-number", {"h": "x"}),
+            # The six numbers are JSON numbers and the counts JSON integers.
+            ("d-in-string", {"d_in": "0"}),
+            ("m-boolean", {"m": True}),
+            ("table-counts-not-integers", {"table": [True, 30.9, "5", 65]}),
+            ("p-boolean", {"p": False}),
         )
     },
+    "store-constraint-not-an-object": ("store.json", store({}, [["sdc-x"]]), INFER_STORE),
+    "store-d-in-string": (
+        "store.json",
+        store({"functions": [EMAIL]}, [{"id": "sdc-x", "fn_id": "validator:email", "d_in": "0.1",
+                                        "d_out": 1.0, "m": 0.9, "confidence": 0.9}]),
+        INFER_STORE),
+    # A manifest is an object whose spaces map ids to paths and whose
+    # functions are objects with string ids; a hash seed is a JSON
+    # integer and an inline score table an object.
+    "store-registry-not-an-object": ("store.json", store([]), INFER_STORE),
+    "store-functions-not-a-list": ("store.json", store({"functions": {"x": 1}}), INFER_STORE),
+    "store-functions-null": ("store.json", store({"functions": None}), INFER_STORE),
+    "store-spaces-not-an-object": ("store.json", store({"spaces": ["x"]}), INFER_STORE),
+    "store-space-path-not-a-string": ("store.json", store({"spaces": {"toy": ["x"]}}), INFER_STORE),
+    "store-inline-scores-not-an-object": (
+        "store.json",
+        store({"functions": [{"id": "score:airport", "family": "score_table",
+                              "params": {"type_name": "airport", "scores": ["jfk"]}}]}),
+        INFER_STORE),
+    "registry-not-an-object": ("registry.json", [], SELECT_REGISTRY),
+    **{
+        f"store-random-hash-seed-{kind}": (
+            "store.json",
+            store({"functions": [{"id": "hash:7", "family": "random_hash",
+                                  "params": {"seed": seed}}]}),
+            INFER_STORE)
+        for kind, seed in (("fraction", 2.7), ("string", "7"))
+    },
+    "store-function-id-not-a-string": (
+        "store.json", store({"functions": [{**EMAIL, "id": 5}]}), INFER_STORE),
+    # The params and config entries that name things are strings.
+    "store-centroid-not-a-string": (
+        "store.json",
+        store({"spaces": {"toy": "{space}"}, "functions": [
+            {"id": "emb:toy:red", "family": "embedding",
+             "params": {"space_id": "toy", "centroid": 5}}]}),
+        INFER_STORE),
+    "store-score-table-path-not-a-string": (
+        "store.json",
+        store({"functions": [{"id": "score:airport", "family": "score_table",
+                              "params": {"type_name": "airport", "path": 5}}]}),
+        INFER_STORE),
+    "config-space-id-not-a-string": (
+        "cfg.json",
+        {"paths": {"corpus": "{corpus}", "embeddings": [{"space_id": 5, "path": "{space}"}]}},
+        GEN_CONFIG_OUT),
+    "config-type-name-not-a-string": (
+        "cfg.json",
+        {"paths": {"corpus": "{corpus}",
+                   "score_tables": [{"type_name": ["airport"], "path": "{scores}"}]}},
+        GEN_CONFIG_OUT),
+    # A truth line has a string id and JSON-integer indices.
+    "truth-indices-not-integers": (
+        "truth.json", '{"id": "col-00001", "error_indices": [1.7, true, "2"]}\n',
+        INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
+    "truth-id-not-a-string": (
+        "truth.json", '{"id": 5, "error_indices": [1]}\n',
+        INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
 }
 
 

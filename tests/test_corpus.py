@@ -11,10 +11,13 @@ from sdc.corpus import (
     load_corpus,
     normalize_raw,
     parses_as_number,
+    read_json,
+    read_records,
     sample_columns,
     save_corpus,
+    write_json,
 )
-from sdc.errors import DataFormatError
+from sdc.errors import DataFormatError, json_int, json_ints, json_number, json_str
 
 from oracles import column_by_id, corpus_from_lists
 
@@ -144,6 +147,59 @@ class TestJsonlRoundTrip:
         path = tmp_path / "c.jsonl"
         save_corpus(corpus, str(path))
         assert load_corpus(str(path)) == corpus
+
+
+class TestJsonReaders:
+    def test_write_json_round_trips(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(str(path), {"b": [1, 2.5], "a": {"x": None}})
+        assert path.read_text() == '{\n "a": {\n  "x": null\n },\n "b": [\n  1,\n  2.5\n ]\n}\n'
+        assert read_json(str(path), "doc") == {"a": {"x": None}, "b": [1, 2.5]}
+
+    @pytest.mark.parametrize("contents", [b"[]", b"{not json", b'{"k": "caf\xe9"}'])
+    def test_read_json_names_what_and_the_file(self, tmp_path, contents):
+        path = tmp_path / "doc.json"
+        path.write_bytes(contents)
+        with pytest.raises(DataFormatError, match="registry") as err:
+            read_json(str(path), "registry")
+        assert str(path) in str(err.value)
+
+    def test_read_json_missing_file(self, tmp_path):
+        with pytest.raises(DataFormatError, match="cannot read store"):
+            read_json(str(tmp_path / "nope.json"), "store")
+
+    def test_read_records_skips_blank_and_skipped_lines(self, tmp_path):
+        path = tmp_path / "recs.jsonl"
+        path.write_text('{"kind": "meta"}\n\n{"n": 1}\n  \n{"n": 2}\n')
+        parsed = read_records(str(path), lambda rec: json_int(rec, "n"), lambda rec: "kind" in rec)
+        assert parsed == [1, 2]
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1]", "line 2: expected an object, got list"),
+        ("{not json", "line 2: invalid JSON"),
+        ('{"n": 2.5}', "line 2: bad record"),
+        ("{}", "line 2: bad record"),
+    ])
+    def test_read_records_names_the_line(self, tmp_path, line, message):
+        path = tmp_path / "recs.jsonl"
+        path.write_text('{"n": 1}\n' + line + "\n")
+        with pytest.raises(DataFormatError, match=message) as err:
+            read_records(str(path), lambda rec: json_int(rec, "n"))
+        assert str(err.value).startswith(f"{path} line 2: ")
+
+    def test_typed_values(self):
+        rec = {"i": 3, "f": 0.5, "b": True, "s": "x", "nan": float("nan"), "big": 10**400,
+               "ints": [1, 2], "mixed": [1, True]}
+        assert json_int(rec, "i") == 3 and json_int(rec, "gone", 7) == 7
+        assert json_number(rec, "i") == 3.0 and json_number(rec, "f") == 0.5
+        assert json_number(rec, "nan", finite=False) != json_number(rec, "nan", finite=False)
+        assert json_str(rec, "s") == "x" and json_ints(rec, "ints") == [1, 2]
+        for reader, key in [(json_int, "f"), (json_int, "b"), (json_int, "gone"),
+                            (json_number, "b"), (json_number, "s"), (json_number, "nan"),
+                            (json_number, "big"), (json_number, "gone"), (json_str, "i"),
+                            (json_str, "gone"), (json_ints, "mixed"), (json_ints, "i")]:
+            with pytest.raises(ValueError, match=key):
+                reader(rec, key)
 
 
 class TestCsvDir:
