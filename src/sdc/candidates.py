@@ -21,9 +21,8 @@ import hashlib
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .corpus import read_json
 from .domain_fns import DomainEvalFn
-from .errors import DataFormatError, json_number, json_str
+from .errors import json_number, json_str
 
 BINARY_FAMILIES = ("pattern", "validator")
 
@@ -162,14 +161,6 @@ class GridSpec:
                     raise ValueError(f"grid {f.name} must be a list, not {entries!r}")
                 kwargs[f.name] = [json_number({f.name: x}, f.name, 0.0) for x in entries]
         return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path: str) -> "GridSpec":
-        data = read_json(path, "grid")
-        try:
-            return cls.from_json(data)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad grid ({exc!r})") from exc
 
 
 def _live_m(grid: GridSpec) -> list[float]:

@@ -1,7 +1,7 @@
 """Command-line pipeline: gen, select, infer, inject, bench.
 
 All stages are driven by one JSON config file; every output embeds a
-hash of that config for provenance. Identical config and seed produce
+hash of that config for provenance. Identical config produces
 byte-identical outputs.
 
 Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
@@ -103,6 +103,9 @@ class PipelineConfig:
             score_tables = [{"path": absolute(s["path"]), "type_name": json_str(s, "type_name"),
                              "default_score": json_number(s, "default_score", 0.0)}
                             for s in paths.get("score_tables", [])]
+            for st in score_tables:
+                if not 0.0 <= st["default_score"] <= 1.0:
+                    raise ValueError(f"default_score {st['default_score']} outside [0, 1]")
             return cls(
                 corpus_path=absolute(paths["corpus"]),
                 functions=functions,
@@ -207,18 +210,11 @@ def _common_out(cfg: PipelineConfig, out_dir: Optional[str]) -> str:
 
 @cli.command("gen")
 @click.option("--config", "config_path", required=True, help="pipeline config JSON")
-@click.option("--seed", type=int, default=None, help="override config seed")
-@click.option("--grid", "grid_path", default=None, help="threshold grid JSON overriding the config")
 @click.option("--out-dir", default=None, help="override config out_dir")
-def cmd_gen(config_path: str, seed: Optional[int], grid_path: Optional[str],
-            out_dir: Optional[str]) -> None:
+def cmd_gen(config_path: str, out_dir: Optional[str]) -> None:
     """Enumerate candidate constraints and keep the statistical
     survivors; writes rules.jsonl, registry.json and gen-stats.json."""
     cfg = PipelineConfig.load(config_path)
-    if seed is not None:
-        cfg.seed = seed
-    if grid_path is not None:
-        cfg.grid = GridSpec.load(grid_path)
     out = _common_out(cfg, out_dir)
     t0 = time.perf_counter()
     corpus = ValueIndex(_load_training_corpus(cfg))
@@ -248,36 +244,16 @@ def cmd_gen(config_path: str, seed: Optional[int], grid_path: Optional[str],
 @click.option("--config", "config_path", required=True)
 @click.option("--rules", "rules_path", default=None, help="rules.jsonl from gen (default: out_dir)")
 @click.option("--registry", "registry_path", default=None, help="registry.json from gen")
-@click.option("--strategy", type=click.Choice(["fine", "coarse"]), default=None)
-@click.option("--b-size", type=int, default=None)
-@click.option("--b-fpr", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--enforce-budgets", is_flag=True, default=False,
-              help="drop members until budgets hold (extension; default keeps "
-                   "the expectation guarantees only)")
 @click.option("--out-dir", default=None)
 def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optional[str],
-               strategy: Optional[str], b_size: Optional[int], b_fpr: Optional[float],
-               delta: Optional[float], seed: Optional[int], enforce_budgets: bool,
                out_dir: Optional[str]) -> None:
     """Pick a budgeted subset of the surviving constraints against a
     synthetic error corpus; writes store.json."""
     cfg = PipelineConfig.load(config_path)
     out = _common_out(cfg, out_dir)
-    if seed is not None:
-        cfg.seed = seed
-    overrides = {"strategy": strategy, "b_size": b_size, "b_fpr": b_fpr, "delta": delta}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if enforce_budgets:
-        overrides["enforce_budgets"] = True
     # The config seed drives the synthetic corpus; rounding gets its own
-    # derived stream. The config's own values were checked when it
-    # loaded, so a value rejected here came from an option.
-    try:
-        sel = replace(cfg.selection, seed=cfg.seed + 1, **overrides)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    # derived stream.
+    sel = replace(cfg.selection, seed=cfg.seed + 1)
 
     rules_path = rules_path or os.path.join(out, "rules.jsonl")
     registry_path = registry_path or os.path.join(out, "registry.json")
@@ -359,16 +335,12 @@ def cmd_inject(corpus_path: str, rate: float, seed: int, truth_path: Optional[st
 @click.option("--config", "config_path", required=True)
 @click.option("--heldout", type=int, default=200, help="held-out column count")
 @click.option("--rate", type=float, default=0.1, help="error injection rate")
-@click.option("--seed", type=int, default=None)
 @click.option("--out-dir", default=None)
-def cmd_bench(config_path: str, heldout: int, rate: float, seed: Optional[int],
-              out_dir: Optional[str]) -> None:
+def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str]) -> None:
     """End-to-end benchmark: split, learn, select, inject errors into
     the held-out columns, detect, and score against z-score baselines.
     Writes bench-metrics.json and pr-points.csv."""
     cfg = PipelineConfig.load(config_path)
-    if seed is not None:
-        cfg.seed = seed
     out = _common_out(cfg, out_dir)
     t0 = time.perf_counter()
     full = _load_training_corpus(cfg)
@@ -422,7 +394,7 @@ def cmd_bench(config_path: str, heldout: int, rate: float, seed: Optional[int],
 
 
 @cli.command("make-demo-data")
-@click.option("--columns", type=int, default=400)
+@click.option("--columns", type=int, default=800)
 @click.option("--seed", type=int, default=0)
 @click.option("--out-dir", required=True)
 def cmd_make_demo_data(columns: int, seed: int, out_dir: str) -> None:

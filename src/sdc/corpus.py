@@ -101,10 +101,18 @@ def _column_from_record(rec: dict, shared: dict[str, str]) -> Column:
 
 def _load_jsonl(path: str) -> Corpus:
     shared: dict[str, str] = {}
+    ids: set[str] = set()
+
+    def column(rec: dict) -> Column:
+        col = _column_from_record(rec, shared)
+        if col.id in ids:
+            raise DataFormatError(f"duplicate column id {col.id!r}")
+        ids.add(col.id)
+        return col
+
     # Writers may put a metadata object first; skip anything that
     # declares a kind and carries no values.
-    return Corpus(read_records(path, lambda rec: _column_from_record(rec, shared),
-                               lambda rec: "kind" in rec and "values" not in rec))
+    return Corpus(read_records(path, column, lambda rec: "kind" in rec and "values" not in rec))
 
 
 def _load_csv_dir(path: str) -> Corpus:

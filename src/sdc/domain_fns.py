@@ -33,13 +33,12 @@ shares computed once and cached on the index:
   ``infer_patterns`` generates, iff its shape equals the pattern, so each
   such pattern is one comparison per value; a non-canonical pattern
   (say ``\\d+\\d+``, or one with a literal letter) keeps its regex;
-- ``score_table`` and ``validator``: one ``distance`` call per value.
-  The date, URL and ISO-timestamp validators first reject, by shape,
-  values their parsers cannot accept.
+- ``score_table``, ``validator`` and non-canonical patterns: one
+  ``distance`` call per value. The date, URL and ISO-timestamp
+  validators first reject, by shape, values their parsers cannot accept.
 
-Every family but ``embedding`` and canonical patterns goes through
-``DomainEvalFn.distances``, which returns exactly what ``distance``
-returns value by value; the two kernels return the same bits too.
+Each family's array form returns, value by value, the same bits as
+``distance``.
 """
 
 from __future__ import annotations
@@ -153,11 +152,6 @@ class DomainEvalFn:
 
     def distance(self, value: str) -> float:
         raise NotImplementedError
-
-    def distances(self, values: Sequence[str]) -> np.ndarray:
-        """``distance`` of each value, as float64, bit for bit. Families
-        with a cheaper batch form override this."""
-        return np.fromiter(map(self.distance, values), dtype=np.float64, count=len(values))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -828,7 +822,8 @@ class ValueIndex:
             code_of, shape_of = self.shapes()
             distinct = (shape_of != code_of.get(fn.pattern, -1)).astype(np.float64)
         else:
-            distinct = fn.distances(self.values)
+            distinct = np.fromiter(map(fn.distance, self.values), dtype=np.float64,
+                                   count=len(self.values))
         return distinct[self.codes]
 
     def shapes(self) -> tuple[dict[str, int], np.ndarray]:

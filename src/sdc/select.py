@@ -84,7 +84,6 @@ class SelectionConfig:
             b_fpr=json_number(data, "b_fpr", 0.1),
             delta=json_number(data, "delta", 1e-3),
             strategy=str(data.get("strategy", "fine")),
-            seed=json_int(data, "seed", 0),
             enforce_budgets=json_flag(data, "enforce_budgets", False),
         )
 

@@ -87,12 +87,9 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(m_values=[0.0, 0.9])
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         grid = GridSpec(m_values=[0.9, 0.8], score_d_in=[0.2], score_d_out=[0.9])
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(grid.to_json()))
-        loaded = GridSpec.load(str(path))
-        assert loaded == grid
+        assert GridSpec.from_json(json.loads(json.dumps(grid.to_json()))) == grid
 
     @given(st.fixed_dictionaries({
         key: st.lists(

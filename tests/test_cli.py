@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from sdc.cli import MAX_RANDOM_HASHES, PipelineConfig, main
+from sdc.cli import MAX_RANDOM_HASHES, PipelineConfig, cli, main
 from sdc.corpus import filter_columns, load_corpus, save_corpus
 from sdc.errors import DataFormatError
 from sdc.evaluation import load_truth, total_errors
@@ -36,9 +36,9 @@ def demo(tmp_path_factory):
     """Demo dataset plus a trimmed config that keeps runs fast."""
     root = tmp_path_factory.mktemp("cli")
     data_dir = root / "data"
-    # The confidence gate needs ~25 covered columns per domain, so the
-    # corpus has to be a few hundred columns before anything survives.
-    rc = run(["make-demo-data", "--columns", "800", "--seed", "3", "--out-dir", str(data_dir)])
+    # The confidence gate needs ~25 covered columns per domain, which
+    # make-demo-data's default of 800 columns gives.
+    rc = run(["make-demo-data", "--seed", "3", "--out-dir", str(data_dir)])
     assert rc == 0
     cfg_path = data_dir / "config.json"
     cfg = json.loads(cfg_path.read_text())
@@ -61,6 +61,18 @@ def pipeline(demo):
     return out
 
 
+def config_copy(demo, name, **changes):
+    """The demo config with ``changes`` (a dict value merges into that
+    section), written next to it as ``config-<name>.json``, since its
+    paths are relative to its directory."""
+    cfg = json.loads(demo["config"].read_text())
+    for key, value in changes.items():
+        cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
+    path = demo["data"] / f"config-{name}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def fresh_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
 
@@ -72,14 +84,14 @@ def test_import_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=fresh_env(), timeout=120).returncode == 0
 
 
-def select_in_fresh_process(demo, pipeline, out, *options, module="scipy.optimize"):
+def select_in_fresh_process(config, pipeline, out, module="scipy.optimize"):
     """(``module`` loaded?, stderr, store selection block) of one
     ``sdc select`` in a new interpreter."""
     code = ("import sys; from sdc.cli import main; rc = main(sys.argv[2:]); "
             "print(sys.argv[1] in sys.modules); sys.exit(rc)")
-    argv = ["select", "--config", str(demo["config"]),
+    argv = ["select", "--config", str(config),
             "--rules", str(pipeline / "rules.jsonl"), "--registry", str(pipeline / "registry.json"),
-            "--out-dir", str(out), *options]
+            "--out-dir", str(out)]
     proc = subprocess.run([sys.executable, "-c", code, module, *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -88,10 +100,11 @@ def select_in_fresh_process(demo, pipeline, out, *options, module="scipy.optimiz
 
 
 def test_select_loads_scipy_only_when_a_budget_binds(demo, pipeline, tmp_path):
-    loaded, log, slack = select_in_fresh_process(demo, pipeline, tmp_path / "slack")
+    loaded, log, slack = select_in_fresh_process(demo["config"], pipeline, tmp_path / "slack")
     assert not loaded
     assert "by cover" in log
-    loaded, log, tight = select_in_fresh_process(demo, pipeline, tmp_path / "tight", "--b-size", "1")
+    tight_config = config_copy(demo, "b-size-1", selection={"b_size": 1})
+    loaded, log, tight = select_in_fresh_process(tight_config, pipeline, tmp_path / "tight")
     assert loaded
     assert "by highs" in log
     # The cover's objective is the number of coverable columns; one
@@ -102,7 +115,7 @@ def test_select_loads_scipy_only_when_a_budget_binds(demo, pipeline, tmp_path):
 def test_select_on_the_cover_path_leaves_numpy_ma_unloaded(demo, pipeline, tmp_path):
     # numpy.ma loads lazily (np.unique pulls it in); selection counts
     # distinct rows without it.
-    loaded, log, _ = select_in_fresh_process(demo, pipeline, tmp_path, module="numpy.ma")
+    loaded, log, _ = select_in_fresh_process(demo["config"], pipeline, tmp_path, module="numpy.ma")
     assert "by cover" in log
     assert not loaded
 
@@ -120,7 +133,7 @@ def test_gen_leaves_numpy_ma_unloaded(demo, tmp_path):
 
 
 def test_select_reports_detection_classes(demo, pipeline, tmp_path):
-    _, log, _ = select_in_fresh_process(demo, pipeline, tmp_path)
+    _, log, _ = select_in_fresh_process(demo["config"], pipeline, tmp_path)
     surviving = json.loads((pipeline / "gen-stats.json").read_text())["surviving"]
     selected = len(read_store(str(tmp_path / "store.json"))[0])
     got = re.search(r"^select: (\d+) constraints -> (\d+) detection classes "
@@ -174,8 +187,7 @@ def test_gen_rerun_is_byte_identical(demo, pipeline):
 
 
 def test_gen_grid_override_shrinks_enumeration(demo, pipeline):
-    grid_path = demo["root"] / "grid.json"
-    grid_path.write_text(json.dumps({
+    cfg_path = config_copy(demo, "grid", grid={
         "m_values": [0.8],
         "embedding_d_in": [0.3],
         "embedding_d_out_offsets": [0.7],
@@ -183,10 +195,9 @@ def test_gen_grid_override_shrinks_enumeration(demo, pipeline):
         "score_d_out": [0.9],
         "hash_d_in": [0.2],
         "hash_d_out": [0.9],
-    }))
+    })
     out = demo["root"] / "out-grid"
-    rc = run(["gen", "--config", str(demo["config"]), "--grid", str(grid_path),
-              "--out-dir", str(out)])
+    rc = run(["gen", "--config", str(cfg_path), "--out-dir", str(out)])
     assert rc == 0
     stats = json.loads((out / "gen-stats.json").read_text())
     # one (d_in, d_out) pair and one m per function family
@@ -241,20 +252,13 @@ def test_select_rerun_is_byte_identical(demo, pipeline):
 
 def test_select_zero_budget_selects_nothing(demo, pipeline):
     out = demo["root"] / "select-zero"
-    rc = run(["select", "--config", str(demo["config"]),
+    rc = run(["select", "--config", str(config_copy(demo, "b-size-0", selection={"b_size": 0})),
               "--rules", str(pipeline / "rules.jsonl"),
               "--registry", str(pipeline / "registry.json"),
-              "--b-size", "0", "--out-dir", str(out)])
+              "--out-dir", str(out)])
     assert rc == 0
     sdcs, _ = read_store(str(out / "store.json"))
     assert sdcs == []
-
-
-@pytest.mark.parametrize(
-    "option", ["--delta=5", "--delta=0", "--b-size=-1", "--b-fpr=-1", "--b-fpr=nan"])
-def test_select_out_of_range_option_is_usage_error(option, tmp_path, demo):
-    rc = run(["select", "--config", str(demo["config"]), "--out-dir", str(tmp_path), option])
-    assert rc == 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +355,8 @@ def test_infer_min_confidence_filters(demo, pipeline, injected):
 
 def test_bench_end_to_end(demo):
     out = demo["root"] / "bench"
-    rc = run(["bench", "--config", str(demo["config"]), "--heldout", "20",
-              "--rate", "0.2", "--seed", "11", "--out-dir", str(out)])
+    rc = run(["bench", "--config", str(config_copy(demo, "seed-11", seed=11)), "--heldout", "20",
+              "--rate", "0.2", "--out-dir", str(out)])
     assert rc == 0
     metrics = json.loads((out / "bench-metrics.json").read_text())
     filtered = filter_columns(load_corpus(str(demo["data"] / "corpus.jsonl")))
@@ -461,12 +465,44 @@ def test_random_hash_count_bound(tmp_path):
         load(MAX_RANDOM_HASHES + 1)
 
 
+def test_default_score_is_checked_when_the_config_loads(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"paths": {"corpus": "c.jsonl", "score_tables": [
+        {"type_name": "airport", "path": "s.jsonl", "default_score": 1.5}]}}))
+    with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*default_score 1.5"):
+        PipelineConfig.load(str(path))
+
+
+def test_config_hash_names_every_setting(tmp_path):
+    def config_hash(**settings):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"paths": {"corpus": "c.jsonl"}, **settings}))
+        return PipelineConfig.load(str(path)).config_hash()
+
+    hashes = [config_hash(), config_hash(seed=7), config_hash(grid={"m_values": [0.9]}),
+              *(config_hash(selection={key: value}) for key, value in (
+                  ("b_size", 1), ("b_fpr", 0.2), ("delta", 0.5), ("strategy", "coarse"),
+                  ("enforce_budgets", True)))]
+    assert len(set(hashes)) == len(hashes)
+
+
+@pytest.mark.parametrize("command, options", [
+    ("gen", {"--config", "--out-dir"}),
+    ("select", {"--config", "--rules", "--registry", "--out-dir"}),
+    ("bench", {"--config", "--heldout", "--rate", "--out-dir"}),
+])
+def test_pipeline_settings_come_only_from_the_config(command, options):
+    # Every other setting is a config key, so the config hash names it.
+    params = cli.commands[command].params
+    assert {opt for p in params for opt in p.opts} == options
+
+
 EMBEDDING_WITHOUT_SPACE_ID = {"id": "emb:toy:red", "family": "embedding",
                               "params": {"centroid": "red"}}
 INJECT = ["inject", "--out", "{tmp}/dirty.jsonl", "--truth-out", "{tmp}/truth-out.json"]
-GEN_GRID = ["gen", "--config", "{config}", "--grid", "{file}", "--out-dir", "{tmp}"]
 GEN_CONFIG = ["gen", "--config", "{file}"]
 GEN_CONFIG_OUT = GEN_CONFIG + ["--out-dir", "{tmp}"]
+SELECT_CONFIG = ["select", "--config", "{file}", "--out-dir", "{tmp}"]
 
 # Each case: the file written, its contents (None: nothing is written),
 # and the command that reads it ({file} is that file, {tmp} a scratch
@@ -502,10 +538,12 @@ GOOD_RULE = {"id": "sdc-0000000000000000", "fn_id": "validator:email", "d_in": 0
 MALFORMED_INPUTS = {
     "truth-without-error-indices": (
         "truth.json", '{"id": "c0"}\n', INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
-    "grid-invalid-json": ("grid.json", "{not json", GEN_GRID),
-    "grid-empty-m-values": ("grid.json", '{"m_values": []}', GEN_GRID),
-    "grid-not-an-object": ("grid.json", "[]", GEN_GRID),
-    "grid-entry-beyond-float-range": ("grid.json", '{"m_values": [1%s]}' % ("0" * 400), GEN_GRID),
+    # The threshold grid is the config's grid section.
+    "grid-empty-m-values": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "grid": {"m_values": []}}, GEN_CONFIG_OUT),
+    "grid-entry-beyond-float-range": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "grid": {"m_values": [10**400]}},
+        GEN_CONFIG_OUT),
     "config-unknown-assess-key": (
         "cfg.json", {"paths": {"corpus": "c.jsonl"}, "assess": {"zz": 1}}, GEN_CONFIG),
     "config-unknown-strategy": (
@@ -526,9 +564,17 @@ MALFORMED_INPUTS = {
     "config-validators-not-a-boolean": (
         "cfg.json", {"paths": {"corpus": "{corpus}"}, "functions": {"validators": "no"}},
         GEN_CONFIG_OUT),
-    "config-selection-delta-out-of-range": (
-        "cfg.json", {"paths": {"corpus": "c.jsonl"}, "selection": {"delta": 5}},
-        ["select", "--config", "{file}", "--out-dir", "{tmp}"]),
+    # Selection settings out of range.
+    **{
+        f"config-{name}": ("cfg.json", {"paths": {"corpus": "c.jsonl"}, "selection": change},
+                           SELECT_CONFIG)
+        for name, change in (
+            ("selection-delta-out-of-range", {"delta": 5}),
+            ("delta-zero", {"delta": 0}),
+            ("b-size-negative", {"b_size": -1}),
+            ("b-fpr-negative", {"b_fpr": -1}),
+        )
+    },
     # A config and each of its sections must be JSON objects, and integer
     # settings JSON integers. The corpus exists, so only the malformed
     # part can fail the run.
@@ -597,7 +643,7 @@ MALFORMED_INPUTS = {
             {"paths": {"corpus": "{corpus}", "score_tables": [
                 {"type_name": "airport", "path": "{scores}", "default_score": value}]}},
             GEN_CONFIG_OUT)
-        for kind, value in (("boolean", True), ("string", "x"))
+        for kind, value in (("boolean", True), ("string", "x"), ("out-of-range", 1.5))
     },
     "config-embedding-file-missing": (
         "cfg.json",

@@ -124,8 +124,9 @@ class TestJsonlRoundTrip:
             ({"id": "a", "values": ["x", 3]}, "'values' must be a list of strings"),
             ({"id": "a", "values": []}, "empty column 'a'"),
             ({"id": "a", "values": ["x"], "header": 1}, "'header' must be a string when present"),
+            ({"id": "a", "values": ["y"]}, "duplicate column id 'a'"),
         ]:
-            path.write_text('{"id": "ok", "values": ["x"]}\n\n' + json.dumps(rec) + "\n")
+            path.write_text('{"id": "a", "values": ["x"]}\n\n' + json.dumps(rec) + "\n")
             with pytest.raises(DataFormatError) as err:
                 load_corpus(str(path))
             assert str(err.value) == f"{path} line 3: {message}"

@@ -95,8 +95,13 @@ class TestSelectionConfig:
             SelectionConfig(**kwargs)
 
     def test_json_roundtrip(self):
-        cfg = SelectionConfig(b_size=7, b_fpr=0.03, delta=0.5, strategy="coarse", seed=9)
+        cfg = SelectionConfig(b_size=7, b_fpr=0.03, delta=0.5, strategy="coarse",
+                              enforce_budgets=True)
         assert SelectionConfig.from_json(cfg.to_json()) == cfg
+
+    def test_from_json_ignores_seed(self):
+        # The rounding seed derives from the config's top-level seed.
+        assert SelectionConfig.from_json({"seed": 9}) == SelectionConfig()
 
     def test_from_json_defaults(self):
         assert SelectionConfig.from_json({}) == SelectionConfig()
