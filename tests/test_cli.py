@@ -261,6 +261,15 @@ def test_select_zero_budget_selects_nothing(demo, pipeline):
     assert sdcs == []
 
 
+@pytest.mark.parametrize("option", ["--delta=5", "--b-fpr=nan"])
+def test_select_out_of_range_option_is_usage_error(option, tmp_path, demo, capsys):
+    # Selection settings are config keys only, so select refuses the
+    # old override options whatever their value.
+    rc = run(["select", "--config", str(demo["config"]), "--out-dir", str(tmp_path), option])
+    assert rc == 1
+    assert "No such option" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # inject + infer
 
@@ -539,6 +548,10 @@ MALFORMED_INPUTS = {
     "truth-without-error-indices": (
         "truth.json", '{"id": "c0"}\n', INJECT + ["--corpus", "{corpus}", "--truth", "{file}"]),
     # The threshold grid is the config's grid section.
+    "grid-invalid-json": ("cfg.json", '{"paths": {"corpus": "c.jsonl"}, "grid": {not json',
+                          GEN_CONFIG),
+    "grid-not-an-object": (
+        "cfg.json", {"paths": {"corpus": "{corpus}"}, "grid": "m_values"}, GEN_CONFIG_OUT),
     "grid-empty-m-values": (
         "cfg.json", {"paths": {"corpus": "{corpus}"}, "grid": {"m_values": []}}, GEN_CONFIG_OUT),
     "grid-entry-beyond-float-range": (
