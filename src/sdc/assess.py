@@ -91,12 +91,6 @@ class AssessConfig:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "AssessConfig":
-        """Settings from a JSON object: each value a JSON number, else
-        ``ValueError``; an unknown key is a ``TypeError``."""
-        return cls(**{k: json_number(data, k, 0.0) for k in data})
-
 
 class AssessedSdc(NamedTuple):
     """A surviving candidate: its constraint, its Wilson lower-bound

@@ -18,11 +18,11 @@ computed only when read, so only the survivors of screening are hashed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .domain_fns import DomainEvalFn
-from .errors import json_number, json_str
+from .errors import json_number, json_str, read_settings
 
 BINARY_FAMILIES = ("pattern", "validator")
 
@@ -143,24 +143,9 @@ class GridSpec:
             ]
         raise ValueError(f"unknown family {family!r}")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json(cls, data: dict) -> "GridSpec":
-        """A grid from its JSON form; a missing field keeps its default.
-        Each given field must be a list of JSON numbers, else
-        ``ValueError``."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a grid must be a JSON object, not {data!r}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in data:
-                entries = data[f.name]
-                if not isinstance(entries, list):
-                    raise ValueError(f"grid {f.name} must be a list, not {entries!r}")
-                kwargs[f.name] = [json_number({f.name: x}, f.name, 0.0) for x in entries]
-        return cls(**kwargs)
+        return read_settings(cls, data, "grid")
 
 
 def _live_m(grid: GridSpec) -> list[float]:

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import click
@@ -42,7 +42,7 @@ from .domain_fns import (
     make_random_hash_fn,
     sample_centroids,
 )
-from .errors import DataFormatError, SdcError, json_flag, json_int, json_number, json_str
+from .errors import NOT_A_SETTING, DataFormatError, SdcError, read_settings
 from .infer import compile_ruleset, detect_corpus, save_report
 from .select import SelectionConfig, SelectionOutcome, read_store, run_selection, write_store
 from .synth import CandidateStats, SynthColumn, build_candidate_stats, build_synthetic_corpus
@@ -51,76 +51,85 @@ from .synth import CandidateStats, SynthColumn, build_candidate_stats, build_syn
 MAX_RANDOM_HASHES = 10_000
 
 
+# The config's sections and list entries, each read by read_settings;
+# README's "Config file" says what every key takes.
+@dataclass(frozen=True)
+class FunctionsConfig:
+    validators: bool = True
+    patterns_top_k: int = 25
+    random_hash_count: int = 0
+    random_hash_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.random_hash_count > MAX_RANDOM_HASHES:
+            raise ValueError(f"random_hash_count exceeds {MAX_RANDOM_HASHES}")
+
+
+@dataclass
+class EmbeddingConfig:
+    path: str
+    centroids: int = 0
+    space_id: Optional[str] = None
+
+
+@dataclass
+class ScoreTableConfig:
+    path: str
+    type_name: str
+    default_score: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.default_score <= 1.0:
+            raise ValueError(f"default_score {self.default_score} outside [0, 1]")
+
+
+@dataclass
+class PathsConfig:
+    corpus: str
+    embeddings: list[EmbeddingConfig] = field(default_factory=list)
+    score_tables: list[ScoreTableConfig] = field(default_factory=list)
+
+
 @dataclass
 class PipelineConfig:
-    """Everything one pipeline run needs, loaded from a JSON file; each
-    setting is read and checked once, with its default filled in."""
+    """Everything one pipeline run needs: a JSON file's settings, its
+    relative paths resolved against its directory, and the file itself
+    (``raw``) for the hash."""
 
-    corpus_path: str
-    functions: dict
-    embeddings: list[dict] = field(default_factory=list)
-    score_tables: list[dict] = field(default_factory=list)
+    paths: PathsConfig
+    functions: FunctionsConfig = field(default_factory=FunctionsConfig)
     grid: GridSpec = field(default_factory=GridSpec)
     assess: AssessConfig = field(default_factory=AssessConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     out_dir: str = "out"
     seed: int = 0
-    skip_numeric: bool = True
-    raw: dict = field(default_factory=dict)
+    skip_numeric_columns: bool = True
+    raw: dict = field(default_factory=dict, metadata=NOT_A_SETTING)
 
     @classmethod
     def load(cls, path: str) -> "PipelineConfig":
         data = read_json(path, "config")
-
-        def section(key: str) -> dict:
-            value = data.get(key, {})
-            if not isinstance(value, dict):
-                raise DataFormatError(f"{path}: config {key} must be a JSON object, not {value!r}")
-            return value
-
-        paths = section("paths")
-        if "corpus" not in paths:
-            raise DataFormatError(f"{path}: config needs paths.corpus")
-        base = os.path.dirname(os.path.abspath(path))
-
-        def absolute(p: str) -> str:
-            return p if os.path.isabs(p) else os.path.join(base, p)
-
-        fns = section("functions")
+        # make-demo-data writes "version" and the benchmark inputs "workers"; neither sets anything.
+        settings = {k: v for k, v in data.items() if k not in ("version", "workers")}
         try:
-            functions = {
-                "validators": json_flag(fns, "validators", True),
-                "patterns_top_k": json_int(fns, "patterns_top_k", 25),
-                "random_hash_count": json_int(fns, "random_hash_count", 0),
-                "random_hash_seed": json_int(fns, "random_hash_seed", 0),
-            }
-            if functions["random_hash_count"] > MAX_RANDOM_HASHES:
-                raise ValueError(f"random_hash_count exceeds {MAX_RANDOM_HASHES}")
-            # An entry that is not an object fails on its path with a TypeError.
-            embeddings = [{"path": absolute(e["path"]), "centroids": json_int(e, "centroids", 0),
-                           "space_id": json_str(e, "space_id") if "space_id" in e else None}
-                          for e in paths.get("embeddings", [])]
-            score_tables = [{"path": absolute(s["path"]), "type_name": json_str(s, "type_name"),
-                             "default_score": json_number(s, "default_score", 0.0)}
-                            for s in paths.get("score_tables", [])]
-            for st in score_tables:
-                if not 0.0 <= st["default_score"] <= 1.0:
-                    raise ValueError(f"default_score {st['default_score']} outside [0, 1]")
-            return cls(
-                corpus_path=absolute(paths["corpus"]),
-                functions=functions,
-                embeddings=embeddings,
-                score_tables=score_tables,
-                grid=GridSpec.from_json(data.get("grid", {})),
-                assess=AssessConfig.from_json(section("assess")),
-                selection=SelectionConfig.from_json(section("selection")),
-                out_dir=absolute(data.get("out_dir", "out")),
-                seed=json_int(data, "seed", 0),
-                skip_numeric=json_flag(data, "skip_numeric_columns", True),
-                raw=data,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}: bad config ({exc!r})") from exc
+            cfg = read_settings(cls, settings, "config")
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: bad config ({exc})") from exc
+        base = os.path.dirname(os.path.abspath(path))
+        for entry in (*cfg.paths.embeddings, *cfg.paths.score_tables):
+            entry.path = os.path.join(base, entry.path)
+        cfg.paths.corpus = os.path.join(base, cfg.paths.corpus)
+        cfg.out_dir = os.path.join(base, cfg.out_dir)
+        cfg.raw = data
+        return cfg
+
+    @property
+    def corpus_path(self) -> str:
+        return self.paths.corpus
+
+    @property
+    def skip_numeric(self) -> bool:
+        return self.skip_numeric_columns
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -134,21 +143,21 @@ def build_registry(cfg: PipelineConfig, corpus: Corpus | ValueIndex, seed: int) 
     ``ValueIndex`` corpus lends its value shapes to later screening."""
     reg = Registry()
     fns = cfg.functions
-    if fns["validators"]:
+    if fns.validators:
         reg.add_all(builtin_validators())
-    if fns["patterns_top_k"] > 0:
-        reg.add_all(infer_patterns(corpus, fns["patterns_top_k"]))
-    for emb in cfg.embeddings:
-        space = load_embedding_space(emb["path"], emb["space_id"])
-        reg.add_space(space, emb["path"])
-        if emb["centroids"] > 0:
-            for fn in sample_centroids(corpus, space, emb["centroids"], seed):
+    if fns.patterns_top_k > 0:
+        reg.add_all(infer_patterns(corpus, fns.patterns_top_k))
+    for emb in cfg.paths.embeddings:
+        space = load_embedding_space(emb.path, emb.space_id)
+        reg.add_space(space, emb.path)
+        if emb.centroids > 0:
+            for fn in sample_centroids(corpus, space, emb.centroids, seed):
                 if fn.id not in reg:
                     reg.add(fn)
-    for st in cfg.score_tables:
-        reg.add(load_score_table(st["path"], st["type_name"], st["default_score"]))
-    for i in range(fns["random_hash_count"]):
-        reg.add(make_random_hash_fn(fns["random_hash_seed"] + i))
+    for st in cfg.paths.score_tables:
+        reg.add(load_score_table(st.path, st.type_name, st.default_score))
+    for i in range(fns.random_hash_count):
+        reg.add(make_random_hash_fn(fns.random_hash_seed + i))
     return reg
 
 
@@ -269,7 +278,7 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
         chosen,
         registry,
         selection={
-            **sel.to_json(),
+            **asdict(sel),
             "lp_objective": outcome.lp_objective,
             "selected_count": len(chosen),
             "sum_fpr": outcome.sum_fpr,
@@ -385,7 +394,7 @@ def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str
     save_report(report, os.path.join(out, "bench-report.jsonl"),
                 meta={"config_hash": cfg.config_hash()})
     write_store(os.path.join(out, "bench-store.json"), chosen, registry,
-                selection=sel.to_json(), config_hash=cfg.config_hash())
+                selection=asdict(sel), config_hash=cfg.config_hash())
     click.echo(
         f"bench: PR-AUC {metrics['pr_auc']:.3f} vs best baseline {best_auc:.3f} "
         f"({time.perf_counter() - t0:.1f}s)",

@@ -82,16 +82,14 @@ class Corpus:
 
 
 def _column_from_record(rec: dict, shared: dict[str, str]) -> Column:
-    """The column a JSONL record describes. Each value is replaced by
-    the first equal string in ``shared``, so a corpus holds one object
-    per distinct raw value."""
+    """The column a JSONL record describes (``Column`` refuses an empty
+    one). Each value is replaced by the first equal string in ``shared``,
+    so a corpus holds one object per distinct raw value."""
     if "id" not in rec or not isinstance(rec["id"], str):
         raise DataFormatError("missing or non-string 'id'")
     values = rec.get("values")
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise DataFormatError("'values' must be a list of strings")
-    if len(values) == 0:
-        raise DataFormatError(f"empty column {rec['id']!r}")
     header = rec.get("header")
     if header is not None and not isinstance(header, str):
         raise DataFormatError("'header' must be a string when present")

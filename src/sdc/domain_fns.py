@@ -569,16 +569,10 @@ def _score(data: dict, key: str) -> float:
 def load_score_table(path: str, type_name: str, default_score: float = 0.0) -> ScoreTableFn:
     """Load a JSONL score table: ``{"value": str, "score": float}`` per
     line; scores must lie in [0, 1]. Lookup keys are normalized."""
-    if not 0.0 <= default_score <= 1.0:
-        raise DataFormatError(f"default_score {default_score} outside [0, 1]")
-    return ScoreTableFn(
-        id=f"score:{type_name}",
-        type_name=type_name,
-        scores=dict(read_records(
-            path, lambda rec: (normalize_raw(json_str(rec, "value")), _score(rec, "score")))),
-        default_score=float(default_score),
-        path=path,
-    )
+    fn = make_score_table_fn(type_name, {}, default_score)
+    scores = read_records(
+        path, lambda rec: (normalize_raw(json_str(rec, "value")), _score(rec, "score")))
+    return replace(fn, scores=dict(scores), path=path)
 
 
 def make_score_table_fn(

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the readers of JSON
-values that reject a malformed one.
+"""Exception types shared across the package, the readers of JSON
+values that reject a malformed one, and ``read_settings``, which reads
+every config section through them.
 
 The CLI maps these onto exit codes: usage errors are handled by the
 argument parser, ``DataFormatError`` exits with 2, anything else with 3.
@@ -8,6 +9,8 @@ A value that a reader below rejects with ``ValueError`` becomes a
 """
 
 import math
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from typing import Optional
 
 
@@ -20,20 +23,18 @@ class DataFormatError(SdcError):
     files, score tables, stores, reports)."""
 
 
-def json_flag(data: dict, key: str, default: bool) -> bool:
-    """``data[key]`` when it is a JSON ``true``/``false``, ``default``
-    when it is absent; any other value is a ``ValueError``."""
-    value = data.get(key, default)
+def json_flag(data: dict, key: str) -> bool:
+    """``data[key]`` when it is a JSON ``true``/``false``, else a ``ValueError``."""
+    value = data.get(key)
     if not isinstance(value, bool):
         raise ValueError(f"{key} must be true or false, not {value!r}")
     return value
 
 
-def json_int(data: dict, key: str, default: Optional[int] = None) -> int:
-    """``data[key]`` when it is a JSON integer, ``default`` when it is
-    absent (without a default the key is required); any other value
-    (``true``, ``2.7``, ``"3"``) is a ``ValueError``."""
-    value = data.get(key, default)
+def json_int(data: dict, key: str) -> int:
+    """``data[key]`` when it is a JSON integer; any other value (``true``,
+    ``2.7``, ``"3"``, none) is a ``ValueError``."""
+    value = data.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, not {value!r}")
     return value
@@ -70,3 +71,39 @@ def json_number(data: dict, key: str, default: Optional[float] = None,
     if number is None or (finite and not math.isfinite(number)):
         raise ValueError(f"{key} must be a number, not {value!r}")
     return number
+
+
+# Metadata of a dataclass field that the program sets and no config key names.
+NOT_A_SETTING = {"setting": False}
+
+
+def read_settings(kind, data, section: str):
+    """``data`` read as the type ``kind`` says: a dataclass from a JSON
+    object, each key as its field's type and each absent key left at its
+    default; a list entry by entry; ``bool``, ``int``, ``float`` and
+    ``str`` by the readers above. An unknown key, a missing required one
+    and a malformed value are ``ValueError``s that name where in
+    ``section`` they are."""
+    if is_dataclass(kind):
+        if not isinstance(data, dict):
+            raise ValueError(f"{section} must be a JSON object, not {data!r}")
+        known = {f.name: f for f in fields(kind) if f.metadata.get("setting", True)}
+        for key in data:
+            if key not in known:
+                raise ValueError(f"unknown key {key!r} in {section}")
+        for name, f in known.items():
+            if name not in data and f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{section} needs {name}")
+        hints = typing.get_type_hints(kind)
+        return kind(**{key: read_settings(hints[key], value, f"{section}.{key}")
+                       for key, value in data.items()})
+    if typing.get_origin(kind) is list:
+        if not isinstance(data, list):
+            raise ValueError(f"{section} must be a list, not {data!r}")
+        (item,) = typing.get_args(kind)
+        return [read_settings(item, x, f"{section}[{i}]") for i, x in enumerate(data)]
+    return _SCALAR_READERS[kind]({section: data}, section)
+
+
+_SCALAR_READERS = {bool: json_flag, int: json_int, float: json_number, str: json_str,
+                   Optional[str]: json_str}

@@ -9,7 +9,8 @@ precision of the top point).
 The z-score baselines are scored from arrays, without building a
 report. The test suite's ``tests/oracles.py`` keeps the references: a
 baseline that builds ``Detection`` reports (``zscore_report``) and the
-loop form of the PR sweep (``pr_curve_loop``).
+loop forms of the PR sweep and its area (``pr_curve_loop``,
+``pr_auc_loop``).
 """
 
 from __future__ import annotations
@@ -96,54 +97,52 @@ def total_errors(truth: GroundTruth) -> int:
     return sum(len(v) for v in truth.values())
 
 
-def _dedupe(report: Sequence[Detection]) -> list[tuple[str, int, float]]:
-    best: dict[tuple[str, int], float] = {}
-    for det in report:
-        key = (det.column_id, det.value_index)
-        if key not in best or det.confidence > best[key]:
-            best[key] = det.confidence
-    return [(cid, idx, conf) for (cid, idx), conf in best.items()]
-
-
-def _curve(conf: np.ndarray, hit: np.ndarray, n_errors: int) -> list[PrPoint]:
+def _curve(conf: np.ndarray, hit: np.ndarray,
+           n_errors: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The PR points of cells with confidences ``conf`` and truth flags
-    ``hit``: one point per distinct confidence, descending."""
+    ``hit``, one per distinct confidence, descending: their thresholds,
+    precisions and recalls."""
     if len(conf) == 0:
-        return []
+        return conf, conf, conf
     order = np.argsort(-conf, kind="stable")
     conf = conf[order]
     tp = np.cumsum(hit[order])
     # Each tie group is scored at its last cell and named by its first.
     ends = np.append(np.flatnonzero(conf[1:] != conf[:-1]), len(conf) - 1)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    return [
-        PrPoint(threshold=t, precision=k / seen, recall=k / n_errors if n_errors > 0 else 0.0)
-        for t, k, seen in zip(conf[starts].tolist(), tp[ends].tolist(), (ends + 1).tolist())
-    ]
+    recall = tp[ends] / n_errors if n_errors > 0 else np.zeros(len(ends))
+    return conf[starts], tp[ends] / (ends + 1), recall
 
 
 def pr_curve(report: Sequence[Detection], truth: GroundTruth) -> list[PrPoint]:
     """One point per distinct confidence, descending: precision and
     recall of all detections at or above that confidence. Empty report
     gives an empty curve."""
-    cells = _dedupe(report)
-    conf = np.array([c for _, _, c in cells], dtype=np.float64)
-    hit = np.array([idx in truth.get(cid, ()) for cid, idx, _ in cells], dtype=bool)
-    return _curve(conf, hit, total_errors(truth))
+    best: dict[tuple[str, int], float] = {}  # each cell's highest confidence
+    for det in report:
+        key = (det.column_id, det.value_index)
+        if key not in best or det.confidence > best[key]:
+            best[key] = det.confidence
+    conf = np.array(list(best.values()), dtype=np.float64)
+    hit = np.array([idx in truth.get(cid, ()) for cid, idx in best], dtype=bool)
+    columns = (a.tolist() for a in _curve(conf, hit, total_errors(truth)))
+    return [PrPoint(*point) for point in zip(*columns)]
+
+
+def _auc(precision: np.ndarray, recall: np.ndarray) -> float:
+    """Trapezoidal area under PR points in ascending recall, anchored at
+    (0, the first precision), its trapezoids summed left to right."""
+    if len(recall) == 0:
+        return 0.0
+    heights = precision + np.concatenate((precision[:1], precision[:-1]))
+    return float(np.add.accumulate(np.diff(recall, prepend=0.0) * heights / 2.0)[-1])
 
 
 def pr_auc(points: Sequence[PrPoint]) -> float:
     """Trapezoidal area under the PR points over recall in [0, max
     recall], anchored at (0, precision of the top point)."""
-    if not points:
-        return 0.0
     pts = sorted(points, key=lambda p: p.recall)
-    area = 0.0
-    prev_r, prev_p = 0.0, pts[0].precision
-    for p in pts:
-        area += (p.recall - prev_r) * (p.precision + prev_p) / 2.0
-        prev_r, prev_p = p.recall, p.precision
-    return area
+    return _auc(np.array([p.precision for p in pts]), np.array([p.recall for p in pts]))
 
 
 def f1_at_precision(points: Sequence[PrPoint], p0: float = 0.8) -> float:
@@ -206,7 +205,9 @@ def best_zscore_baseline(
             conf.append(z[flagged])
             cells.append(block[varies][flagged])
         hit = is_error[np.concatenate(cells)]
-        aucs[fn.id] = pr_auc(_curve(np.concatenate(conf), hit, n_errors))
+        # Recall never falls along a curve, so it is already in pr_auc's order.
+        _, precision, recall = _curve(np.concatenate(conf), hit, n_errors)
+        aucs[fn.id] = _auc(precision, recall)
     if not aucs:
         return None, 0.0, {}
     best_id = max(sorted(aucs), key=lambda k: aucs[k])

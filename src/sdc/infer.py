@@ -39,14 +39,7 @@ class Detection:
     explanation: str
 
     def to_record(self) -> dict:
-        return {
-            "column_id": self.column_id,
-            "value_index": self.value_index,
-            "value": self.value,
-            "confidence": self.confidence,
-            "sdc_id": self.sdc_id,
-            "explanation": self.explanation,
-        }
+        return dict(vars(self))  # the fields in order, without asdict's deep copies
 
     @classmethod
     def from_record(cls, rec: dict) -> "Detection":

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -51,7 +51,7 @@ import numpy as np
 from .candidates import Sdc, constraint_fields
 from .corpus import read_json, write_json
 from .domain_fns import Registry
-from .errors import DataFormatError, SdcError, json_flag, json_int, json_number
+from .errors import NOT_A_SETTING, DataFormatError, SdcError
 from .synth import CandidateStats
 
 
@@ -61,7 +61,8 @@ class SelectionConfig:
     b_fpr: float = 0.1
     delta: float = 1e-3
     strategy: str = "fine"
-    seed: int = 0
+    # The rounding seed; each command derives it from the config's seed.
+    seed: int = field(default=0, metadata=NOT_A_SETTING)
     enforce_budgets: bool = False
 
     def __post_init__(self) -> None:
@@ -73,19 +74,6 @@ class SelectionConfig:
             raise ValueError("delta must lie in (0, 1]")
         if self.strategy not in ("fine", "coarse"):
             raise ValueError("strategy must be 'fine' or 'coarse'")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SelectionConfig":
-        return cls(
-            b_size=json_int(data, "b_size", 500),
-            b_fpr=json_number(data, "b_fpr", 0.1),
-            delta=json_number(data, "delta", 1e-3),
-            strategy=str(data.get("strategy", "fine")),
-            enforce_budgets=json_flag(data, "enforce_budgets", False),
-        )
 
 
 @dataclass(eq=False)

@@ -447,7 +447,7 @@ def zscore_baseline(fn: DomainEvalFn, column: Column) -> list[Detection]:
 
 def zscore_report(fn: DomainEvalFn, corpus: Iterable[Column]) -> list[Detection]:
     """The z-score baseline's report over every column of at least two
-    values: with ``pr_curve_loop`` and ``pr_auc``, the reference for
+    values: with ``pr_curve_loop`` and ``pr_auc_loop``, the reference for
     ``sdc.evaluation.best_zscore_baseline``."""
     return [d for col in corpus if len(col) >= 2 for d in zscore_baseline(fn, col)]
 
@@ -480,6 +480,21 @@ def pr_curve_loop(report: Sequence[Detection], truth: GroundTruth) -> list[PrPoi
         recall = tp / n_errors if n_errors > 0 else 0.0
         points.append(PrPoint(threshold=threshold, precision=precision, recall=recall))
     return points
+
+
+def pr_auc_loop(points: Sequence[PrPoint]) -> float:
+    """The reference for ``sdc.evaluation.pr_auc``: the trapezoids over
+    the points in ascending recall, from (0, the first precision), summed
+    one by one."""
+    if not points:
+        return 0.0
+    pts = sorted(points, key=lambda p: p.recall)
+    area = 0.0
+    prev_r, prev_p = 0.0, pts[0].precision
+    for p in pts:
+        area += (p.recall - prev_r) * (p.precision + prev_p) / 2.0
+        prev_r, prev_p = p.recall, p.precision
+    return area
 
 
 def load_report(path: str) -> list[Detection]:

@@ -24,7 +24,7 @@ from sdc.assess import (
 from sdc.candidates import Candidate, GridSpec, enumerate_candidates
 from sdc.corpus import Column, Corpus
 from sdc.domain_fns import Registry, make_random_hash_fn, make_score_table_fn
-from sdc.errors import DataFormatError
+from sdc.errors import DataFormatError, read_settings
 
 from conftest import table
 from oracles import (
@@ -204,7 +204,7 @@ class TestAssessConfig:
 
     def test_round_trip(self):
         cfg = AssessConfig(z=1.96, h_min=0.5, p_max=0.01, c_thres=0.8)
-        assert AssessConfig.from_json(cfg.to_json()) == cfg
+        assert read_settings(AssessConfig, cfg.to_json(), "assess") == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -89,7 +90,7 @@ class TestGridSpec:
 
     def test_json_round_trip(self):
         grid = GridSpec(m_values=[0.9, 0.8], score_d_in=[0.2], score_d_out=[0.9])
-        assert GridSpec.from_json(json.loads(json.dumps(grid.to_json()))) == grid
+        assert GridSpec.from_json(json.loads(json.dumps(asdict(grid)))) == grid
 
     @given(st.fixed_dictionaries({
         key: st.lists(
@@ -101,13 +102,13 @@ class TestGridSpec:
     }))
     @settings(max_examples=200)
     def test_json_round_trip_property(self, data):
-        """Every field survives to_json and from_json, as floats, and
-        to_json writes the fields in declaration order."""
+        """Every field survives asdict and from_json, as floats, and
+        asdict writes the fields in declaration order."""
         grid = GridSpec.from_json(data)
-        text = json.dumps(grid.to_json())
+        text = json.dumps(asdict(grid))
         assert list(json.loads(text)) == GRID_FIELDS
         assert GridSpec.from_json(json.loads(text)) == grid
-        assert grid.to_json() == {k: [float(x) for x in v] for k, v in data.items()}
+        assert asdict(grid) == {k: [float(x) for x in v] for k, v in data.items()}
 
     def test_partial_json_keeps_defaults(self):
         grid = GridSpec.from_json({"m_values": [0.9]})

@@ -469,7 +469,7 @@ def test_random_hash_count_bound(tmp_path):
                                     "functions": {"random_hash_count": count}}))
         return PipelineConfig.load(str(path))
 
-    assert load(MAX_RANDOM_HASHES).functions["random_hash_count"] == MAX_RANDOM_HASHES
+    assert load(MAX_RANDOM_HASHES).functions.random_hash_count == MAX_RANDOM_HASHES
     with pytest.raises(DataFormatError, match="random_hash_count"):
         load(MAX_RANDOM_HASHES + 1)
 
@@ -488,7 +488,9 @@ def test_config_hash_names_every_setting(tmp_path):
         path.write_text(json.dumps({"paths": {"corpus": "c.jsonl"}, **settings}))
         return PipelineConfig.load(str(path)).config_hash()
 
+    # version and workers set nothing, but they load and the hash names them.
     hashes = [config_hash(), config_hash(seed=7), config_hash(grid={"m_values": [0.9]}),
+              config_hash(version=1), config_hash(workers=1),
               *(config_hash(selection={key: value}) for key, value in (
                   ("b_size", 1), ("b_fpr", 0.2), ("delta", 0.5), ("strategy", "coarse"),
                   ("enforce_budgets", True)))]
@@ -512,6 +514,31 @@ INJECT = ["inject", "--out", "{tmp}/dirty.jsonl", "--truth-out", "{tmp}/truth-ou
 GEN_CONFIG = ["gen", "--config", "{file}"]
 GEN_CONFIG_OUT = GEN_CONFIG + ["--out-dir", "{tmp}"]
 SELECT_CONFIG = ["select", "--config", "{file}", "--out-dir", "{tmp}"]
+
+# A misspelt key in each config section: the config, and the section
+# and key that the error names. The corpus exists, so only the key can
+# fail the run.
+UNKNOWN_CONFIG_KEYS = {
+    "top-level": ({"sede": 4}, "config", "sede"),
+    "paths": ({"paths": {"corpus": "{corpus}", "corpora": "x"}}, "config.paths", "corpora"),
+    "functions": ({"functions": {"validator": False}}, "config.functions", "validator"),
+    "embedding": (
+        {"paths": {"corpus": "{corpus}",
+                   "embeddings": [{"space_id": "toy", "path": "{space}", "centroid": 3}]}},
+        "config.paths.embeddings[0]", "centroid"),
+    "score-table": (
+        {"paths": {"corpus": "{corpus}",
+                   "score_tables": [{"type_name": "airport", "path": "{scores}", "default": 0}]}},
+        "config.paths.score_tables[0]", "default"),
+    "grid": ({"grid": {"m_value": [0.9]}}, "config.grid", "m_value"),
+    "selection": ({"selection": {"b_sise": 1}}, "config.selection", "b_sise"),
+}
+
+
+def unknown_key_config(name):
+    config, _, _ = UNKNOWN_CONFIG_KEYS[name]
+    return {"paths": {"corpus": "{corpus}"}, **config}
+
 
 # Each case: the file written, its contents (None: nothing is written),
 # and the command that reads it ({file} is that file, {tmp} a scratch
@@ -557,6 +584,8 @@ MALFORMED_INPUTS = {
     "grid-entry-beyond-float-range": (
         "cfg.json", {"paths": {"corpus": "{corpus}"}, "grid": {"m_values": [10**400]}},
         GEN_CONFIG_OUT),
+    **{f"config-unknown-{name}-key": ("cfg.json", unknown_key_config(name), GEN_CONFIG_OUT)
+       for name in UNKNOWN_CONFIG_KEYS},
     "config-unknown-assess-key": (
         "cfg.json", {"paths": {"corpus": "c.jsonl"}, "assess": {"zz": 1}}, GEN_CONFIG),
     "config-unknown-strategy": (
@@ -832,6 +861,15 @@ def test_malformed_input_is_data_error(name, tmp_path, demo, pipeline):
             text = text.replace(f'"{{{slot}}}"', json.dumps(str(slots[slot])))
         path.write_text(text)
     assert run([arg.format(**slots) for arg in argv]) == 2
+
+
+@pytest.mark.parametrize("name", list(UNKNOWN_CONFIG_KEYS))
+def test_unknown_config_key_is_named(name, tmp_path):
+    _, section, key = UNKNOWN_CONFIG_KEYS[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(unknown_key_config(name)))
+    with pytest.raises(DataFormatError, match=re.escape(f"unknown key {key!r} in {section})")):
+        PipelineConfig.load(str(path))
 
 
 def test_good_rule_line_selects(tmp_path, demo, pipeline):

@@ -17,6 +17,8 @@ from sdc.domain_fns import (
 from sdc.errors import DataFormatError
 from sdc.evaluation import (
     PrPoint,
+    _auc,
+    _curve,
     best_zscore_baseline,
     f1_at_precision,
     inject_errors,
@@ -32,6 +34,7 @@ from sdc.infer import Detection
 from oracles import (
     column_by_id,
     corpus_from_lists,
+    pr_auc_loop,
     pr_curve_loop,
     zscore_baseline,
     zscore_report,
@@ -127,6 +130,28 @@ class TestPrAuc:
     def test_insensitive_to_point_order(self):
         pts = pr_curve(HAND_REPORT, HAND_TRUTH)
         assert pr_auc(list(reversed(pts))) == pytest.approx(pr_auc(pts))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.one_of(st.sampled_from([0.5, 0.9, 2.0]), st.floats(0.0, 5.0)),
+                      st.booleans()),
+            max_size=40,
+        ),
+        missed=st.integers(0, 5),
+    )
+    def test_array_auc_matches_loop(self, cells, missed):
+        # Tied confidences, no cells, and no errors at all when nothing
+        # is missed or hit.
+        conf = np.array([c for c, _ in cells], dtype=np.float64)
+        hit = np.array([h for _, h in cells], dtype=bool)
+        n_errors = int(hit.sum()) + missed
+        threshold, precision, recall = _curve(conf, hit, n_errors)
+        points = [PrPoint(*p) for p in zip(threshold.tolist(), precision.tolist(), recall.tolist())]
+        want = pr_auc_loop(points)
+        assert _auc(precision, recall).hex() == want.hex()
+        assert pr_auc(points).hex() == want.hex()
 
 
 class TestF1AtPrecision:
@@ -392,7 +417,7 @@ class TestBestZscoreBaseline:
         fns = zscore_fns()
         _, _, aucs = best_zscore_baseline(fns, corpus, truth)
         for fn in fns:
-            want = pr_auc(pr_curve_loop(zscore_report(fn, corpus), truth))
+            want = pr_auc_loop(pr_curve_loop(zscore_report(fn, corpus), truth))
             assert aucs[fn.id].hex() == want.hex(), fn.id
 
     def test_picks_higher_auc(self):

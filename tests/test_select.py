@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sdc.domain_fns import Registry, make_pattern_fn, make_score_table_fn
-from sdc.errors import DataFormatError
+from sdc.errors import DataFormatError, read_settings
 from sdc.select import (
     IlpProblem,
     LpSolution,
@@ -97,21 +97,25 @@ class TestSelectionConfig:
     def test_json_roundtrip(self):
         cfg = SelectionConfig(b_size=7, b_fpr=0.03, delta=0.5, strategy="coarse",
                               enforce_budgets=True)
-        assert SelectionConfig.from_json(cfg.to_json()) == cfg
+        settings = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "seed"}
+        assert read_settings(SelectionConfig, settings, "selection") == cfg
 
-    def test_from_json_ignores_seed(self):
-        # The rounding seed derives from the config's top-level seed.
-        assert SelectionConfig.from_json({"seed": 9}) == SelectionConfig()
+    def test_seed_is_not_a_setting(self):
+        # The rounding seed derives from the config's top-level seed, so
+        # a selection seed would be a setting that sets nothing.
+        with pytest.raises(ValueError, match="unknown key 'seed' in selection"):
+            read_settings(SelectionConfig, {"seed": 9}, "selection")
 
     def test_from_json_defaults(self):
-        assert SelectionConfig.from_json({}) == SelectionConfig()
+        assert read_settings(SelectionConfig, {}, "selection") == SelectionConfig()
 
     def test_enforce_budgets_takes_only_json_booleans(self):
         for flag in (True, False):
-            assert SelectionConfig.from_json({"enforce_budgets": flag}).enforce_budgets is flag
+            cfg = read_settings(SelectionConfig, {"enforce_budgets": flag}, "selection")
+            assert cfg.enforce_budgets is flag
         for value in ("false", "true", 0, 1, None):
             with pytest.raises(ValueError, match="enforce_budgets must be true or false"):
-                SelectionConfig.from_json({"enforce_budgets": value})
+                read_settings(SelectionConfig, {"enforce_budgets": value}, "selection")
 
 
 class TestProblemConstruction:
