@@ -19,7 +19,6 @@ from typing import Optional
 
 import click
 
-from . import evaluation
 from .assess import AssessConfig, AssessedSdc, assess_all, load_assessed, save_assessed
 from .candidates import GridSpec, Sdc, dead_candidate_count, enumerate_candidates
 from .corpus import (
@@ -31,7 +30,6 @@ from .corpus import (
     save_corpus,
     write_json,
 )
-from .datagen import generate_corpus, write_dataset
 from .domain_fns import (
     Registry,
     ValueIndex,
@@ -328,6 +326,8 @@ def cmd_inject(corpus_path: str, rate: float, seed: int, truth_path: Optional[st
                out_path: str, truth_out: str) -> None:
     """Transplant foreign values into a fraction of the columns and
     record the injected cells as ground truth."""
+    from . import evaluation
+
     corpus = load_corpus(corpus_path)
     truth = evaluation.load_truth(truth_path) if truth_path else {}
     dirty, new_truth = evaluation.inject_errors(corpus, truth, rate, seed)
@@ -349,6 +349,8 @@ def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str
     """End-to-end benchmark: split, learn, select, inject errors into
     the held-out columns, detect, and score against z-score baselines.
     Writes bench-metrics.json and pr-points.csv."""
+    from . import evaluation
+
     cfg = PipelineConfig.load(config_path)
     out = _common_out(cfg, out_dir)
     t0 = time.perf_counter()
@@ -409,6 +411,8 @@ def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str
 def cmd_make_demo_data(columns: int, seed: int, out_dir: str) -> None:
     """Generate a synthetic typed corpus plus its embedding space and
     score tables (used by the demos and benchmark walkthroughs)."""
+    from .datagen import generate_corpus, write_dataset
+
     dataset = generate_corpus(columns, seed=seed)
     paths = write_dataset(dataset, out_dir)
     config = {

@@ -3,18 +3,30 @@
 A corpus is a bag of independent table columns. Each column has a
 unique id, an optional header, and an ordered list of raw string
 values. Columns are immutable after load.
+
+The JSONL reader codes every cell as it reads it: a ``CellTable`` holds
+the distinct raw values once, in first-seen order, and each cell's
+position among them. A corpus read from JSONL keeps that table and
+builds its ``Column``s only when asked for them, so ``ValueIndex`` (and
+with it ``sdc infer``) normalizes and interns once per distinct raw
+value and never builds a ``Column``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import DataFormatError
 
@@ -55,18 +67,107 @@ class Column:
         return len(self.values)
 
 
-@dataclass
+def _dense_codes(first: dict, pos: array, dtype: np.dtype) -> tuple[list, np.ndarray]:
+    """Given ``first``, each distinct key's position at its first
+    occurrence (``dict.setdefault`` with a running count), and ``pos``,
+    every key's such position in a typed buffer: the distinct keys in
+    first-seen order and each key's position among them, as ``dtype``.
+    One scatter makes the positions dense, with no sort; ``first`` is
+    emptied before the per-key arrays are made."""
+    starts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    keys = list(first)
+    first.clear()
+    dense = np.empty(len(pos), dtype=dtype)
+    dense[starts] = np.arange(len(starts), dtype=dtype)
+    return keys, dense[np.frombuffer(pos, dtype=np.intp)]
+
+
+def distinct_rows(keys: Iterable[Hashable]) -> tuple[list, np.ndarray]:
+    """The distinct ``keys`` in first-seen order, and each key's
+    position (``intp``) among them."""
+    first: dict = {}
+    pos = array(np.dtype(np.intp).char)
+    pos.extend(map(first.setdefault, keys, itertools.count()))
+    return _dense_codes(first, pos, np.dtype(np.intp))
+
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """Columns as codes into their distinct raw values.
+
+    ``raw`` lists the distinct raw values in first-seen order, each the
+    string of its first cell. ``raw_codes``, of the narrowest unsigned
+    integer type that holds them, gives each cell's position in ``raw``,
+    column after column; column ``j``, with id ``ids[j]`` and header
+    ``headers[j]``, owns cells ``offsets[j]:offsets[j + 1]``."""
+
+    ids: list[str]
+    headers: list[Optional[str]]
+    raw: list[str]
+    raw_codes: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, columns: Iterable[Column]) -> CellTable:
+        """The table of ``columns``, coded as the JSONL reader codes them."""
+        builder = _CellTableBuilder()
+        for col in columns:
+            builder.add(col.id, col.values, col.header)
+        return builder.finish()
+
+    def columns(self) -> list[Column]:
+        """Each column as a ``Column``; equal raw values are one object."""
+        cells = list(map(self.raw.__getitem__, self.raw_codes.tolist()))
+        bounds = self.offsets.tolist()
+        return [Column(id=cid, values=tuple(cells[lo:hi]), header=header)
+                for cid, header, lo, hi in zip(self.ids, self.headers, bounds, bounds[1:])]
+
+
+class _CellTableBuilder:
+    """A ``CellTable`` built column by column; each cell gets the
+    running position of its raw value's first occurrence, one C-level
+    ``dict.setdefault`` per cell."""
+
+    def __init__(self) -> None:
+        self._first: dict[str, int] = {}
+        self._count = itertools.count()
+        self._pos = array(np.dtype(np.intp).char)
+        self._ids: list[str] = []
+        self._headers: list[Optional[str]] = []
+        self._lengths = array(np.dtype(np.intp).char)
+
+    def add(self, column_id: str, values: Sequence[str], header: Optional[str]) -> None:
+        self._pos.extend(map(self._first.setdefault, values, self._count))
+        self._ids.append(column_id)
+        self._headers.append(header)
+        self._lengths.append(len(values))
+
+    def finish(self) -> CellTable:
+        # The narrowest codes that fit: a cell's code is kept for as long
+        # as the table, beside the index's own.
+        raw, raw_codes = _dense_codes(self._first, self._pos,
+                                      np.min_scalar_type(max(len(self._first) - 1, 0)))
+        offsets = np.zeros(len(self._lengths) + 1, dtype=np.intp)
+        np.cumsum(np.frombuffer(self._lengths, dtype=np.intp), out=offsets[1:])
+        return CellTable(self._ids, self._headers, raw, raw_codes, offsets)
+
+
 class Corpus:
-    """An ordered collection of columns with unique ids."""
+    """An ordered collection of columns. A corpus read from JSONL keeps
+    its ``CellTable`` as ``cells`` and builds its ``Column``s on first
+    use; one made from columns has no table."""
 
-    columns: list[Column] = field(default_factory=list)
+    def __init__(self, columns: Iterable[Column] = (), cells: Optional[CellTable] = None) -> None:
+        self.cells = cells
+        if cells is None:
+            self.columns = list(columns)
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for col in self.columns:
-            if col.id in seen:
-                raise DataFormatError(f"duplicate column id {col.id!r}")
-            seen.add(col.id)
+    @cached_property
+    def columns(self) -> list[Column]:
+        return self.cells.columns()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Corpus) and self.columns == other.columns
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -81,36 +182,31 @@ class Corpus:
         return [c.id for c in self.columns]
 
 
-def _column_from_record(rec: dict, shared: dict[str, str]) -> Column:
-    """The column a JSONL record describes (``Column`` refuses an empty
-    one). Each value is replaced by the first equal string in ``shared``,
-    so a corpus holds one object per distinct raw value."""
-    if "id" not in rec or not isinstance(rec["id"], str):
-        raise DataFormatError("missing or non-string 'id'")
-    values = rec.get("values")
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise DataFormatError("'values' must be a list of strings")
-    header = rec.get("header")
-    if header is not None and not isinstance(header, str):
-        raise DataFormatError("'header' must be a string when present")
-    return Column(id=rec["id"], values=tuple(map(shared.setdefault, values, values)),
-                  header=header)
-
-
 def _load_jsonl(path: str) -> Corpus:
-    shared: dict[str, str] = {}
+    builder = _CellTableBuilder()
     ids: set[str] = set()
 
-    def column(rec: dict) -> Column:
-        col = _column_from_record(rec, shared)
-        if col.id in ids:
-            raise DataFormatError(f"duplicate column id {col.id!r}")
-        ids.add(col.id)
-        return col
+    def column(rec: dict) -> None:
+        if "id" not in rec or not isinstance(rec["id"], str):
+            raise DataFormatError("missing or non-string 'id'")
+        values = rec.get("values")
+        # str.__instancecheck__ is isinstance(v, str), one C call per cell.
+        if not isinstance(values, list) or not all(map(str.__instancecheck__, values)):
+            raise DataFormatError("'values' must be a list of strings")
+        header = rec.get("header")
+        if header is not None and not isinstance(header, str):
+            raise DataFormatError("'header' must be a string when present")
+        if not values:
+            raise DataFormatError(f"empty column {rec['id']!r}")
+        if rec["id"] in ids:
+            raise DataFormatError(f"duplicate column id {rec['id']!r}")
+        ids.add(rec["id"])
+        builder.add(rec["id"], values, header)
 
     # Writers may put a metadata object first; skip anything that
     # declares a kind and carries no values.
-    return Corpus(read_records(path, column, lambda rec: "kind" in rec and "values" not in rec))
+    read_records(path, column, lambda rec: "kind" in rec and "values" not in rec)
+    return Corpus(cells=builder.finish())
 
 
 def _load_csv_dir(path: str) -> Corpus:

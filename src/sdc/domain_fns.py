@@ -25,7 +25,10 @@ shares computed once and cached on the index:
 
 - ``embedding``: per space, the positions of the distinct values the
   space can embed and one matrix of just their vectors; one row-wise
-  norm over it per centroid, and every other value is infinitely far;
+  norm over it per centroid, and every other value is infinitely far.
+  Each value is one vocabulary lookup; only a value out of vocabulary
+  that ``str.split`` breaks into several tokens is embedded as their
+  mean;
 - ``random_hash``: one digest per value, shared by every seed, and three
   vectorized mixing steps per seed;
 - ``pattern``: one token-class shape per value (``value_shape``). A
@@ -33,9 +36,10 @@ shares computed once and cached on the index:
   ``infer_patterns`` generates, iff its shape equals the pattern, so each
   such pattern is one comparison per value; a non-canonical pattern
   (say ``\\d+\\d+``, or one with a literal letter) keeps its regex;
-- ``score_table``, ``validator`` and non-canonical patterns: one
-  ``distance`` call per value. The date, URL and ISO-timestamp
-  validators first reject, by shape, values their parsers cannot accept.
+- ``score_table``: one table lookup per value, in one C-level pass;
+- ``validator`` and non-canonical patterns: one ``distance`` call per
+  value. The date, URL and ISO-timestamp validators first reject, by
+  shape, values their parsers cannot accept.
 
 Each family's array form returns, value by value, the same bits as
 ``distance``.
@@ -48,15 +52,24 @@ import math
 import os
 import re
 import warnings
-from array import array
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 from urllib.parse import urlparse
 
 import numpy as np
 
-from .corpus import Column, normalize_raw, read_lines, read_records
+from .corpus import (
+    CellTable,
+    Column,
+    Corpus,
+    distinct_rows,
+    normalize_raw,
+    read_lines,
+    read_records,
+)
 from .errors import DataFormatError, json_int, json_number, json_str
 
 INFINITE_DISTANCE = math.inf
@@ -272,8 +285,13 @@ class PatternFn(DomainEvalFn):
     family: str = field(default="pattern", init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_regex", pattern_to_regex(self.pattern))
         object.__setattr__(self, "canonical", _is_canonical_pattern(self.pattern))
+
+    @cached_property
+    def _regex(self) -> re.Pattern:
+        # Compiled on first use: ValueIndex never runs a canonical
+        # pattern's regex.
+        return pattern_to_regex(self.pattern)
 
     def distance(self, value: str) -> float:
         return 0.0 if self._regex.fullmatch(value) else 1.0
@@ -745,48 +763,39 @@ def _fn_from_manifest(entry: dict, reg: Registry) -> DomainEvalFn:
 # Value index (shared by screening, selection stats, inference and baselines)
 
 
-def distinct_rows(keys: Iterable) -> tuple[list, np.ndarray]:
-    """The distinct ``keys`` in first-seen order, and each key's
-    position among them."""
-    rows: dict = {}
-    row_of = [rows.setdefault(k, len(rows)) for k in keys]
-    return list(rows), np.asarray(row_of, dtype=np.intp)
-
-
 class ValueIndex:
     """The normalized values of a sequence of columns, interned once.
 
-    ``values`` lists the distinct normalized values in first-seen order;
-    a value that normalization leaves unchanged is the cell's own string.
-    ``codes`` (``intp``) gives each cell's position in ``values``, column
-    after column, and column ``j`` owns cells ``offsets[j]:offsets[j +
-    1]``. A function is evaluated once per distinct value, family by
-    family as the module docstring describes; what a family shares (a
-    space's matrix, the value digests, the value shapes) is computed on
-    first use and kept, and depends on ``values`` alone. Nothing is
-    keyed on column ids, so an index always describes exactly the
-    columns it was built from.
+    The index reads the columns' ``CellTable`` (``cells``): a corpus read
+    from JSONL brings its own, and other columns are coded the same way
+    here. Normalization and interning then run once per distinct raw
+    value, never per cell. ``values`` lists the distinct normalized
+    values in first-seen order; a value that normalization leaves
+    unchanged is the cell's own string. ``codes`` (``intp``) gives each
+    cell's position in ``values``, column after column, and column ``j``
+    (id ``ids[j]``) owns cells ``offsets[j]:offsets[j + 1]``; a cell's
+    raw value is ``cells.raw[cells.raw_codes[cell]]``. Iterating yields
+    the ``Column``s, which a JSONL corpus builds only then.
+
+    A function is evaluated once per distinct value, family by family as
+    the module docstring describes; what a family shares (a space's
+    matrix, the value digests, the value shapes) is computed on first
+    use and kept, and depends on ``values`` alone. Nothing is keyed on
+    column ids, so an index always describes exactly the columns it was
+    built from.
     """
 
     def __init__(self, columns: Iterable[Column]) -> None:
-        self.columns = list(columns)
-        table: dict[str, int] = {}
-        known = table.get
-
-        def intern(raw: str) -> int:
-            return table.setdefault(normalize_raw(raw), len(table))
-
-        # A raw value equal to a known normalized value is normalized
-        # (normalization is idempotent), so it needs no normalizing. Codes
-        # grow column by column in a typed buffer: no list of one Python
-        # int per cell is ever built.
-        codes = array(np.dtype(np.intp).char)
-        for col in self.columns:
-            codes.extend([c if (c := known(v)) is not None else intern(v) for v in col.values])
-        self.values = list(table)
-        self.codes = np.frombuffer(codes, dtype=np.intp)
-        self.lengths = np.fromiter(map(len, self.columns), dtype=np.intp, count=len(self.columns))
-        self.offsets = np.concatenate(([0], np.cumsum(self.lengths))).astype(np.intp)
+        self.corpus = columns if isinstance(columns, Corpus) else Corpus(columns)
+        cells = self.corpus.cells
+        self.cells = CellTable.of(self.corpus.columns) if cells is None else cells
+        # Normalization is a function of the raw value, so the raw codes
+        # map onto the normalized ones.
+        self.values, norm_code = distinct_rows(map(normalize_raw, self.cells.raw))
+        self.codes = norm_code[self.cells.raw_codes]
+        self.ids = self.cells.ids
+        self.offsets = self.cells.offsets
+        self.lengths = np.diff(self.offsets)
         self._spaces: dict[int, tuple[EmbeddingSpace, np.ndarray, np.ndarray]] = {}
         self._shapes: Optional[tuple[dict[str, int], np.ndarray]] = None
         self._digests: Optional[np.ndarray] = None
@@ -797,10 +806,10 @@ class ValueIndex:
         return corpus if isinstance(corpus, ValueIndex) else cls(corpus)
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Column]:
-        return iter(self.columns)
+        return iter(self.corpus)
 
     def distances(self, fn: DomainEvalFn) -> np.ndarray:
         """Per-cell distances under ``fn``, in cell order."""
@@ -815,6 +824,9 @@ class ValueIndex:
         elif isinstance(fn, PatternFn) and fn.canonical:
             code_of, shape_of = self.shapes()
             distinct = (shape_of != code_of.get(fn.pattern, -1)).astype(np.float64)
+        elif isinstance(fn, ScoreTableFn):
+            distinct = 1.0 - np.fromiter(map(fn.scores.get, self.values, repeat(fn.default_score)),
+                                         dtype=np.float64, count=len(self.values))
         else:
             distinct = np.fromiter(map(fn.distance, self.values), dtype=np.float64,
                                    count=len(self.values))
@@ -833,16 +845,20 @@ class ValueIndex:
         a (positions x dimension) matrix of their vectors."""
         got = self._spaces.get(id(space))
         if got is None:
-            rows: list[int] = []
-            vecs: list[np.ndarray] = []
+            rows, vecs = [], []
+            get = space.vectors.get
             for i, v in enumerate(self.values):
-                vec = embed_value(space, v)
+                vec = get(v)
+                # Out of vocabulary, only a value that splits into
+                # several tokens can embed (as their mean).
+                if vec is None and len(v.split()) > 1:
+                    vec = embed_value(space, v)
                 if vec is not None:
                     rows.append(i)
                     vecs.append(vec)
-            mat = np.array(vecs, dtype=np.float64).reshape(len(vecs), space.dimension)
+            mat = np.array(vecs, dtype=np.float64)
             # The space is kept so its id() cannot be reused while cached.
-            got = (space, np.asarray(rows, dtype=np.intp), mat)
+            got = (space, np.asarray(rows, dtype=np.intp), mat.reshape(len(rows), space.dimension))
             self._spaces[id(space)] = got
         return got[1], got[2]
 
@@ -850,21 +866,27 @@ class ValueIndex:
         """A (columns x radii) matrix: how many of each column's values
         lie within each of the ascending ``radii`` (non-strict).
 
-        Each cell lands in the bin of the first radius at or beyond its
-        distance (``inf`` and NaN past the last), one histogram per
-        column counts the bins, and a cumulative sum over them gives
-        every radius. Columns go in blocks of about ``_BLOCK_CELLS``
-        cells, so the per-cell temporaries stay small."""
+        Columns go in blocks of about ``_BLOCK_CELLS`` cells, so the
+        per-cell temporaries stay small. One radius is one comparison per
+        cell, summed per column. With more, each cell lands in the bin of
+        the first radius at or beyond its distance (``inf`` and NaN past
+        the last), one histogram per column counts the bins, and a
+        cumulative sum over them gives every radius."""
         n, r = len(self.lengths), len(radii)
         out = np.empty((n, r), dtype=np.intp)
         lo = 0
         while lo < n:
             end = self.offsets[lo] + _BLOCK_CELLS
             hi = max(lo + 1, int(np.searchsorted(self.offsets, end, "right")) - 1)
-            bins = np.repeat(np.arange(hi - lo) * (r + 1), self.lengths[lo:hi])
-            bins += np.searchsorted(radii, dists[self.offsets[lo]:self.offsets[hi]], "left")
-            hist = np.bincount(bins, minlength=(hi - lo) * (r + 1)).reshape(-1, r + 1)
-            np.cumsum(hist[:, :r], axis=1, out=out[lo:hi])
+            block = dists[self.offsets[lo]:self.offsets[hi]]
+            if r == 1:
+                np.add.reduceat(block <= radii[0], self.offsets[lo:hi] - self.offsets[lo],
+                                out=out[lo:hi, 0], dtype=np.intp)
+            else:
+                bins = np.repeat(np.arange(hi - lo) * (r + 1), self.lengths[lo:hi])
+                bins += np.searchsorted(radii, block, "left")
+                hist = np.bincount(bins, minlength=(hi - lo) * (r + 1)).reshape(-1, r + 1)
+                np.cumsum(hist[:, :r], axis=1, out=out[lo:hi])
             lo = hi
         return out
 

@@ -113,17 +113,19 @@ def detect_corpus(
     order = np.lexsort((rank[who], cell))
     cell, who, dist = cell[order], who[order], dist[order]
     win = (np.diff(cell, append=-1) != 0) & (np.asarray(conf, dtype=np.float64)[who] >= min_confidence)
-    col = np.searchsorted(index.offsets, cell[win], side="right") - 1
+    cell = cell[win]
+    col = np.searchsorted(index.offsets, cell, side="right") - 1
     # Winners come in cell order; a stable sort puts each column's in
     # descending confidence, ties in cell order.
-    winners = sorted(zip(col.tolist(), cell[win].tolist(), who[win].tolist(), dist[win].tolist()),
-                     key=lambda w: (w[0], -conf[w[2]]))
+    winners = sorted(zip(col.tolist(), (cell - index.offsets[col]).tolist(),
+                         index.cells.raw_codes[cell].tolist(), who[win].tolist(),
+                         dist[win].tolist()),
+                     key=lambda w: (w[0], -conf[w[3]]))
+    raw = index.cells.raw
     out: list[Detection] = []
-    for j, c, i, d in winners:
-        column, sdc = index.columns[j], sdcs[i]
-        idx = c - int(index.offsets[j])
-        value = column.values[idx]
-        out.append(Detection(column.id, idx, value, conf[i], sdc.id,
+    for j, idx, code, i, d in winners:
+        sdc, value = sdcs[i], raw[code]
+        out.append(Detection(index.ids[j], idx, value, conf[i], sdc.id,
                              _explanation(sdc, descs[sdc.fn_id], value, d)))
     return out
 

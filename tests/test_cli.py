@@ -79,8 +79,10 @@ def fresh_env():
 
 def test_import_leaves_scipy_unloaded():
     # scipy is most of the start-up time, and only a selection whose
-    # budget binds needs it.
-    code = "import sys, sdc.cli; sys.exit(int('scipy' in sys.modules))"
+    # budget binds needs it; only inject, bench and make-demo-data need
+    # the evaluation and data-generation modules.
+    code = ("import sys, sdc.cli; "
+            "sys.exit(sum(m in sys.modules for m in ('scipy', 'sdc.evaluation', 'sdc.datagen')))")
     assert subprocess.run([sys.executable, "-c", code], env=fresh_env(), timeout=120).returncode == 0
 
 
@@ -430,6 +432,50 @@ def test_missing_store_is_data_error(tmp_path, demo):
     rc = run(["infer", "--rules", str(tmp_path / "nope.json"),
               "--corpus", str(demo["data"] / "corpus.jsonl")])
     assert rc == 2
+
+
+# A scan's lines before each broken one: a metadata line and a blank
+# line, which the reader skips, then a good column with id "a".
+SCAN_HEAD = [json.dumps({"kind": "corpus-meta", "seed": 1}), "",
+             json.dumps({"id": "a", "header": "City", "values": ["Oslo", "oslo", " Bergen\t"]})]
+# Each broken fourth line of a scan and the message that names it.
+MALFORMED_SCAN_LINES = {
+    "invalid-json": ("{oops", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    "not-an-object": ("[1]", "expected an object, got list"),
+    "missing-id": ('{"values": ["x"]}', "missing or non-string 'id'"),
+    "non-string-id": ('{"id": 7, "values": ["x"]}', "missing or non-string 'id'"),
+    "missing-values": ('{"id": "b"}', "'values' must be a list of strings"),
+    "non-string-value": ('{"id": "b", "values": ["x", 3]}', "'values' must be a list of strings"),
+    "empty-values": ('{"id": "b", "values": []}', "empty column 'b'"),
+    "non-string-header": ('{"id": "b", "values": ["x"], "header": 1}',
+                          "'header' must be a string when present"),
+    "duplicate-id": ('{"id": "a", "values": ["y"]}', "duplicate column id 'a'"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_SCAN_LINES))
+def test_infer_names_the_malformed_scan_line(name, pipeline, tmp_path, capsys):
+    line, message = MALFORMED_SCAN_LINES[name]
+    scan = tmp_path / "scan.jsonl"
+    scan.write_text("\n".join(SCAN_HEAD + [line]) + "\n")
+    rc = run(["infer", "--rules", str(pipeline / "store.json"), "--corpus", str(scan),
+              "--out", str(tmp_path / "report.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"data error: {scan} line 4: {message}"
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_infer_skips_metadata_and_blank_lines(pipeline, injected, tmp_path):
+    corpus = injected["dirty"]
+    lines = corpus.read_text().splitlines()
+    assert not any(json.loads(line).get("kind") for line in lines)
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text("\n".join(SCAN_HEAD[:2] + lines[:5] + ["", "  "] + lines[5:]) + "\n")
+    for name, scan in (("plain", corpus), ("padded", padded)):
+        assert run(["infer", "--rules", str(pipeline / "store.json"), "--corpus", str(scan),
+                    "--out", str(tmp_path / f"{name}.jsonl")]) == 0
+    assert read_bytes(tmp_path / "padded.jsonl") == read_bytes(tmp_path / "plain.jsonl")
+    assert len(load_report(str(tmp_path / "plain.jsonl"))) > 0
 
 
 def without_function(registry: dict, fn_id: str) -> dict:

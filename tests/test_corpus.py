@@ -1,6 +1,12 @@
 import json
+import os
+import tempfile
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdc.corpus import (
     MAX_EVAL_CHARS,
@@ -17,9 +23,20 @@ from sdc.corpus import (
     save_corpus,
     write_json,
 )
+from sdc.domain_fns import (
+    EmbeddingSpace,
+    Registry,
+    ValueIndex,
+    builtin_validators,
+    make_embedding_fn,
+    make_pattern_fn,
+    make_score_table_fn,
+)
 from sdc.errors import DataFormatError, json_int, json_ints, json_number, json_str
+from sdc.infer import compile_ruleset, detect_corpus
 
-from oracles import column_by_id, corpus_from_lists
+import oracles
+from oracles import column_by_id, constraint, corpus_from_lists, detect_errors_naive
 
 
 class TestNormalize:
@@ -61,10 +78,15 @@ class TestColumn:
 
 
 class TestCorpus:
-    def test_duplicate_ids_rejected(self):
+    def test_duplicate_ids_rejected(self, tmp_path):
+        # The JSONL reader is where ids are checked, so the message names
+        # the file and the line.
         cols = [Column(id="x", values=("a",)), Column(id="x", values=("b",))]
-        with pytest.raises(DataFormatError):
-            Corpus(cols)
+        path = tmp_path / "c.jsonl"
+        save_corpus(Corpus(cols), str(path))
+        with pytest.raises(DataFormatError) as err:
+            load_corpus(str(path))
+        assert str(err.value) == f"{path} line 2: duplicate column id 'x'"
 
     def test_lookup_and_iteration(self):
         corpus = corpus_from_lists({"a": ["1"], "b": ["2"]})
@@ -148,6 +170,129 @@ class TestJsonlRoundTrip:
         path = tmp_path / "c.jsonl"
         save_corpus(corpus, str(path))
         assert load_corpus(str(path)) == corpus
+
+
+# Raw cells of every kind the reader must code as the per-cell
+# reference does: case changes, surrounding tabs and newlines, values
+# over MAX_EVAL_CHARS (two raw values then normalize to one when they
+# differ only past it), non-ASCII text, and several tokens joined by a
+# space or a tab.
+READER_WORDS = ["red", "crimson", "blue", "café", "日本", "straße", "zzz", "12-34", "a@b.io", ""]
+
+
+def raw_cell(words: list[str], case: str, joiner: str, tail: str, pad: tuple[str, str]) -> str:
+    cell = joiner.join(words) + tail
+    return pad[0] + {"as-is": cell, "upper": cell.upper(), "title": cell.title()}[case] + pad[1]
+
+
+RAW_CELL = st.builds(
+    raw_cell,
+    st.lists(st.sampled_from(READER_WORDS), min_size=1, max_size=3),
+    st.sampled_from(["as-is", "upper", "title"]),
+    st.sampled_from([" ", "\t"]),
+    st.sampled_from(["", "q" * (MAX_EVAL_CHARS + 8), "q" * (MAX_EVAL_CHARS + 8) + "z"]),
+    st.tuples(*[st.sampled_from(["", " ", "\t", "\n", " \t\n"])] * 2),
+)
+# Each column's cells and header; 0- and 1-column corpora included.
+READER_COLUMNS = st.lists(
+    st.tuples(st.lists(RAW_CELL, min_size=1, max_size=6), st.none() | st.sampled_from(["", "City"])),
+    max_size=4,
+)
+
+
+def read_back(columns: list[Column], ensure_ascii: bool) -> Corpus:
+    """``load_corpus`` of the columns written as JSONL behind a metadata
+    line and a blank line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scan.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"kind": "corpus-meta"}) + "\n\n")
+            for col in columns:
+                rec = {"id": col.id, "values": list(col.values)}
+                if col.header is not None:
+                    rec["header"] = col.header
+                fh.write(json.dumps(rec, ensure_ascii=ensure_ascii) + "\n")
+        return load_corpus(path)
+
+
+def as_columns(records) -> list[Column]:
+    return [Column(id=f"c{j}", values=tuple(values), header=header)
+            for j, (values, header) in enumerate(records)]
+
+
+def reader_registry() -> Registry:
+    space = EmbeddingSpace(dimension=2, id="toy2d", vectors={
+        "red": [0.0, 0.0], "crimson": [0.0, 1.0], "blue": [10.0, 0.0], "café": [1.0, 1.0],
+        "日本": [9.0, 1.0]})
+    reg = Registry()
+    reg.add_space(space)
+    reg.add_all([make_embedding_fn(space, "red"), make_embedding_fn(space, "blue"),
+                 make_score_table_fn("reds", {"red": 1.0, "crimson": 0.9, "café": 0.5}),
+                 make_pattern_fn("[a-zA-Z]+"), *builtin_validators()])
+    return reg
+
+
+READER_CONSTRAINTS = [
+    constraint(fn_id, d_in, d_out, m)
+    for fn_id, pairs in [("emb:toy2d:red", [(0.5, 2.0), (1.5, 9.0)]),
+                         ("emb:toy2d:blue", [(1.5, 2.0)]),
+                         ("score:reds", [(0.1, 0.5), (0.5, 0.95)]),
+                         ("pattern:[a-zA-Z]+", [(0.0, 0.0)]),
+                         ("validator:email", [(0.0, 0.0)])]
+    for d_in, d_out in pairs
+    for m in (0.5, 1.0)
+]
+
+
+class TestReaderCodes:
+    """``load_corpus`` codes each cell as it reads it; the index over
+    that table must equal the per-cell reference and the index of the
+    same ``Column``s, and detection over it the naive loop."""
+
+    @given(READER_COLUMNS, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example([], False)
+    @example([(["Red"], "City")], True)
+    @example([(["Oslo", " oslo", "Oslo"], None), (["oslo", "Oslo\t"], "")], False)
+    def test_index_of_the_reader_equals_the_index_of_columns(self, records, ensure_ascii):
+        columns = as_columns(records)
+        corpus = read_back(columns, ensure_ascii)
+        index = ValueIndex(corpus)
+        values, codes = oracles.value_index_codes(columns)
+        assert index.values == values
+        assert index.codes.dtype == np.intp and index.codes.tolist() == codes
+        assert index.ids == [col.id for col in columns]
+        assert index.cells.headers == [col.header for col in columns]
+        assert index.lengths.tolist() == [len(col) for col in columns]
+        cells = [v for col in columns for v in col.values]
+        assert [index.cells.raw[c] for c in index.cells.raw_codes.tolist()] == cells
+        # The Columns, built only now, share the table's strings: equal raw
+        # values are one object, and a normalized value whose first cell
+        # normalization leaves unchanged is that cell's own string.
+        assert "columns" not in vars(corpus)
+        assert corpus.columns == columns and list(index) == columns
+        shared: dict[str, str] = {}
+        first_cell: dict[int, str] = {}
+        for code, raw in zip(codes, (v for col in corpus for v in col.values)):
+            assert shared.setdefault(raw, raw) is raw
+            first_cell.setdefault(code, raw)
+        for code, raw in first_cell.items():
+            if normalize_raw(raw) == raw:
+                assert index.values[code] is raw
+        from_columns = ValueIndex(columns)
+        assert from_columns.values == values and from_columns.codes.tolist() == codes
+
+    @given(READER_COLUMNS, st.lists(st.sampled_from(READER_CONSTRAINTS), max_size=8),
+           st.sampled_from([None, 0.8, 0.9]))
+    @settings(max_examples=150, deadline=None)
+    @example([], READER_CONSTRAINTS, None)
+    @example([(["red", "red\tcrimson", "zzz"], None)], READER_CONSTRAINTS[:1], 0.9)
+    def test_detection_over_the_reader_equals_naive(self, records, sdcs, confidence):
+        columns = as_columns(records)
+        sdcs = [replace(s, confidence=confidence) for s in sdcs]
+        reg = reader_registry()
+        got = detect_corpus(compile_ruleset(sdcs), ValueIndex(read_back(columns, False)), reg)
+        assert got == [d for col in columns for d in detect_errors_naive(sdcs, col, reg)]
 
 
 class TestJsonReaders:

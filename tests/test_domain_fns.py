@@ -659,16 +659,18 @@ INDEX_WORDS = list(INDEX_VOCAB) + [
 ]
 
 
-def index_cell(words: list[str], upper: bool, pad: tuple[str, str]) -> str:
-    cell = pad[0] + " ".join(words) + pad[1]
+def index_cell(words: list[str], upper: bool, pad: tuple[str, str], joiner: str) -> str:
+    cell = pad[0] + joiner.join(words) + pad[1]
     return cell.upper() if upper else cell
 
 
+# Words join by a space or a tab: both make a multi-token value.
 INDEX_CELL = st.builds(
     index_cell,
     st.lists(st.sampled_from(INDEX_WORDS), min_size=1, max_size=3),
     st.booleans(),
     st.tuples(*[st.sampled_from(["", " ", "\t", "  \n"])] * 2),
+    st.sampled_from([" ", "\t"]),
 )
 
 
@@ -952,6 +954,14 @@ class TestFamilyKernels:
             want = np.asarray([fn.distance(nv) for nv in cells], dtype=np.float64)
             assert index.distances(fn).tobytes() == want.tobytes(), pattern
         assert all(make_pattern_fn(p).canonical for p in generated)
+
+    def test_regex_is_compiled_on_first_distance(self):
+        fn = make_pattern_fn("\\d+-\\d+")
+        assert fn.canonical
+        index = ValueIndex([Column(id="c", values=("12-34", "ab"))])
+        assert index.distances(fn).tolist() == [0.0, 1.0]
+        assert "_regex" not in vars(fn)
+        assert fn.distance("12-34") == 0.0 and "_regex" in vars(fn)
 
     @pytest.mark.parametrize("pattern", ["\\d+\\d+", "[a-zA-Z]+[a-zA-Z]+", "a", "\\d+7", "x-\\d+"])
     def test_non_canonical_patterns_keep_their_regex(self, pattern):
