@@ -5,8 +5,10 @@
 # a time and prints one JSON line: for each stage its wall time and the
 # process's peak RSS when it ended (``getrusage``'s high-water mark, so
 # a stage that needs no new memory repeats the figure before it). The
-# stages are one evaluation of every function over the training
-# columns' distinct values, summed per family; screening
+# stages are ``sdc gen``'s corpus preparation (reading the training
+# columns from JSONL, the numeric filter and the value index); one
+# evaluation of every function over the training columns' distinct
+# values, summed per family; screening
 # (``assess_all``); the detection-class stats
 # (``build_candidate_stats``); cover-set construction (``build_ilp``);
 # the LP; rounding; detection over the held-out columns; and the
@@ -15,14 +17,16 @@
 #     PYTHONPATH=src python demos/05_stage_times.py
 
 import json
+import os
 import resource
 import sys
+import tempfile
 import time
 from collections import defaultdict
 
 from sdc.assess import assess_all
 from sdc.candidates import GridSpec, enumerate_candidates
-from sdc.corpus import sample_columns
+from sdc.corpus import filter_columns, load_corpus, sample_columns, save_corpus
 from sdc.datagen import generate_corpus
 from sdc.domain_fns import (
     Registry,
@@ -53,6 +57,10 @@ def timed(name, step, *args):
     return result
 
 
+def prepare(path):
+    return ValueIndex(filter_columns(load_corpus(path)))
+
+
 def evaluate(index, fns):
     for fn in fns:
         index.distances(fn)
@@ -60,6 +68,9 @@ def evaluate(index, fns):
 
 dataset = generate_corpus(2000, seed=SEED)
 train, held = sample_columns(dataset.corpus, 400, SEED)
+with tempfile.TemporaryDirectory() as tmp:
+    save_corpus(train, os.path.join(tmp, "train.jsonl"))
+    timed("prepare_corpus", prepare, os.path.join(tmp, "train.jsonl"))
 registry = Registry()
 registry.add_all(builtin_validators())
 registry.add_all(infer_patterns(train, 25))

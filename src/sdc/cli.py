@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -47,6 +48,13 @@ from .synth import CandidateStats, SynthColumn, build_candidate_stats, build_syn
 
 # Bound on functions.random_hash_count; each hash is screened like any function.
 MAX_RANDOM_HASHES = 10_000
+
+
+def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # click.FloatRange lets NaN through: every comparison with it is false.
+    if math.isnan(value):
+        raise click.BadParameter(f"{value!r} is not in the range 0<=x<=1.")
+    return value
 
 
 # The config's sections and list entries, each read by read_settings;
@@ -149,7 +157,11 @@ def build_registry(cfg: PipelineConfig, corpus: Corpus | ValueIndex, seed: int) 
         space = load_embedding_space(emb.path, emb.space_id)
         reg.add_space(space, emb.path)
         if emb.centroids > 0:
-            for fn in sample_centroids(corpus, space, emb.centroids, seed):
+            try:
+                centroids = sample_centroids(corpus, space, emb.centroids, seed)
+            except ValueError as exc:  # too few embeddable values for the config's count
+                raise DataFormatError(f"embedding space {space.id!r}: {exc}") from None
+            for fn in centroids:
                 if fn.id not in reg:
                     reg.add(fn)
     for st in cfg.paths.score_tables:
@@ -298,7 +310,8 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
 @cli.command("infer")
 @click.option("--rules", "store_path", required=True, help="store.json from select")
 @click.option("--corpus", "corpus_path", required=True)
-@click.option("--min-confidence", type=float, default=0.0)
+@click.option("--min-confidence", type=click.FloatRange(0, 1), default=0.0,
+              callback=_not_nan)
 @click.option("--out", "out_path", default="report.jsonl")
 def cmd_infer(store_path: str, corpus_path: str, min_confidence: float, out_path: str) -> None:
     """Apply a constraint store to a corpus; writes a detection report
@@ -317,7 +330,7 @@ def cmd_infer(store_path: str, corpus_path: str, min_confidence: float, out_path
 
 @cli.command("inject")
 @click.option("--corpus", "corpus_path", required=True)
-@click.option("--rate", type=float, default=0.1)
+@click.option("--rate", type=click.FloatRange(0, 1), default=0.1, callback=_not_nan)
 @click.option("--seed", type=int, default=0)
 @click.option("--truth", "truth_path", default=None, help="existing ground truth to extend")
 @click.option("--out", "out_path", required=True)
@@ -342,8 +355,9 @@ def cmd_inject(corpus_path: str, rate: float, seed: int, truth_path: Optional[st
 
 @cli.command("bench")
 @click.option("--config", "config_path", required=True)
-@click.option("--heldout", type=int, default=200, help="held-out column count")
-@click.option("--rate", type=float, default=0.1, help="error injection rate")
+@click.option("--heldout", type=click.IntRange(0), default=200, help="held-out column count")
+@click.option("--rate", type=click.FloatRange(0, 1), default=0.1,
+              callback=_not_nan, help="error injection rate")
 @click.option("--out-dir", default=None)
 def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str]) -> None:
     """End-to-end benchmark: split, learn, select, inject errors into
@@ -405,7 +419,7 @@ def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str
 
 
 @cli.command("make-demo-data")
-@click.option("--columns", type=int, default=800)
+@click.option("--columns", type=click.IntRange(0), default=800)
 @click.option("--seed", type=int, default=0)
 @click.option("--out-dir", required=True)
 def cmd_make_demo_data(columns: int, seed: int, out_dir: str) -> None:

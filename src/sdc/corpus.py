@@ -4,13 +4,12 @@ A corpus is a bag of independent table columns. Each column has a
 unique id, an optional header, and an ordered list of raw string
 values. Columns are immutable after load.
 
-The JSONL reader codes every cell as it reads it: a ``CellTable`` holds
-the distinct raw values once, in first-seen order, and each cell's
-position among them. A corpus read from JSONL keeps that table and
-builds its ``Column``s only when asked for them, so ``ValueIndex`` (and
-with it ``sdc infer``) normalizes and interns once per distinct raw
-value and never builds a ``Column``.
-"""
+A ``Corpus`` is coded: it holds the distinct raw values once, in
+first-seen order, and each cell's position among them. The JSONL reader
+codes every cell as it reads it, and ``take`` (behind the numeric filter
+and the held-out split) keeps a subset of columns on their codes, so
+``ValueIndex`` normalizes and interns once per distinct raw value and
+neither ``sdc gen`` nor ``sdc infer`` builds a ``Column``."""
 
 from __future__ import annotations
 
@@ -67,54 +66,66 @@ class Column:
         return len(self.values)
 
 
-def _dense_codes(first: dict, pos: array, dtype: np.dtype) -> tuple[list, np.ndarray]:
-    """Given ``first``, each distinct key's position at its first
-    occurrence (``dict.setdefault`` with a running count), and ``pos``,
-    every key's such position in a typed buffer: the distinct keys in
-    first-seen order and each key's position among them, as ``dtype``.
-    One scatter makes the positions dense, with no sort; ``first`` is
-    emptied before the per-key arrays are made."""
-    starts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    keys = list(first)
-    first.clear()
-    dense = np.empty(len(pos), dtype=dtype)
-    dense[starts] = np.arange(len(starts), dtype=dtype)
-    return keys, dense[np.frombuffer(pos, dtype=np.intp)]
-
-
-def distinct_rows(keys: Iterable[Hashable]) -> tuple[list, np.ndarray]:
-    """The distinct ``keys`` in first-seen order, and each key's
-    position (``intp``) among them."""
+def distinct_rows(keys: Iterable[Hashable], narrow: bool = False) -> tuple[list, np.ndarray]:
+    """The distinct ``keys`` in first-seen order, and each key's position
+    among them: ``intp``, or with ``narrow`` the narrowest unsigned type
+    that holds them. Each key gets its first occurrence's running
+    position by one C-level ``dict.setdefault``, and one scatter makes
+    the positions dense, with no sort."""
     first: dict = {}
     pos = array(np.dtype(np.intp).char)
     pos.extend(map(first.setdefault, keys, itertools.count()))
-    return _dense_codes(first, pos, np.dtype(np.intp))
+    starts = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    distinct = list(first)
+    first.clear()
+    # Narrow codes suit a corpus, which keeps them beside its index's own.
+    dtype = np.min_scalar_type(max(len(distinct) - 1, 0)) if narrow else np.dtype(np.intp)
+    dense = np.empty(len(pos), dtype=dtype)
+    dense[starts] = np.arange(len(starts), dtype=dtype)
+    return distinct, dense[np.frombuffer(pos, dtype=np.intp)]
 
 
-@dataclass(frozen=True, eq=False)
-class CellTable:
-    """Columns as codes into their distinct raw values.
+class Corpus:
+    """An ordered collection of table columns, coded.
 
-    ``raw`` lists the distinct raw values in first-seen order, each the
-    string of its first cell. ``raw_codes``, of the narrowest unsigned
-    integer type that holds them, gives each cell's position in ``raw``,
-    column after column; column ``j``, with id ``ids[j]`` and header
-    ``headers[j]``, owns cells ``offsets[j]:offsets[j + 1]``."""
+    ``ids`` and ``headers`` give each column's id and header. ``raw``
+    lists the distinct raw values in first-seen order, each the string
+    of its first cell; ``raw_codes``, of the narrowest unsigned type that
+    holds them, gives each cell's position in ``raw``, column after
+    column, and column ``j`` owns cells ``offsets[j]:offsets[j + 1]``.
+    The JSONL reader and ``take`` make a corpus from codes, and it builds
+    its ``Column``s only when asked; a corpus made from ``Column``s codes
+    them on first use, as the reader would."""
 
-    ids: list[str]
-    headers: list[Optional[str]]
-    raw: list[str]
-    raw_codes: np.ndarray
-    offsets: np.ndarray
+    def __init__(self, columns: Iterable[Column] = ()) -> None:
+        self.columns = list(columns)
+        # len(), and with it list()'s length hint, codes nothing.
+        self.ids = [col.id for col in self.columns]
 
-    @classmethod
-    def of(cls, columns: Iterable[Column]) -> CellTable:
-        """The table of ``columns``, coded as the JSONL reader codes them."""
-        builder = _CellTableBuilder()
-        for col in columns:
-            builder.add(col.id, col.values, col.header)
-        return builder.finish()
+    def __getattr__(self, name: str) -> Any:
+        # Reached only by a corpus made from columns, before it is coded.
+        if name not in ("headers", "raw", "raw_codes", "offsets"):
+            raise AttributeError(name)
+        self._code((col.id, col.values, col.header) for col in self.columns)
+        return getattr(self, name)
 
+    def _code(self, columns: Iterable[tuple[str, Sequence[str], Optional[str]]]) -> Corpus:
+        """Code ``columns``, (id, values, header) triples, in one pass."""
+        self.ids, self.headers, lengths = [], [], array(np.dtype(np.intp).char)
+
+        def values(column: tuple[str, Sequence[str], Optional[str]]) -> Sequence[str]:
+            self.ids.append(column[0])
+            self.headers.append(column[2])
+            lengths.append(len(column[1]))
+            return column[1]
+
+        self.raw, self.raw_codes = distinct_rows(
+            itertools.chain.from_iterable(map(values, columns)), narrow=True)
+        self.offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(np.frombuffer(lengths, dtype=np.intp), out=self.offsets[1:])
+        return self
+
+    @cached_property
     def columns(self) -> list[Column]:
         """Each column as a ``Column``; equal raw values are one object."""
         cells = list(map(self.raw.__getitem__, self.raw_codes.tolist()))
@@ -122,55 +133,29 @@ class CellTable:
         return [Column(id=cid, values=tuple(cells[lo:hi]), header=header)
                 for cid, header, lo, hi in zip(self.ids, self.headers, bounds, bounds[1:])]
 
-
-class _CellTableBuilder:
-    """A ``CellTable`` built column by column; each cell gets the
-    running position of its raw value's first occurrence, one C-level
-    ``dict.setdefault`` per cell."""
-
-    def __init__(self) -> None:
-        self._first: dict[str, int] = {}
-        self._count = itertools.count()
-        self._pos = array(np.dtype(np.intp).char)
-        self._ids: list[str] = []
-        self._headers: list[Optional[str]] = []
-        self._lengths = array(np.dtype(np.intp).char)
-
-    def add(self, column_id: str, values: Sequence[str], header: Optional[str]) -> None:
-        self._pos.extend(map(self._first.setdefault, values, self._count))
-        self._ids.append(column_id)
-        self._headers.append(header)
-        self._lengths.append(len(values))
-
-    def finish(self) -> CellTable:
-        # The narrowest codes that fit: a cell's code is kept for as long
-        # as the table, beside the index's own.
-        raw, raw_codes = _dense_codes(self._first, self._pos,
-                                      np.min_scalar_type(max(len(self._first) - 1, 0)))
-        offsets = np.zeros(len(self._lengths) + 1, dtype=np.intp)
-        np.cumsum(np.frombuffer(self._lengths, dtype=np.intp), out=offsets[1:])
-        return CellTable(self._ids, self._headers, raw, raw_codes, offsets)
-
-
-class Corpus:
-    """An ordered collection of columns. A corpus read from JSONL keeps
-    its ``CellTable`` as ``cells`` and builds its ``Column``s on first
-    use; one made from columns has no table."""
-
-    def __init__(self, columns: Iterable[Column] = (), cells: Optional[CellTable] = None) -> None:
-        self.cells = cells
-        if cells is None:
-            self.columns = list(columns)
-
-    @cached_property
-    def columns(self) -> list[Column]:
-        return self.cells.columns()
+    def take(self, positions: Sequence[int]) -> Corpus:
+        """The columns at ``positions``, in that order, coded as the
+        reader codes them alone: the kept raw values are renumbered in
+        first-seen order, so every value order downstream is the one the
+        same ``Column``s give."""
+        pos = np.asarray(positions, dtype=np.intp)
+        lengths = np.diff(self.offsets)[pos]
+        taken = Corpus.__new__(Corpus)
+        taken.ids = [self.ids[j] for j in pos.tolist()]
+        taken.headers = [self.headers[j] for j in pos.tolist()]
+        taken.offsets = np.zeros(len(pos) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=taken.offsets[1:])
+        cells = np.arange(taken.offsets[-1])
+        cells += np.repeat(self.offsets[pos] - taken.offsets[:-1], lengths)
+        kept, taken.raw_codes = distinct_rows(self.raw_codes[cells].tolist(), narrow=True)
+        taken.raw = list(map(self.raw.__getitem__, kept))
+        return taken
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Corpus) and self.columns == other.columns
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Column]:
         return iter(self.columns)
@@ -178,15 +163,11 @@ class Corpus:
     def __getitem__(self, i: int) -> Column:
         return self.columns[i]
 
-    def ids(self) -> list[str]:
-        return [c.id for c in self.columns]
-
 
 def _load_jsonl(path: str) -> Corpus:
-    builder = _CellTableBuilder()
     ids: set[str] = set()
 
-    def column(rec: dict) -> None:
+    def column(rec: dict) -> tuple[str, list[str], Optional[str]]:
         if "id" not in rec or not isinstance(rec["id"], str):
             raise DataFormatError("missing or non-string 'id'")
         values = rec.get("values")
@@ -201,12 +182,13 @@ def _load_jsonl(path: str) -> Corpus:
         if rec["id"] in ids:
             raise DataFormatError(f"duplicate column id {rec['id']!r}")
         ids.add(rec["id"])
-        builder.add(rec["id"], values, header)
+        return rec["id"], values, header
 
     # Writers may put a metadata object first; skip anything that
-    # declares a kind and carries no values.
-    read_records(path, column, lambda rec: "kind" in rec and "values" not in rec)
-    return Corpus(cells=builder.finish())
+    # declares a kind and carries no values. Each line is coded as it
+    # is read.
+    return Corpus.__new__(Corpus)._code(
+        iter_records(path, column, lambda rec: "kind" in rec and "values" not in rec))
 
 
 def _load_csv_dir(path: str) -> Corpus:
@@ -272,14 +254,13 @@ def read_json(path: str, what: str) -> dict:
     return data
 
 
-def read_records(path: str, parse: Callable[[dict], Any],
-                 skip: Optional[Callable[[dict], bool]] = None) -> list:
+def iter_records(path: str, parse: Callable[[dict], Any],
+                 skip: Optional[Callable[[dict], bool]] = None) -> Iterator:
     """``parse(rec)`` for each JSON object on a non-blank line of a UTF-8
     file, in file order, but for the objects ``skip`` passes over. A line
     that is not a JSON object, or whose ``parse`` raises ``KeyError``,
     ``TypeError``, ``ValueError`` or ``DataFormatError``, is a
     ``DataFormatError`` that names the file and the line."""
-    out = []
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
@@ -288,14 +269,19 @@ def read_records(path: str, parse: Callable[[dict], Any],
             if not isinstance(rec, dict):
                 raise DataFormatError(f"expected an object, got {type(rec).__name__}")
             if skip is None or not skip(rec):
-                out.append(parse(rec))
+                yield parse(rec)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
         except DataFormatError as exc:
             raise DataFormatError(f"{path} line {lineno}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path} line {lineno}: bad record ({exc!r})") from exc
-    return out
+
+
+def read_records(path: str, parse: Callable[[dict], Any],
+                 skip: Optional[Callable[[dict], bool]] = None) -> list:
+    """``iter_records``' results as a list."""
+    return list(iter_records(path, parse, skip))
 
 
 def write_json(path: str, data: dict) -> None:
@@ -328,10 +314,9 @@ def sample_columns(corpus: Corpus, n: int, seed: int) -> tuple[Corpus, Corpus]:
     if n < 0 or n > len(corpus):
         raise ValueError(f"n={n} out of range for corpus of {len(corpus)} columns")
     rng = random.Random(seed)
-    held_idx = set(rng.sample(range(len(corpus)), n))
-    heldout = [c for i, c in enumerate(corpus) if i in held_idx]
-    train = [c for i, c in enumerate(corpus) if i not in held_idx]
-    return Corpus(train), Corpus(heldout)
+    held = np.zeros(len(corpus), dtype=bool)
+    held[rng.sample(range(len(corpus)), n)] = True
+    return corpus.take(np.flatnonzero(~held)), corpus.take(np.flatnonzero(held))
 
 
 # Donor draws per transplant before the transplant is skipped.
@@ -371,15 +356,13 @@ def parses_as_number(value: str) -> bool:
         return False
 
 
-def is_numeric_dominant(column: Column, threshold: float = 0.9) -> bool:
-    """True when at least ``threshold`` of the values parse as numbers."""
-    hits = sum(1 for v in column.values if parses_as_number(v))
-    return hits >= threshold * len(column.values)
-
-
 def filter_columns(corpus: Corpus, skip_numeric: bool = True) -> Corpus:
-    """Drop numeric-dominant columns (on by default for training;
-    purely numeric columns are out of scope for semantic domains)."""
+    """Drop numeric-dominant columns, where at least 90% of the values
+    parse as numbers (on by default for training; purely numeric columns
+    are out of scope for semantic domains). Each distinct raw value is
+    parsed once."""
     if not skip_numeric:
         return corpus
-    return Corpus([c for c in corpus if not is_numeric_dominant(c)])
+    numeric = np.fromiter(map(parses_as_number, corpus.raw), dtype=bool, count=len(corpus.raw))
+    hits = np.add.reduceat(numeric[corpus.raw_codes], corpus.offsets[:-1], dtype=np.intp)
+    return corpus.take(np.flatnonzero(hits < 0.9 * np.diff(corpus.offsets)))

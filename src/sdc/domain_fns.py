@@ -62,7 +62,6 @@ from urllib.parse import urlparse
 import numpy as np
 
 from .corpus import (
-    CellTable,
     Column,
     Corpus,
     distinct_rows,
@@ -766,16 +765,16 @@ def _fn_from_manifest(entry: dict, reg: Registry) -> DomainEvalFn:
 class ValueIndex:
     """The normalized values of a sequence of columns, interned once.
 
-    The index reads the columns' ``CellTable`` (``cells``): a corpus read
-    from JSONL brings its own, and other columns are coded the same way
-    here. Normalization and interning then run once per distinct raw
-    value, never per cell. ``values`` lists the distinct normalized
-    values in first-seen order; a value that normalization leaves
-    unchanged is the cell's own string. ``codes`` (``intp``) gives each
-    cell's position in ``values``, column after column, and column ``j``
-    (id ``ids[j]``) owns cells ``offsets[j]:offsets[j + 1]``; a cell's
-    raw value is ``cells.raw[cells.raw_codes[cell]]``. Iterating yields
-    the ``Column``s, which a JSONL corpus builds only then.
+    The index reads the coded ``Corpus`` of the columns (``corpus``; other
+    columns are made one here), so normalization and interning run once
+    per distinct raw value, never per cell. ``values`` lists the distinct
+    normalized values in first-seen order; a value that normalization
+    leaves unchanged is the cell's own string. ``codes`` (``intp``) gives
+    each cell's position in ``values``, column after column, and column
+    ``j`` (id ``ids[j]``) owns cells ``offsets[j]:offsets[j + 1]``; a
+    cell's raw value is ``corpus.raw[corpus.raw_codes[cell]]``. Iterating
+    yields the corpus's ``Column``s, which a coded corpus builds only
+    then.
 
     A function is evaluated once per distinct value, family by family as
     the module docstring describes; what a family shares (a space's
@@ -787,14 +786,12 @@ class ValueIndex:
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.corpus = columns if isinstance(columns, Corpus) else Corpus(columns)
-        cells = self.corpus.cells
-        self.cells = CellTable.of(self.corpus.columns) if cells is None else cells
         # Normalization is a function of the raw value, so the raw codes
         # map onto the normalized ones.
-        self.values, norm_code = distinct_rows(map(normalize_raw, self.cells.raw))
-        self.codes = norm_code[self.cells.raw_codes]
-        self.ids = self.cells.ids
-        self.offsets = self.cells.offsets
+        self.values, norm_code = distinct_rows(map(normalize_raw, self.corpus.raw))
+        self.codes = norm_code[self.corpus.raw_codes]
+        self.ids = self.corpus.ids
+        self.offsets = self.corpus.offsets
         self.lengths = np.diff(self.offsets)
         self._spaces: dict[int, tuple[EmbeddingSpace, np.ndarray, np.ndarray]] = {}
         self._shapes: Optional[tuple[dict[str, int], np.ndarray]] = None

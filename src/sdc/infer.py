@@ -118,10 +118,10 @@ def detect_corpus(
     # Winners come in cell order; a stable sort puts each column's in
     # descending confidence, ties in cell order.
     winners = sorted(zip(col.tolist(), (cell - index.offsets[col]).tolist(),
-                         index.cells.raw_codes[cell].tolist(), who[win].tolist(),
+                         index.corpus.raw_codes[cell].tolist(), who[win].tolist(),
                          dist[win].tolist()),
                      key=lambda w: (w[0], -conf[w[3]]))
-    raw = index.cells.raw
+    raw = index.corpus.raw
     out: list[Detection] = []
     for j, idx, code, i, d in winners:
         sdc, value = sdcs[i], raw[code]

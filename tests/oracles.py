@@ -8,7 +8,8 @@ rather than in ``sdc`` because only tests call it:
 - generalization of a value one regex match per token, and pattern
   inference that generalizes every cell twice;
 - value interning by one list comprehension over every cell's
-  normalized value;
+  normalized value, the numeric-column test one parse per cell, and
+  the held-out split by a membership test per column;
 - the pre-condition counts as a dense (cells x radii) mask summed per
   column;
 - cell-by-cell checks of the pre- and post-condition, the contingency
@@ -59,7 +60,7 @@ from sdc.assess import (
     wilson_lower_confidence,
 )
 from sdc.candidates import Candidate, Sdc, candidate_id
-from sdc.corpus import Column, Corpus
+from sdc.corpus import Column, Corpus, parses_as_number
 from sdc.domain_fns import _DATE_FORMATS, DomainEvalFn, Registry
 from sdc.errors import DataFormatError
 from sdc.evaluation import _FINITE_CAP, GroundTruth, PrPoint, total_errors
@@ -174,6 +175,24 @@ def survivor(
 def corpus_from_lists(values_by_id: dict[str, Iterable[str]]) -> Corpus:
     """A corpus with one column per id, in the dict's order."""
     return Corpus([Column(id=k, values=tuple(v)) for k, v in values_by_id.items()])
+
+
+def is_numeric_dominant(column: Column, threshold: float = 0.9) -> bool:
+    """True when at least ``threshold`` of the values parse as numbers,
+    one parse per cell. The reference for ``sdc.corpus.filter_columns``
+    (it drops exactly these columns at 0.9)."""
+    hits = sum(1 for v in column.values if parses_as_number(v))
+    return hits >= threshold * len(column.values)
+
+
+def sample_columns_loop(
+    columns: Sequence[Column], n: int, seed: int
+) -> tuple[list[Column], list[Column]]:
+    """The held-out split by a membership test per column. The reference
+    for ``sdc.corpus.sample_columns`` (train, then held out)."""
+    held = set(random.Random(seed).sample(range(len(columns)), n))
+    return ([c for i, c in enumerate(columns) if i not in held],
+            [c for i, c in enumerate(columns) if i in held])
 
 
 def generate_random_string_corpus(n_columns: int, seed: int = 0) -> Corpus:

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from sdc.cli import MAX_RANDOM_HASHES, PipelineConfig, cli, main
-from sdc.corpus import filter_columns, load_corpus, save_corpus
+from sdc.corpus import Column, filter_columns, load_corpus, save_corpus
 from sdc.errors import DataFormatError
 from sdc.evaluation import load_truth, total_errors
 from sdc.select import read_store
@@ -293,11 +293,11 @@ def test_inject_outputs(demo, injected):
     clean = load_corpus(str(demo["data"] / "corpus.jsonl"))
     dirty = load_corpus(str(injected["dirty"]))
     truth = load_truth(str(injected["truth"]))
-    assert dirty.ids() == clean.ids()
+    assert dirty.ids == clean.ids
     # one injected cell in each of floor(rate * n) columns
     assert total_errors(truth) == int(0.2 * len(clean))
     changed = [
-        cid for cid in clean.ids()
+        cid for cid in clean.ids
         if column_by_id(clean, cid).values != column_by_id(dirty, cid).values
     ]
     assert set(changed) == set(truth)
@@ -314,7 +314,7 @@ def test_infer_runs_and_is_worker_invariant(demo, pipeline, injected):
     assert rc == 0
     assert read_bytes(rep1) == read_bytes(rep4)
     report = load_report(str(rep1))
-    corpus_ids = set(load_corpus(str(injected["dirty"])).ids())
+    corpus_ids = set(load_corpus(str(injected["dirty"])).ids)
     assert all(d.column_id in corpus_ids for d in report)
 
 
@@ -342,7 +342,7 @@ def test_inject_reads_csv_directory(tmp_path):
               "--out", str(dirty), "--truth-out", str(truth)])
     assert rc == 0
     clean = load_corpus(str(tables))
-    assert load_corpus(str(dirty)).ids() == clean.ids() == ["a.csv:0", "a.csv:1", "b.csv:0"]
+    assert load_corpus(str(dirty)).ids == clean.ids == ["a.csv:0", "a.csv:1", "b.csv:0"]
     assert total_errors(load_truth(str(truth))) > 0
 
 
@@ -408,6 +408,57 @@ def test_unknown_command_is_usage_error():
 
 def test_missing_required_option_is_usage_error():
     assert run(["gen"]) == 1
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("inject", "--rate", "1.5"),
+    ("inject", "--rate", "-0.1"),
+    ("inject", "--rate", "nan"),
+    ("bench", "--rate", "3"),
+    ("bench", "--rate", "nan"),
+    ("bench", "--heldout", "-3"),
+    ("infer", "--min-confidence", "nan"),
+    ("infer", "--min-confidence", "1.5"),
+    ("make-demo-data", "--columns", "-2"),
+])
+def test_out_of_range_option_is_usage_error(command, option, value, demo, pipeline, tmp_path,
+                                            capsys):
+    # Every other option is valid, so only the out-of-range value fails.
+    corpus = str(demo["data"] / "corpus.jsonl")
+    argv = {
+        "inject": ["--corpus", corpus, "--out", str(tmp_path / "dirty.jsonl"),
+                   "--truth-out", str(tmp_path / "truth.json")],
+        "bench": ["--config", str(demo["config"]), "--out-dir", str(tmp_path)],
+        "infer": ["--rules", str(pipeline / "store.json"), "--corpus", corpus,
+                  "--out", str(tmp_path / "report.jsonl")],
+        "make-demo-data": ["--out-dir", str(tmp_path / "data")],
+    }[command]
+    assert run([command, *argv, option, value]) == 1
+    assert f"Invalid value for '{option}'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_too_many_centroids_is_data_error(demo, capsys):
+    (demo["data"] / "few-words.jsonl").write_text(
+        '{"id": "a", "values": ["apple", "qqq"]}\n{"id": "b", "values": ["zzz", "qqq"]}\n')
+    config = config_copy(demo, "too-many-centroids", paths={
+        "corpus": "few-words.jsonl",
+        "embeddings": [{"space_id": "toy", "path": "toy-space.txt", "centroids": 30}]})
+    assert run(["gen", "--config", str(config), "--out-dir", str(demo["root"] / "few")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: embedding space 'toy'")
+    assert "has 1 values, cannot sample 30" in err
+
+
+def test_gen_builds_no_column(demo, tmp_path, monkeypatch):
+    # gen keeps the reader's codes from the JSONL file to the rules: the
+    # numeric filter, the index, the registry and screening build no
+    # Column, and no cell is coded twice.
+    built = []
+    monkeypatch.setattr(Column, "__post_init__", lambda col: built.append(col.id))
+    assert run(["gen", "--config", str(demo["config"]), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "rules.jsonl").exists()
+    assert built == []
 
 
 def test_unreadable_config_is_data_error(tmp_path):

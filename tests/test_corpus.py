@@ -13,7 +13,6 @@ from sdc.corpus import (
     Column,
     Corpus,
     filter_columns,
-    is_numeric_dominant,
     load_corpus,
     normalize_raw,
     parses_as_number,
@@ -91,7 +90,7 @@ class TestCorpus:
     def test_lookup_and_iteration(self):
         corpus = corpus_from_lists({"a": ["1"], "b": ["2"]})
         assert len(corpus) == 2
-        assert corpus.ids() == ["a", "b"]
+        assert corpus.ids == ["a", "b"]
         assert corpus[1].values == ("2",)
         assert [col.id for col in corpus] == ["a", "b"]
 
@@ -111,7 +110,7 @@ class TestJsonlRoundTrip:
             json.dumps({"id": "a", "values": ["x"]}),
         ]
         path.write_text("\n".join(lines) + "\n")
-        assert load_corpus(str(path)).ids() == ["a"]
+        assert load_corpus(str(path)).ids == ["a"]
 
     def test_header_preserved(self, tmp_path):
         corpus = Corpus([Column(id="a", values=("x",), header="City")])
@@ -262,10 +261,10 @@ class TestReaderCodes:
         assert index.values == values
         assert index.codes.dtype == np.intp and index.codes.tolist() == codes
         assert index.ids == [col.id for col in columns]
-        assert index.cells.headers == [col.header for col in columns]
+        assert index.corpus.headers == [col.header for col in columns]
         assert index.lengths.tolist() == [len(col) for col in columns]
         cells = [v for col in columns for v in col.values]
-        assert [index.cells.raw[c] for c in index.cells.raw_codes.tolist()] == cells
+        assert [index.corpus.raw[c] for c in index.corpus.raw_codes.tolist()] == cells
         # The Columns, built only now, share the table's strings: equal raw
         # values are one object, and a normalized value whose first cell
         # normalization leaves unchanged is that cell's own string.
@@ -293,6 +292,96 @@ class TestReaderCodes:
         reg = reader_registry()
         got = detect_corpus(compile_ruleset(sdcs), ValueIndex(read_back(columns, False)), reg)
         assert got == [d for col in columns for d in detect_errors_naive(sdcs, col, reg)]
+
+
+# Cells for the numeric filter: numbers as parses_as_number reads them
+# (signs, exponents, padding, leading zeros, non-ASCII digits) and
+# strings it refuses though float() takes some of them.
+NUMBER_CELLS = ["3", "-4", "+4.5", ".5", "6e-3", "1E+4", " 7 ", "007", "\t12\n", "٣٤", "１２"]
+WORD_CELLS = ["nan", "NaN", "inf", "-Infinity", "1e400", "1,000", "v2", "", "Red", " red", "RED\t"]
+
+
+def ninety_percent(numbers: list[str], word: str, at: int) -> list[str]:
+    return numbers[:at] + [word] + numbers[at:]
+
+
+FILTER_COLUMNS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.lists(st.sampled_from(NUMBER_CELLS + WORD_CELLS) | RAW_CELL, min_size=1, max_size=12),
+            # Exactly 90% numbers: the filter drops these.
+            st.builds(ninety_percent, st.lists(st.sampled_from(NUMBER_CELLS), min_size=9,
+                                               max_size=9),
+                      st.sampled_from(WORD_CELLS), st.integers(0, 9)),
+        ),
+        st.none() | st.sampled_from(["", "n"]),
+    ),
+    max_size=6,
+)
+
+
+def assert_index_of(index: ValueIndex, columns: list[Column]) -> None:
+    """``index`` equals the index of ``columns`` made directly."""
+    direct = ValueIndex(columns)
+    assert index.values == direct.values
+    assert index.codes.tolist() == direct.codes.tolist()
+    assert index.ids == direct.ids == [col.id for col in columns]
+    assert index.corpus.headers == [col.header for col in columns]
+    assert index.offsets.tolist() == direct.offsets.tolist()
+    assert index.corpus.raw == direct.corpus.raw
+    assert index.corpus.raw_codes.dtype == direct.corpus.raw_codes.dtype
+    cells = [v for col in columns for v in col.values]
+    assert [index.corpus.raw[c] for c in index.corpus.raw_codes.tolist()] == cells
+
+
+class TestCodedCorpus:
+    """The numeric filter and the held-out split keep columns on their
+    codes (``Corpus.take``); what they keep must equal the per-cell
+    references, and its index the index of the same ``Column``s."""
+
+    @given(FILTER_COLUMNS, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example([], False)
+    @example([(["1"], None)], False)
+    @example([(["1", "2", "3", "4", "5", "6", "7", "8", "9", "x"], "n"), (["x"], None)], True)
+    def test_filter_keeps_what_the_reference_keeps(self, records, ensure_ascii):
+        columns = as_columns(records)
+        expected = [col for col in columns if not oracles.is_numeric_dominant(col)]
+        for corpus in (read_back(columns, ensure_ascii), Corpus(columns)):
+            kept = filter_columns(corpus)
+            assert "columns" not in vars(kept)
+            assert kept.columns == expected
+            assert_index_of(ValueIndex(kept), expected)
+
+    def test_columns_are_coded_on_first_use(self):
+        # A corpus made from columns is coded only when its codes are
+        # read: its length, iteration and list() leave it uncoded.
+        columns = as_columns([(["Red", "red"], "a"), (["blue"], None)])
+        corpus = Corpus(columns)
+        assert len(corpus) == 2 and list(corpus) == columns and corpus.ids == ["c0", "c1"]
+        assert "raw" not in vars(corpus)
+        assert corpus.headers == ["a", None] and corpus.raw == ["Red", "red", "blue"]
+        assert corpus.raw_codes.tolist() == [0, 1, 2] and corpus.offsets.tolist() == [0, 2, 3]
+
+    @given(READER_COLUMNS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_index_of_a_taken_corpus_equals_the_index_of_its_columns(self, records, data):
+        columns = as_columns(records)
+        positions = data.draw(st.lists(st.sampled_from(range(len(columns))), unique=True)
+                              if columns else st.just([]))
+        taken = read_back(columns, False).take(positions)
+        assert_index_of(ValueIndex(taken), [columns[j] for j in positions])
+
+    @given(FILTER_COLUMNS, st.data(), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_split_equals_the_loop(self, records, data, seed):
+        columns = as_columns(records)
+        n = data.draw(st.integers(0, len(columns)))
+        train, held = sample_columns(read_back(columns, False), n, seed)
+        ref_train, ref_held = oracles.sample_columns_loop(columns, n, seed)
+        assert train.columns == ref_train and held.columns == ref_held
+        assert_index_of(ValueIndex(train), ref_train)
+        assert_index_of(ValueIndex(held), ref_held)
 
 
 class TestJsonReaders:
@@ -354,7 +443,7 @@ class TestCsvDir:
         (tmp_path / "a.csv").write_text('x,"y,z"\nu,v\n')
         corpus = load_corpus(str(tmp_path))
         # sorted file order, then column index
-        assert corpus.ids() == ["a.csv:0", "a.csv:1", "b.csv:0", "b.csv:1"]
+        assert corpus.ids == ["a.csv:0", "a.csv:1", "b.csv:0", "b.csv:1"]
         assert column_by_id(corpus, "a.csv:1").values == ("y,z", "v")
 
     def test_first_row_holds_values(self, tmp_path):
@@ -375,18 +464,18 @@ class TestSampleColumns:
         corpus = corpus_from_lists({f"c{i}": [str(i)] for i in range(30)})
         train, held = sample_columns(corpus, 10, seed=5)
         assert len(train) == 20 and len(held) == 10
-        assert set(train.ids()) | set(held.ids()) == set(corpus.ids())
-        assert set(train.ids()) & set(held.ids()) == set()
+        assert set(train.ids) | set(held.ids) == set(corpus.ids)
+        assert set(train.ids) & set(held.ids) == set()
         # both preserve corpus order
-        order = {cid: i for i, cid in enumerate(corpus.ids())}
-        assert train.ids() == sorted(train.ids(), key=order.get)
-        assert held.ids() == sorted(held.ids(), key=order.get)
+        order = {cid: i for i, cid in enumerate(corpus.ids)}
+        assert train.ids == sorted(train.ids, key=order.get)
+        assert held.ids == sorted(held.ids, key=order.get)
 
     def test_deterministic(self):
         corpus = corpus_from_lists({f"c{i}": [str(i)] for i in range(30)})
-        a = sample_columns(corpus, 7, seed=1)[1].ids()
-        b = sample_columns(corpus, 7, seed=1)[1].ids()
-        c = sample_columns(corpus, 7, seed=2)[1].ids()
+        a = sample_columns(corpus, 7, seed=1)[1].ids
+        b = sample_columns(corpus, 7, seed=1)[1].ids
+        c = sample_columns(corpus, 7, seed=2)[1].ids
         assert a == b
         assert a != c
 
@@ -413,13 +502,13 @@ class TestNumericFiltering:
 
     def test_dominance_threshold(self):
         col = Column(id="c", values=("1", "2", "3", "4", "5", "6", "7", "8", "9", "x"))
-        assert is_numeric_dominant(col, threshold=0.9)
-        assert not is_numeric_dominant(col, threshold=0.95)
+        assert oracles.is_numeric_dominant(col, threshold=0.9)
+        assert not oracles.is_numeric_dominant(col, threshold=0.95)
 
     def test_filter(self):
         corpus = corpus_from_lists(
             {"num": ["1", "2", "3"], "mixed": ["1", "a", "b"], "words": ["a", "b"]}
         )
         kept = filter_columns(corpus)
-        assert kept.ids() == ["mixed", "words"]
-        assert filter_columns(corpus, skip_numeric=False).ids() == corpus.ids()
+        assert kept.ids == ["mixed", "words"]
+        assert filter_columns(corpus, skip_numeric=False).ids == corpus.ids
