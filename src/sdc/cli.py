@@ -1,4 +1,4 @@
-"""Command-line pipeline: gen, select, infer, inject, bench.
+"""Command-line pipeline: gen, select, infer, inject, bench, make-demo-data.
 
 All stages are driven by one JSON config file; every output embeds a
 hash of that config for provenance. Identical config produces
@@ -9,6 +9,9 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 internal.
 
 from __future__ import annotations
 
+import argparse
+import atexit
+import gc
 import hashlib
 import json
 import math
@@ -16,9 +19,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
-
-import click
+from typing import Callable, Optional
 
 from .assess import AssessConfig, AssessedSdc, assess_all, load_assessed, save_assessed
 from .candidates import GridSpec, Sdc, dead_candidate_count, enumerate_candidates
@@ -48,13 +49,6 @@ from .synth import CandidateStats, SynthColumn, build_candidate_stats, build_syn
 
 # Bound on functions.random_hash_count; each hash is screened like any function.
 MAX_RANDOM_HASHES = 10_000
-
-
-def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    # click.FloatRange lets NaN through: every comparison with it is false.
-    if math.isnan(value):
-        raise click.BadParameter(f"{value!r} is not in the range 0<=x<=1.")
-    return value
 
 
 # The config's sections and list entries, each read by read_settings;
@@ -212,13 +206,126 @@ def _load_training_corpus(cfg: PipelineConfig) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Command line
+
+# At exit CPython would free every object left in a module one by one;
+# frozen objects are skipped, and the OS takes their memory back with the
+# process. Outputs are written in ``with`` blocks, and the interpreter
+# flushes stdout and stderr itself, so no output waits on a finalizer.
+atexit.register(gc.freeze)
 
 
-@click.group(name="sdc")
-def cli() -> None:
-    """Learn semantic-domain constraints from a corpus of table columns
-    and use them to flag erroneous cells."""
+class UsageError(Exception):
+    """A command line that names no command, an unknown option or a value
+    out of range; ``main`` prints it with the command's usage and exits 1."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str) -> None:
+        super().__init__(f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\n"
+                         f"Error: {message}")
+
+
+class _Formatter(argparse.HelpFormatter):
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with ``--help`` alone (no ``-h``), without abbreviated
+    options, and whose errors are ``UsageError`` rather than an exit with
+    code 2, the data-error code."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_Formatter, allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        raise UsageError(self, message)
+
+
+def _number(kind: type, low: float = -math.inf, high: float = math.inf) -> Callable[[str], float]:
+    """An option type: the text as ``kind`` (int or float) in [low, high];
+    NaN is out of every range."""
+    bounds = f"{low}<=x<={high}" if high < math.inf else f"x>={low}"
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid {kind.__name__}.") from None
+        if not low <= value <= high:
+            raise ValueError(f"{value} is not in the range {bounds}.")
+        return value
+
+    return convert
+
+
+class Option:
+    """One ``--name VALUE`` option: ``opts`` and ``kwargs`` are
+    ``add_argument``'s, and ``type`` turns the given text into the value,
+    raising ValueError with the reason."""
+
+    def __init__(self, *opts: str, type: Optional[Callable[[str], object]] = None,
+                 **kwargs) -> None:
+        self.opts, self.type, self.kwargs = opts, type, kwargs
+
+
+class Command:
+    """A command's function and its options."""
+
+    def __init__(self, run: Callable[..., None], params: tuple[Option, ...]) -> None:
+        self.run, self.params = run, params
+
+
+class Cli:
+    """The ``sdc`` command line: each command a function with its
+    options, parsed with argparse when ``main`` runs."""
+
+    def __init__(self, description: str) -> None:
+        self.description = description
+        self.commands: dict[str, Command] = {}
+
+    def command(self, name: str, *params: Option):
+        def register(run):
+            self.commands[name] = Command(run, params)
+            return run
+        return register
+
+    def parse(self, argv: list[str]) -> tuple[Command, dict]:
+        """The command ``argv`` names and its keyword arguments. Raises
+        UsageError, or SystemExit(0) once ``--help`` has printed."""
+        parser = _Parser(prog="sdc", description=self.description)
+        subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+        actions = {}
+        for name, command in self.commands.items():
+            doc = " ".join((command.run.__doc__ or "").split())
+            # The first clause stands for the command in ``sdc --help``.
+            sub = subparsers.add_parser(name, help=doc.split(". ")[0].split("; ")[0].rstrip("."),
+                                        description=doc)
+            actions[name] = [(option, sub.add_argument(*option.opts, **option.kwargs))
+                             for option in command.params]
+        args, extras = parser.parse_known_args(argv)
+        sub = subparsers.choices[args.command]
+        if extras:
+            raise UsageError(sub, f"No such option '{extras[0].split('=')[0]}'."
+                             if extras[0].startswith("-")
+                             else f"Got unexpected extra argument ({extras[0]})")
+        kwargs = {}
+        for option, action in actions[args.command]:
+            value = getattr(args, action.dest)
+            if option.type is not None and isinstance(value, str):  # given, not the default
+                try:
+                    value = option.type(value)
+                except ValueError as exc:
+                    raise UsageError(sub, f"Invalid value for '{option.opts[0]}': {exc}") from None
+            kwargs[action.dest] = value
+        return self.commands[args.command], kwargs
+
+
+cli = Cli("Learn semantic-domain constraints from a corpus of table columns "
+          "and use them to flag erroneous cells.")
+FRACTION = _number(float, 0, 1)
+COUNT = _number(int, 0)
+INTEGER = _number(int)
 
 
 def _common_out(cfg: PipelineConfig, out_dir: Optional[str]) -> str:
@@ -227,9 +334,9 @@ def _common_out(cfg: PipelineConfig, out_dir: Optional[str]) -> str:
     return out
 
 
-@cli.command("gen")
-@click.option("--config", "config_path", required=True, help="pipeline config JSON")
-@click.option("--out-dir", default=None, help="override config out_dir")
+@cli.command("gen",
+             Option("--config", dest="config_path", required=True, help="pipeline config JSON"),
+             Option("--out-dir", help="override config out_dir"))
 def cmd_gen(config_path: str, out_dir: Optional[str]) -> None:
     """Enumerate candidate constraints and keep the statistical
     survivors; writes rules.jsonl, registry.json and gen-stats.json."""
@@ -252,18 +359,18 @@ def cmd_gen(config_path: str, out_dir: Optional[str]) -> None:
             "surviving": len(assessed),
         },
     )
-    click.echo(
+    print(
         f"gen: {gate_counts.get('total', 0)} candidates -> {len(assessed)} constraints "
         f"({time.perf_counter() - t0:.1f}s)",
-        err=True,
+        file=sys.stderr,
     )
 
 
-@cli.command("select")
-@click.option("--config", "config_path", required=True)
-@click.option("--rules", "rules_path", default=None, help="rules.jsonl from gen (default: out_dir)")
-@click.option("--registry", "registry_path", default=None, help="registry.json from gen")
-@click.option("--out-dir", default=None)
+@cli.command("select",
+             Option("--config", dest="config_path", required=True),
+             Option("--rules", dest="rules_path", help="rules.jsonl from gen (default: out_dir)"),
+             Option("--registry", dest="registry_path", help="registry.json from gen"),
+             Option("--out-dir"))
 def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optional[str],
                out_dir: Optional[str]) -> None:
     """Pick a budgeted subset of the surviving constraints against a
@@ -298,21 +405,20 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
         config_hash=cfg.config_hash(),
     )
     idle = len(assessed) - sum(st.members for st in stats)
-    click.echo(
+    print(
         f"select: {len(assessed)} constraints -> {len(stats)} detection classes "
         f"({idle} detect nothing) -> {len(chosen)} selected "
         f"(LP objective {outcome.lp_objective:.1f} by {outcome.solution.method}, "
         f"sum FPR {outcome.sum_fpr:.4f})",
-        err=True,
+        file=sys.stderr,
     )
 
 
-@cli.command("infer")
-@click.option("--rules", "store_path", required=True, help="store.json from select")
-@click.option("--corpus", "corpus_path", required=True)
-@click.option("--min-confidence", type=click.FloatRange(0, 1), default=0.0,
-              callback=_not_nan)
-@click.option("--out", "out_path", default="report.jsonl")
+@cli.command("infer",
+             Option("--rules", dest="store_path", required=True, help="store.json from select"),
+             Option("--corpus", dest="corpus_path", required=True),
+             Option("--min-confidence", type=FRACTION, default=0.0),
+             Option("--out", dest="out_path", default="report.jsonl"))
 def cmd_infer(store_path: str, corpus_path: str, min_confidence: float, out_path: str) -> None:
     """Apply a constraint store to a corpus; writes a detection report
     (JSONL, one detection per line)."""
@@ -321,20 +427,20 @@ def cmd_infer(store_path: str, corpus_path: str, min_confidence: float, out_path
     ruleset = compile_ruleset(sdcs)
     report = detect_corpus(ruleset, index, registry, min_confidence)
     save_report(report, out_path, meta={"store": os.path.basename(store_path)})
-    click.echo(
+    print(
         f"infer: {len(report)} detections over {len(index)} columns, "
         f"{len(index.values)} distinct values",
-        err=True,
+        file=sys.stderr,
     )
 
 
-@cli.command("inject")
-@click.option("--corpus", "corpus_path", required=True)
-@click.option("--rate", type=click.FloatRange(0, 1), default=0.1, callback=_not_nan)
-@click.option("--seed", type=int, default=0)
-@click.option("--truth", "truth_path", default=None, help="existing ground truth to extend")
-@click.option("--out", "out_path", required=True)
-@click.option("--truth-out", "truth_out", required=True)
+@cli.command("inject",
+             Option("--corpus", dest="corpus_path", required=True),
+             Option("--rate", type=FRACTION, default=0.1),
+             Option("--seed", type=INTEGER, default=0),
+             Option("--truth", dest="truth_path", help="existing ground truth to extend"),
+             Option("--out", dest="out_path", required=True),
+             Option("--truth-out", required=True))
 def cmd_inject(corpus_path: str, rate: float, seed: int, truth_path: Optional[str],
                out_path: str, truth_out: str) -> None:
     """Transplant foreign values into a fraction of the columns and
@@ -346,19 +452,18 @@ def cmd_inject(corpus_path: str, rate: float, seed: int, truth_path: Optional[st
     dirty, new_truth = evaluation.inject_errors(corpus, truth, rate, seed)
     save_corpus(dirty, out_path)
     evaluation.save_truth(new_truth, truth_out)
-    click.echo(
+    print(
         f"inject: {evaluation.total_errors(new_truth) - evaluation.total_errors(truth)} "
         f"errors into {len(corpus)} columns",
-        err=True,
+        file=sys.stderr,
     )
 
 
-@cli.command("bench")
-@click.option("--config", "config_path", required=True)
-@click.option("--heldout", type=click.IntRange(0), default=200, help="held-out column count")
-@click.option("--rate", type=click.FloatRange(0, 1), default=0.1,
-              callback=_not_nan, help="error injection rate")
-@click.option("--out-dir", default=None)
+@cli.command("bench",
+             Option("--config", dest="config_path", required=True),
+             Option("--heldout", type=COUNT, default=200, help="held-out column count"),
+             Option("--rate", type=FRACTION, default=0.1, help="error injection rate"),
+             Option("--out-dir"))
 def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str]) -> None:
     """End-to-end benchmark: split, learn, select, inject errors into
     the held-out columns, detect, and score against z-score baselines.
@@ -411,17 +516,17 @@ def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str
                 meta={"config_hash": cfg.config_hash()})
     write_store(os.path.join(out, "bench-store.json"), chosen, registry,
                 selection=asdict(sel), config_hash=cfg.config_hash())
-    click.echo(
+    print(
         f"bench: PR-AUC {metrics['pr_auc']:.3f} vs best baseline {best_auc:.3f} "
         f"({time.perf_counter() - t0:.1f}s)",
-        err=True,
+        file=sys.stderr,
     )
 
 
-@cli.command("make-demo-data")
-@click.option("--columns", type=click.IntRange(0), default=800)
-@click.option("--seed", type=int, default=0)
-@click.option("--out-dir", required=True)
+@cli.command("make-demo-data",
+             Option("--columns", type=COUNT, default=800),
+             Option("--seed", type=INTEGER, default=0),
+             Option("--out-dir", required=True))
 def cmd_make_demo_data(columns: int, seed: int, out_dir: str) -> None:
     """Generate a synthetic typed corpus plus its embedding space and
     score tables (used by the demos and benchmark walkthroughs)."""
@@ -451,24 +556,28 @@ def cmd_make_demo_data(columns: int, seed: int, out_dir: str) -> None:
     }
     cfg_path = os.path.join(out_dir, "config.json")
     write_json(cfg_path, config)
-    click.echo(f"wrote {len(dataset.corpus)} columns and {cfg_path}", err=True)
+    print(f"wrote {len(dataset.corpus)} columns and {cfg_path}", file=sys.stderr)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-        return rv if isinstance(rv, int) else 0
-    except click.ClickException as exc:
-        exc.show()
+        command, kwargs = cli.parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
         return 1
+    except SystemExit as exc:  # --help has printed
+        return exc.code
+    try:
+        command.run(**kwargs)
+        return 0
     except DataFormatError as exc:
-        click.echo(f"data error: {exc}", err=True)
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SdcError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -5,6 +5,7 @@ files are exercised exactly as a shell user would see them. A small
 synthetic dataset is generated once per module and shared.
 """
 
+import gc
 import json
 import os
 import re
@@ -80,9 +81,10 @@ def fresh_env():
 def test_import_leaves_scipy_unloaded():
     # scipy is most of the start-up time, and only a selection whose
     # budget binds needs it; only inject, bench and make-demo-data need
-    # the evaluation and data-generation modules.
-    code = ("import sys, sdc.cli; "
-            "sys.exit(sum(m in sys.modules for m in ('scipy', 'sdc.evaluation', 'sdc.datagen')))")
+    # the evaluation and data-generation modules. The command line is
+    # parsed with argparse, so click is not imported at all.
+    code = ("import sys, sdc.cli; sys.exit(sum(m in sys.modules for m in "
+            "('scipy', 'sdc.evaluation', 'sdc.datagen', 'click')))")
     assert subprocess.run([sys.executable, "-c", code], env=fresh_env(), timeout=120).returncode == 0
 
 
@@ -436,6 +438,74 @@ def test_out_of_range_option_is_usage_error(command, option, value, demo, pipeli
     assert run([command, *argv, option, value]) == 1
     assert f"Invalid value for '{option}'" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["gen", "select", "infer", "inject", "bench",
+                                     "make-demo-data"])
+def test_command_help_exits_zero(command, capsys):
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"Usage: sdc {command} ")
+
+
+def test_abbreviated_option_is_usage_error(demo, pipeline, tmp_path, capsys):
+    rc = run(["select", "--config", str(demo["config"]), "--rule", str(pipeline / "rules.jsonl"),
+              "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "No such option '--rule'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_option_value_after_equals_sign(demo, tmp_path):
+    corpus = demo["data"] / "corpus.jsonl"
+    truth = tmp_path / "truth.json"
+    assert run(["inject", "--corpus", str(corpus), "--rate=0.5", "--out", str(tmp_path / "d.jsonl"),
+                "--truth-out", str(truth)]) == 0
+    assert total_errors(load_truth(str(truth))) == int(0.5 * len(load_corpus(str(corpus))))
+
+
+def sdc_in_fresh_process(argv):
+    """The completed ``sys.exit(main())`` process on ``argv``, as the
+    console script and the benchmark run a command."""
+    code = "import sys; from sdc.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+
+
+# Each case: the exit code and the start of the last stderr line.
+FRESH_EXITS = {
+    "infer": (0, "infer: "),
+    "gen-without-config": (1, "Error: the following arguments are required: --config"),
+    "registry-not-an-object": (2, "data error: "),
+}
+
+
+@pytest.mark.parametrize("case", list(FRESH_EXITS))
+def test_exit_code_and_last_stderr_line_in_a_fresh_process(case, pipeline, injected, tmp_path):
+    # The process ends through the atexit hook that freezes the heap;
+    # the exit code and the whole last stderr line still come through.
+    code, last_line = FRESH_EXITS[case]
+    bad_store = tmp_path / "store.json"
+    bad_store.write_text(json.dumps(store([])))
+    infer = ["infer", "--corpus", str(injected["dirty"]), "--out", str(tmp_path / "report.jsonl")]
+    argv = {"infer": infer + ["--rules", str(pipeline / "store.json")],
+            "gen-without-config": ["gen"],
+            "registry-not-an-object": infer + ["--rules", str(bad_store)]}[case]
+    proc = sdc_in_fresh_process(argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.endswith("\n")
+    assert proc.stderr.splitlines()[-1].startswith(last_line)
+
+
+def test_fresh_process_writes_the_in_process_report(pipeline, injected, tmp_path, capsys):
+    argv = ["infer", "--rules", str(pipeline / "store.json"), "--corpus", str(injected["dirty"])]
+    proc = sdc_in_fresh_process(argv + ["--out", str(tmp_path / "fresh.jsonl")])
+    assert proc.returncode == 0, proc.stderr
+    collector = gc.isenabled(), gc.get_freeze_count()
+    assert run(argv + ["--out", str(tmp_path / "in-process.jsonl")]) == 0
+    # The heap is frozen only when the interpreter exits.
+    assert (gc.isenabled(), gc.get_freeze_count()) == collector
+    assert read_bytes(tmp_path / "fresh.jsonl") == read_bytes(tmp_path / "in-process.jsonl")
+    assert proc.stderr.splitlines()[-1] == capsys.readouterr().err.splitlines()[-1]
 
 
 def test_too_many_centroids_is_data_error(demo, capsys):
