@@ -61,6 +61,9 @@ class FunctionsConfig:
     random_hash_seed: int = 0
 
     def __post_init__(self) -> None:
+        for key in ("patterns_top_k", "random_hash_count"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be at least 0, not {getattr(self, key)}")
         if self.random_hash_count > MAX_RANDOM_HASHES:
             raise ValueError(f"random_hash_count exceeds {MAX_RANDOM_HASHES}")
 
@@ -70,6 +73,10 @@ class EmbeddingConfig:
     path: str
     centroids: int = 0
     space_id: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.centroids < 0:
+            raise ValueError(f"centroids must be at least 0, not {self.centroids}")
 
 
 @dataclass
@@ -201,8 +208,7 @@ def _select(
 
 
 def _load_training_corpus(cfg: PipelineConfig) -> Corpus:
-    corpus = load_corpus(cfg.corpus_path)
-    return filter_columns(corpus, skip_numeric=cfg.skip_numeric)
+    return filter_columns(load_corpus(cfg.corpus_path), skip_numeric=cfg.skip_numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +237,34 @@ class _Formatter(argparse.HelpFormatter):
 
 class _Parser(argparse.ArgumentParser):
     """argparse with ``--help`` alone (no ``-h``), without abbreviated
-    options, and whose errors are ``UsageError`` rather than an exit with
-    code 2, the data-error code."""
+    options, and whose errors are ``UsageError`` (a command's with its
+    usage) rather than an exit with code 2, the data-error code."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(formatter_class=_Formatter, allow_abbrev=False, add_help=False, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def _get_value(self, action, arg_string):
+        try:
+            return (action.type or str)(arg_string)
+        except ValueError as exc:
+            raise UsageError(self, f"Invalid value for '{action.option_strings[0]}': {exc}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            raise UsageError(self, f"No such option '{extras[0].split('=')[0]}'."
+                             if extras[0].startswith("-")
+                             else f"Got unexpected extra argument ({extras[0]})")
+        return args, extras
 
     def error(self, message: str):
         raise UsageError(self, message)
 
 
 def _number(kind: type, low: float = -math.inf, high: float = math.inf) -> Callable[[str], float]:
-    """An option type: the text as ``kind`` (int or float) in [low, high];
-    NaN is out of every range."""
+    """An option type: the text as ``kind`` (int or float) in [low, high],
+    else a ValueError with the reason; NaN is out of every range."""
     bounds = f"{low}<=x<={high}" if high < math.inf else f"x>={low}"
 
     def convert(text: str):
@@ -259,70 +279,6 @@ def _number(kind: type, low: float = -math.inf, high: float = math.inf) -> Calla
     return convert
 
 
-class Option:
-    """One ``--name VALUE`` option: ``opts`` and ``kwargs`` are
-    ``add_argument``'s, and ``type`` turns the given text into the value,
-    raising ValueError with the reason."""
-
-    def __init__(self, *opts: str, type: Optional[Callable[[str], object]] = None,
-                 **kwargs) -> None:
-        self.opts, self.type, self.kwargs = opts, type, kwargs
-
-
-class Command:
-    """A command's function and its options."""
-
-    def __init__(self, run: Callable[..., None], params: tuple[Option, ...]) -> None:
-        self.run, self.params = run, params
-
-
-class Cli:
-    """The ``sdc`` command line: each command a function with its
-    options, parsed with argparse when ``main`` runs."""
-
-    def __init__(self, description: str) -> None:
-        self.description = description
-        self.commands: dict[str, Command] = {}
-
-    def command(self, name: str, *params: Option):
-        def register(run):
-            self.commands[name] = Command(run, params)
-            return run
-        return register
-
-    def parse(self, argv: list[str]) -> tuple[Command, dict]:
-        """The command ``argv`` names and its keyword arguments. Raises
-        UsageError, or SystemExit(0) once ``--help`` has printed."""
-        parser = _Parser(prog="sdc", description=self.description)
-        subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-        actions = {}
-        for name, command in self.commands.items():
-            doc = " ".join((command.run.__doc__ or "").split())
-            # The first clause stands for the command in ``sdc --help``.
-            sub = subparsers.add_parser(name, help=doc.split(". ")[0].split("; ")[0].rstrip("."),
-                                        description=doc)
-            actions[name] = [(option, sub.add_argument(*option.opts, **option.kwargs))
-                             for option in command.params]
-        args, extras = parser.parse_known_args(argv)
-        sub = subparsers.choices[args.command]
-        if extras:
-            raise UsageError(sub, f"No such option '{extras[0].split('=')[0]}'."
-                             if extras[0].startswith("-")
-                             else f"Got unexpected extra argument ({extras[0]})")
-        kwargs = {}
-        for option, action in actions[args.command]:
-            value = getattr(args, action.dest)
-            if option.type is not None and isinstance(value, str):  # given, not the default
-                try:
-                    value = option.type(value)
-                except ValueError as exc:
-                    raise UsageError(sub, f"Invalid value for '{option.opts[0]}': {exc}") from None
-            kwargs[action.dest] = value
-        return self.commands[args.command], kwargs
-
-
-cli = Cli("Learn semantic-domain constraints from a corpus of table columns "
-          "and use them to flag erroneous cells.")
 FRACTION = _number(float, 0, 1)
 COUNT = _number(int, 0)
 INTEGER = _number(int)
@@ -334,9 +290,6 @@ def _common_out(cfg: PipelineConfig, out_dir: Optional[str]) -> str:
     return out
 
 
-@cli.command("gen",
-             Option("--config", dest="config_path", required=True, help="pipeline config JSON"),
-             Option("--out-dir", help="override config out_dir"))
 def cmd_gen(config_path: str, out_dir: Optional[str]) -> None:
     """Enumerate candidate constraints and keep the statistical
     survivors; writes rules.jsonl, registry.json and gen-stats.json."""
@@ -366,11 +319,6 @@ def cmd_gen(config_path: str, out_dir: Optional[str]) -> None:
     )
 
 
-@cli.command("select",
-             Option("--config", dest="config_path", required=True),
-             Option("--rules", dest="rules_path", help="rules.jsonl from gen (default: out_dir)"),
-             Option("--registry", dest="registry_path", help="registry.json from gen"),
-             Option("--out-dir"))
 def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optional[str],
                out_dir: Optional[str]) -> None:
     """Pick a budgeted subset of the surviving constraints against a
@@ -414,11 +362,6 @@ def cmd_select(config_path: str, rules_path: Optional[str], registry_path: Optio
     )
 
 
-@cli.command("infer",
-             Option("--rules", dest="store_path", required=True, help="store.json from select"),
-             Option("--corpus", dest="corpus_path", required=True),
-             Option("--min-confidence", type=FRACTION, default=0.0),
-             Option("--out", dest="out_path", default="report.jsonl"))
 def cmd_infer(store_path: str, corpus_path: str, min_confidence: float, out_path: str) -> None:
     """Apply a constraint store to a corpus; writes a detection report
     (JSONL, one detection per line)."""
@@ -434,13 +377,6 @@ def cmd_infer(store_path: str, corpus_path: str, min_confidence: float, out_path
     )
 
 
-@cli.command("inject",
-             Option("--corpus", dest="corpus_path", required=True),
-             Option("--rate", type=FRACTION, default=0.1),
-             Option("--seed", type=INTEGER, default=0),
-             Option("--truth", dest="truth_path", help="existing ground truth to extend"),
-             Option("--out", dest="out_path", required=True),
-             Option("--truth-out", required=True))
 def cmd_inject(corpus_path: str, rate: float, seed: int, truth_path: Optional[str],
                out_path: str, truth_out: str) -> None:
     """Transplant foreign values into a fraction of the columns and
@@ -459,11 +395,6 @@ def cmd_inject(corpus_path: str, rate: float, seed: int, truth_path: Optional[st
     )
 
 
-@cli.command("bench",
-             Option("--config", dest="config_path", required=True),
-             Option("--heldout", type=COUNT, default=200, help="held-out column count"),
-             Option("--rate", type=FRACTION, default=0.1, help="error injection rate"),
-             Option("--out-dir"))
 def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str]) -> None:
     """End-to-end benchmark: split, learn, select, inject errors into
     the held-out columns, detect, and score against z-score baselines.
@@ -523,10 +454,6 @@ def cmd_bench(config_path: str, heldout: int, rate: float, out_dir: Optional[str
     )
 
 
-@cli.command("make-demo-data",
-             Option("--columns", type=COUNT, default=800),
-             Option("--seed", type=INTEGER, default=0),
-             Option("--out-dir", required=True))
 def cmd_make_demo_data(columns: int, seed: int, out_dir: str) -> None:
     """Generate a synthetic typed corpus plus its embedding space and
     score tables (used by the demos and benchmark walkthroughs)."""
@@ -559,16 +486,64 @@ def cmd_make_demo_data(columns: int, seed: int, out_dir: str) -> None:
     print(f"wrote {len(dataset.corpus)} columns and {cfg_path}", file=sys.stderr)
 
 
+def _parser() -> _Parser:
+    """The ``sdc`` command line; each command's options are its function's
+    keyword arguments, and its ``run`` is that function."""
+    parser = _Parser(prog="sdc", description="Learn semantic-domain constraints from a corpus of "
+                     "table columns and use them to flag erroneous cells.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, run: Callable[..., None]) -> _Parser:
+        doc = " ".join(run.__doc__.split())
+        # The first clause stands for the command in ``sdc --help``.
+        sub = commands.add_parser(name, help=doc.split(". ")[0].split("; ")[0].rstrip("."),
+                                  description=doc)
+        sub.set_defaults(run=run)
+        return sub
+
+    gen = command("gen", cmd_gen)
+    gen.add_argument("--config", dest="config_path", required=True, help="pipeline config JSON")
+    gen.add_argument("--out-dir", help="override config out_dir")
+    select = command("select", cmd_select)
+    select.add_argument("--config", dest="config_path", required=True)
+    select.add_argument("--rules", dest="rules_path",
+                        help="rules.jsonl from gen (default: out_dir)")
+    select.add_argument("--registry", dest="registry_path", help="registry.json from gen")
+    select.add_argument("--out-dir")
+    infer = command("infer", cmd_infer)
+    infer.add_argument("--rules", dest="store_path", required=True, help="store.json from select")
+    infer.add_argument("--corpus", dest="corpus_path", required=True)
+    infer.add_argument("--min-confidence", type=FRACTION, default=0.0)
+    infer.add_argument("--out", dest="out_path", default="report.jsonl")
+    inject = command("inject", cmd_inject)
+    inject.add_argument("--corpus", dest="corpus_path", required=True)
+    inject.add_argument("--rate", type=FRACTION, default=0.1)
+    inject.add_argument("--seed", type=INTEGER, default=0)
+    inject.add_argument("--truth", dest="truth_path", help="existing ground truth to extend")
+    inject.add_argument("--out", dest="out_path", required=True)
+    inject.add_argument("--truth-out", required=True)
+    bench = command("bench", cmd_bench)
+    bench.add_argument("--config", dest="config_path", required=True)
+    bench.add_argument("--heldout", type=COUNT, default=200, help="held-out column count")
+    bench.add_argument("--rate", type=FRACTION, default=0.1, help="error injection rate")
+    bench.add_argument("--out-dir")
+    demo = command("make-demo-data", cmd_make_demo_data)
+    demo.add_argument("--columns", type=COUNT, default=800)
+    demo.add_argument("--seed", type=INTEGER, default=0)
+    demo.add_argument("--out-dir", required=True)
+    return parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        command, kwargs = cli.parse(sys.argv[1:] if argv is None else argv)
+        args = vars(_parser().parse_args(argv))
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help has printed
         return exc.code
     try:
-        command.run(**kwargs)
+        args.pop("run")(**args)
         return 0
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -198,7 +198,11 @@ def _load_csv_dir(path: str) -> Corpus:
         if not os.path.isfile(full) or not name.lower().endswith(".csv"):
             continue
         with open(full, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            try:
+                rows = list(reader)
+            except csv.Error as exc:  # such as a field over csv.field_size_limit()
+                raise DataFormatError(f"{full} line {reader.line_num}: {exc}") from None
         if not rows:
             continue
         width = max(len(r) for r in rows)

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from sdc.cli import MAX_RANDOM_HASHES, PipelineConfig, cli, main
+from sdc.cli import MAX_RANDOM_HASHES, PipelineConfig, main
 from sdc.corpus import Column, filter_columns, load_corpus, save_corpus
 from sdc.errors import DataFormatError
 from sdc.evaluation import load_truth, total_errors
@@ -348,6 +348,19 @@ def test_inject_reads_csv_directory(tmp_path):
     assert total_errors(load_truth(str(truth))) > 0
 
 
+def test_csv_field_over_the_limit_is_data_error(tmp_path, capsys):
+    # A JSONL corpus takes a value this long; the csv module refuses it.
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    (tables / "a.csv").write_text("red\n" + "x" * 131_073 + "\nblue\n")
+    rc = run(["inject", "--corpus", str(tables), "--out", str(tmp_path / "dirty.jsonl"),
+              "--truth-out", str(tmp_path / "truth.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"data error: {tables / 'a.csv'} line 2: field larger than field limit (131072)")
+    assert not (tmp_path / "dirty.jsonl").exists()
+
+
 def test_infer_min_confidence_filters(demo, pipeline, injected):
     rep_all = demo["root"] / "report-all.jsonl"
     rep_hi = demo["root"] / "report-hi.jsonl"
@@ -461,6 +474,57 @@ def test_option_value_after_equals_sign(demo, tmp_path):
     assert run(["inject", "--corpus", str(corpus), "--rate=0.5", "--out", str(tmp_path / "d.jsonl"),
                 "--truth-out", str(truth)]) == 0
     assert total_errors(load_truth(str(truth))) == int(0.5 * len(load_corpus(str(corpus))))
+
+
+# Each usage error: the command line, the start of its usage line (the
+# usage of the command it names, or of sdc itself) and the last stderr
+# line. Only the invalid choice's prefix is pinned, since the list of
+# choices follows it.
+USAGE_ERRORS = {
+    "no-command": ([], "sdc [--help]", "Error: the following arguments are required: COMMAND"),
+    "unknown-command": (["frobnicate"], "sdc [--help]",
+                        "Error: argument COMMAND: invalid choice: 'frobnicate'"),
+    "missing-required-option": (["gen"], "sdc gen ",
+                                "Error: the following arguments are required: --config"),
+    "missing-value": (["gen", "--config"], "sdc gen ",
+                      "Error: argument --config: expected one argument"),
+    "extra-argument": (["gen", "--config", "a", "b"], "sdc gen ",
+                       "Error: Got unexpected extra argument (b)"),
+    "unknown-option": (["gen", "--config", "c", "--seed", "1"], "sdc gen ",
+                       "Error: No such option '--seed'."),
+    "unknown-option-with-value": (["gen", "--config", "c", "--seed=1"], "sdc gen ",
+                                  "Error: No such option '--seed'."),
+    "abbreviated-option": (["select", "--config", "c", "--rule", "r"], "sdc select ",
+                           "Error: No such option '--rule'."),
+    "abbreviated-option-with-value": (["select", "--config", "c", "--rule=r"], "sdc select ",
+                                      "Error: No such option '--rule'."),
+    "bad-int": (["bench", "--config", "c", "--heldout", "1.5"], "sdc bench ",
+                "Error: Invalid value for '--heldout': '1.5' is not a valid int."),
+    "bad-float": (["inject", "--corpus", "c", "--out", "o", "--truth-out", "t", "--rate=abc"],
+                  "sdc inject ", "Error: Invalid value for '--rate': 'abc' is not a valid float."),
+    "out-of-range": (["make-demo-data", "--out-dir", "d", "--columns", "-2"],
+                     "sdc make-demo-data ",
+                     "Error: Invalid value for '--columns': -2 is not in the range x>=0."),
+    "nan": (["infer", "--rules", "r", "--corpus", "c", "--min-confidence", "nan"], "sdc infer ",
+            "Error: Invalid value for '--min-confidence': nan is not in the range 0<=x<=1."),
+    # An option before the command is sdc's own, so sdc's usage comes with it.
+    "option-before-command": (["--foo", "gen", "--config", "c"], "sdc [--help]",
+                              "Error: No such option '--foo'."),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_message(case, tmp_path, monkeypatch, capsys):
+    argv, usage, last_line = USAGE_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"Usage: {usage}")
+    if case == "unknown-command":
+        assert err[-1].startswith(last_line)
+    else:
+        assert err[-1] == last_line
+    assert os.listdir(tmp_path) == []
 
 
 def sdc_in_fresh_process(argv):
@@ -641,6 +705,26 @@ def test_random_hash_count_bound(tmp_path):
         load(MAX_RANDOM_HASHES + 1)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("functions", "patterns_top_k"),
+    ("functions", "random_hash_count"),
+    ("embedding", "centroids"),
+])
+def test_negative_count_is_refused(section, key, tmp_path):
+    def load(count):
+        path = tmp_path / "cfg.json"
+        paths = {"corpus": "c.jsonl"}
+        if section == "embedding":
+            paths["embeddings"] = [{"path": "space.txt", key: count}]
+        path.write_text(json.dumps({"paths": paths, "functions": {key: count}
+                                    if section == "functions" else {}}))
+        return PipelineConfig.load(str(path))
+
+    load(0)
+    with pytest.raises(DataFormatError, match=f"{key} must be at least 0, not -1"):
+        load(-1)
+
+
 def test_default_score_is_checked_when_the_config_loads(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"paths": {"corpus": "c.jsonl", "score_tables": [
@@ -669,10 +753,11 @@ def test_config_hash_names_every_setting(tmp_path):
     ("select", {"--config", "--rules", "--registry", "--out-dir"}),
     ("bench", {"--config", "--heldout", "--rate", "--out-dir"}),
 ])
-def test_pipeline_settings_come_only_from_the_config(command, options):
+def test_pipeline_settings_come_only_from_the_config(command, options, capsys):
     # Every other setting is a config key, so the config hash names it.
-    params = cli.commands[command].params
-    assert {opt for p in params for opt in p.opts} == options
+    assert run([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert set(re.findall(r"--[a-z-]+", usage)) - {"--help"} == options
 
 
 EMBEDDING_WITHOUT_SPACE_ID = {"id": "emb:toy:red", "family": "embedding",
